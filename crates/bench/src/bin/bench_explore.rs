@@ -5,12 +5,12 @@
 //! counters), then replays the exact evaluation schedule it produced —
 //! generation by generation, with the same work-stealing thread pool —
 //! through both evaluation paths with telemetry *disabled*: the
-//! from-scratch oracle (`run_flow`) and the incremental engine
-//! (`run_flow_with`, fresh engine, cold caches). The two replay walls are
-//! the honest apples-to-apples comparison the incremental engine is
-//! judged on; results, including the telemetry section, land in
-//! `BENCH_explore.json` at the workspace root so future changes can track
-//! the perf curve.
+//! from-scratch oracle (`FlowRun::new(..).metrics()`) and the
+//! incremental engine (`FlowRun::engine`, fresh engine, cold caches).
+//! The two replay walls are the honest apples-to-apples comparison the
+//! incremental engine is judged on; results, including the telemetry
+//! section, land in `BENCH_explore.json` at the workspace root so future
+//! changes can track the perf curve.
 //!
 //! Flags:
 //! - `--verbose` prints the rendered span/metric tree of the instrumented

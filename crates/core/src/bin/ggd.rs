@@ -17,10 +17,9 @@
 //! prints the span/metric tree to stderr when the command finishes —
 //! including on error paths, now that `main` returns `Result`.
 //!
-//! The historical positional forms (`ggd harden TINY lda out.gds`,
-//! `ggd explore TINY 8 4`) are kept as deprecated aliases of the flags:
-//! `harden <design> [cs|lda] [out.gds]` maps to `--design/--op/--out`,
-//! and `explore <design> [pop] [gens]` maps to `--design/--pop/--gens`.
+//! Inputs are named by flags; the only positionals are `submit`'s job
+//! kind and the client commands' job id. A stray positional is refused
+//! with an error pointing at `--design`.
 //!
 //! `ggd serve` is **crash-safe** by default: job-lifecycle transitions
 //! are journaled under `--journal-dir` (default `$GG_JOURNAL_DIR`, else
@@ -69,12 +68,7 @@ const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    \x20 result  <job>                            final result payload (JSON)\n\
    \x20 jobs                                     all jobs\n\
    \x20 stats                                    scheduler + baseline-cache counters\n\
-   \x20 shutdown                                 stop the daemon\n\
-   \n\
-   deprecated positional aliases (still accepted):\n\
-   \x20 analyze <design>                ≡ --design\n\
-   \x20 harden  <design> [cs|lda] [out.gds]      ≡ --design/--op/--out\n\
-   \x20 explore <design> [pop] [gens]   ≡ --design/--pop/--gens";
+   \x20 shutdown                                 stop the daemon";
 
 /// Everything the flag parser can collect; each command reads the
 /// subset it understands.
@@ -148,17 +142,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, Error> {
 }
 
 impl Opts {
-    /// The design name, from `--design` or the deprecated positional.
-    fn design(&self, positional_idx: usize) -> Result<String, Error> {
+    /// The design name `--design` gave.
+    fn design(&self) -> Result<String, Error> {
         self.design
             .clone()
-            .or_else(|| self.positionals.get(positional_idx).cloned())
             .ok_or_else(|| Error::InvalidArgs("no design named; use --design <name>".into()))
-    }
-
-    /// A numeric positional (deprecated alias for a flag).
-    fn positional_num<T: std::str::FromStr>(&self, idx: usize) -> Option<T> {
-        self.positionals.get(idx).and_then(|s| s.parse().ok())
     }
 
     /// The job id every client command takes as its positional.
@@ -224,7 +212,7 @@ fn cmd_list() {
 }
 
 fn cmd_analyze(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
+    let name = o.design()?;
     let tech = Technology::nangate45_like();
     let base = baseline(&name, &tech)?;
     print_snapshot("baseline", &base);
@@ -234,16 +222,12 @@ fn cmd_analyze(o: &Opts) -> Result<(), Error> {
 }
 
 fn cmd_harden(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let op =
-        o.op.clone()
-            .or_else(|| o.positionals.get(1).cloned())
-            .unwrap_or_else(|| "cs".to_owned());
-    let out = o.out.clone().or_else(|| o.positionals.get(2).cloned());
+    let name = o.design()?;
+    let op = o.op.as_deref().unwrap_or("cs");
     let tech = Technology::nangate45_like();
     let base = baseline(&name, &tech)?;
     print_snapshot("baseline", &base);
-    let cfg = match op.as_str() {
+    let cfg = match op {
         "cs" => FlowConfig::cell_shift_default(),
         "lda" => FlowConfig::lda_default(),
         other => {
@@ -261,12 +245,12 @@ fn cmd_harden(o: &Opts) -> Result<(), Error> {
         (1.0 - m.security) * 100.0,
         secmetrics::attack::battery_success_rate(&hardened.security, &tech) * 100.0
     );
-    if let Some(path) = out {
+    if let Some(path) = &o.out {
         // The snapshot's layout is Arc-shared; un-share before mutating.
         let hl = std::sync::Arc::make_mut(&mut hardened.layout);
         layout::insert_fillers(hl.occupancy_mut(), &tech);
         let lib = gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing));
-        std::fs::write(&path, lib.to_bytes())
+        std::fs::write(path, lib.to_bytes())
             .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
         println!("  wrote {path}");
     }
@@ -340,23 +324,59 @@ fn print_explore_payload(payload: &Json) -> Result<(), Error> {
     Ok(())
 }
 
-/// `ggd explore` without `--socket`: submit-and-watch over an in-process
-/// server, output pinned bit-identical to the historic one-shot path.
-fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let mut spec = JobSpec::explore(&name);
-    spec.population = o.pop.or_else(|| o.positional_num(1)).unwrap_or(10);
-    spec.generations = o.gens.or_else(|| o.positional_num(2)).unwrap_or(3);
+/// Streams an explore job's progress: the baseline summary to stdout
+/// (part of the pinned one-shot output), generation events to stderr.
+fn print_explore_event(e: &JobEvent) {
+    match e.kind.as_str() {
+        "baseline" => {
+            if let Some(sum) = BaselineSummary::from_json(&e.data) {
+                println!("{}", sum.render("baseline"));
+            }
+        }
+        "generation" => diagln!("{}", describe_event(e)),
+        _ => {}
+    }
+}
+
+/// The job spec the flags describe: a `kind` job over `--design`, with
+/// every given flag overriding the [`JobSpec`] default.
+fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
+    let design = o.design()?;
+    let mut spec = match kind {
+        "explore" => JobSpec::explore(&design),
+        "analyze" => JobSpec::analyze(&design),
+        "harden" => JobSpec::harden(&design, o.op.as_deref().unwrap_or("cs")),
+        other => {
+            return Err(Error::InvalidArgs(format!(
+                "unknown job kind '{other}' (expected explore, harden, or analyze)"
+            )))
+        }
+    };
+    if let Some(pop) = o.pop {
+        spec.population = pop;
+    }
+    if let Some(gens) = o.gens {
+        spec.generations = gens;
+    }
     if let Some(seed) = o.seed {
         spec.seed = seed;
     }
     if let Some(threads) = o.threads {
         spec.threads = threads;
     }
+    if let Some(priority) = o.priority {
+        spec.priority = priority;
+    }
     spec.out = o.out.clone();
     spec.checkpoint = o.checkpoint.clone();
     spec.resume = o.resume;
+    Ok(spec)
+}
 
+/// `ggd explore` without `--socket`: submit-and-watch over an in-process
+/// server, output pinned bit-identical to the historic one-shot path.
+fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
+    let spec = job_spec(o, "explore")?;
     let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
     let server = Server::start(ServerConfig {
         socket: None,
@@ -369,17 +389,7 @@ fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
     let status = loop {
         let (events, terminal) = server.events_since(id, cursor, true)?;
         cursor += events.len() as u64;
-        for e in &events {
-            match e.kind.as_str() {
-                "baseline" => {
-                    if let Some(sum) = BaselineSummary::from_json(&e.data) {
-                        println!("{}", sum.render("baseline"));
-                    }
-                }
-                "generation" => diagln!("{}", describe_event(e)),
-                _ => {}
-            }
-        }
+        events.iter().for_each(print_explore_event);
         if terminal {
             break server.status(id)?;
         }
@@ -403,33 +413,10 @@ fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
 /// `ggd explore --socket <path>`: the same submit-and-watch against a
 /// remote daemon.
 fn cmd_explore_remote(o: &Opts) -> Result<(), Error> {
-    let name = o.design(0)?;
-    let mut spec = JobSpec::explore(&name);
-    spec.population = o.pop.or_else(|| o.positional_num(1)).unwrap_or(10);
-    spec.generations = o.gens.or_else(|| o.positional_num(2)).unwrap_or(3);
-    if let Some(seed) = o.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = o.threads {
-        spec.threads = threads;
-    }
-    if let Some(priority) = o.priority {
-        spec.priority = priority;
-    }
-    spec.out = o.out.clone();
-    spec.checkpoint = o.checkpoint.clone();
-    spec.resume = o.resume;
+    let spec = job_spec(o, "explore")?;
     let mut client = Client::connect(&o.socket())?;
     let id = client.submit(&spec)?;
-    let status = client.watch(id, 0, |e| match e.kind.as_str() {
-        "baseline" => {
-            if let Some(sum) = BaselineSummary::from_json(&e.data) {
-                println!("{}", sum.render("baseline"));
-            }
-        }
-        "generation" => diagln!("{}", describe_event(e)),
-        _ => {}
-    })?;
+    let status = client.watch(id, 0, print_explore_event)?;
     match status.state {
         JobState::Done => print_explore_payload(&client.result(id)?),
         other => Err(Error::Serve(format!(
@@ -497,36 +484,8 @@ fn cmd_submit(o: &Opts) -> Result<(), Error> {
     let kind = o.positionals.first().map(String::as_str).ok_or_else(|| {
         Error::InvalidArgs("submit needs a job kind (explore|harden|analyze)".into())
     })?;
-    let design = o.design(1)?;
-    validate_design(&design)?;
-    let mut spec = match kind {
-        "explore" => JobSpec::explore(&design),
-        "analyze" => JobSpec::analyze(&design),
-        "harden" => JobSpec::harden(&design, o.op.as_deref().unwrap_or("cs")),
-        other => {
-            return Err(Error::InvalidArgs(format!(
-                "unknown job kind '{other}' (expected explore, harden, or analyze)"
-            )))
-        }
-    };
-    if let Some(pop) = o.pop {
-        spec.population = pop;
-    }
-    if let Some(gens) = o.gens {
-        spec.generations = gens;
-    }
-    if let Some(seed) = o.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = o.threads {
-        spec.threads = threads;
-    }
-    if let Some(priority) = o.priority {
-        spec.priority = priority;
-    }
-    spec.out = o.out.clone();
-    spec.checkpoint = o.checkpoint.clone();
-    spec.resume = o.resume;
+    let spec = job_spec(o, kind)?;
+    validate_design(&spec.design)?;
     let mut client = Client::connect(&o.socket())?;
     let id = client.submit(&spec)?;
     println!("job {id}");
@@ -593,6 +552,17 @@ fn dispatch(args: &[String]) -> Result<(), Error> {
     if o.help {
         diagln!("{USAGE}");
         return Ok(());
+    }
+    // `submit` takes a job kind and the client commands a job id; every
+    // other input is named by a flag.
+    let takes = usize::from(matches!(
+        command,
+        "submit" | "status" | "watch" | "pause" | "resume" | "cancel" | "result"
+    ));
+    if let Some(stray) = o.positionals.get(takes) {
+        return Err(Error::InvalidArgs(format!(
+            "unexpected argument '{stray}'; name inputs by flag, e.g. --design <name> (see --help)"
+        )));
     }
     match command {
         "list" => {

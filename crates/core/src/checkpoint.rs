@@ -21,7 +21,9 @@
 //! serialized as hex strings because `ggjson` numbers are `f64`-backed and
 //! only exact below 2^53.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -92,15 +94,7 @@ impl Checkpoint {
                 std::fs::create_dir_all(parent).map_err(io)?;
             }
         }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(envelope.as_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
+        let tmp = write_synced_tmp(path, envelope.as_bytes()).map_err(io)?;
         // Keep the outgoing envelope as `<path>.prev` — the last-good
         // fallback `load_with_fallback` resumes from when the primary is
         // corrupt (torn by a crash, or bit-rotted on disk). Best-effort:
@@ -209,33 +203,47 @@ impl Checkpoint {
     }
 }
 
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(suffix);
+    PathBuf::from(p)
+}
+
 /// The `<path>.prev` sibling holding the previous good envelope (see
 /// [`Checkpoint::load_with_fallback`]).
-pub fn prev_path(path: &Path) -> std::path::PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".prev");
-    std::path::PathBuf::from(p)
+pub fn prev_path(path: &Path) -> PathBuf {
+    with_suffix(path, ".prev")
+}
+
+/// Writes `bytes` to `<path>.tmp` and syncs it to disk, returning the tmp
+/// path for the caller to rename over `path` — so a reader of `path` only
+/// ever observes a complete file. Shared by checkpoint saves and journal
+/// compaction.
+pub(crate) fn write_synced_tmp(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let tmp = with_suffix(path, ".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    Ok(tmp)
 }
 
 /// Deterministic fingerprint of a base snapshot: its headline metrics plus
 /// design size, enough to catch resuming against the wrong design or a
-/// different baseline implementation.
+/// different baseline implementation. FNV-1a over the little-endian
+/// bytes of those words.
 pub fn fingerprint(base: &Snapshot) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(base.security.er_sites);
-    mix(base.security.er_tracks.to_bits());
-    mix(base.tns_ps().to_bits());
-    mix(base.power_mw().to_bits());
-    mix(u64::from(base.drc));
-    mix(base.layout.design().nets.len() as u64);
-    mix(base.routing.total_wirelength_um().to_bits());
-    hex64(h)
+    let words = [
+        base.security.er_sites,
+        base.security.er_tracks.to_bits(),
+        base.tns_ps().to_bits(),
+        base.power_mw().to_bits(),
+        u64::from(base.drc),
+        base.layout.design().nets.len() as u64,
+        base.routing.total_wirelength_um().to_bits(),
+    ];
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    hex64(fnv1a(&bytes))
 }
 
 /// FNV-1a over a byte slice (shared with the job journal's per-line
@@ -437,6 +445,38 @@ mod tests {
         }
         assert!(fallbacks > 0, "the matrix must exercise the fallback path");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The envelope header bytes (version, checksum key order and
+    /// indentation, and the checksum of [`sample`]'s payload), as written
+    /// by the build that introduced this test: checkpoints must load
+    /// across builds, so any change here is a format change.
+    #[test]
+    fn envelope_header_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("ggcp-golden-{}", std::process::id()));
+        let path = dir.join("checkpoint.ggjson");
+        sample().save(&path).expect("save");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let golden =
+            "{\n  \"version\": 1,\n  \"checksum\": \"40ed465e4bddd587\",\n  \"payload\": {";
+        assert!(
+            text.starts_with(golden),
+            "envelope header changed:\n{}",
+            &text[..golden.len().min(text.len())]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fingerprints are stored in checkpoints, so their bits must not
+    /// drift: this is TINY's baseline fingerprint as the build that
+    /// introduced this test computed it. A legitimate baseline change
+    /// moves it (and correctly makes older checkpoints refuse to resume).
+    #[test]
+    fn tiny_baseline_fingerprint_is_pinned() {
+        let tech = tech::Technology::nangate45_like();
+        let base = crate::pipeline::implement_baseline(&netlist::bench::tiny_spec(), &tech)
+            .expect("tiny baseline");
+        assert_eq!(fingerprint(&base), "7cba2d5fb13e6e16");
     }
 
     #[test]

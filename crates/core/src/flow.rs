@@ -179,8 +179,7 @@ fn operator_seed(op: OpSelect, seed: u64) -> u64 {
 }
 
 /// Applies the ECO operators of `cfg` to the baseline layout without
-/// evaluating: the shared edit step of [`apply_flow`] and
-/// [`apply_flow_with`].
+/// evaluating: the edit step of the from-scratch [`FlowRun`] path.
 fn edit_layout(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> layout::Layout {
     let mut layout = apply_operator(base, tech, cfg.op, seed);
     rws::apply_width_scaling(&mut layout, cfg.scales);
@@ -254,17 +253,14 @@ fn engine_metrics(
 
 /// One configured execution of the composed security flow `f(L_base; x)`.
 ///
-/// `FlowRun` is the single entry point that replaced the old six-function
-/// family (`apply_flow`, `run_flow`, `apply_flow_with`,
-/// `apply_flow_with_unchecked`, `run_flow_with`,
-/// `run_flow_with_unchecked`): pick the *source* (the from-scratch oracle
-/// via [`FlowRun::new`], or the incremental path via [`FlowRun::engine`]),
-/// tune the run with [`seed`](FlowRun::seed), and finish with a terminal
-/// — [`snapshot`](FlowRun::snapshot) for the full evaluated layout or
-/// [`metrics`](FlowRun::metrics) for the fitness vector. Callers that
-/// treat a poisoned operator-edit cache as a bug rather than a
-/// recoverable condition opt into the panicking contract with
-/// [`unchecked`](FlowRun::unchecked).
+/// `FlowRun` is the single entry point of the flow: pick the *source*
+/// (the from-scratch oracle via [`FlowRun::new`], or the incremental path
+/// via [`FlowRun::engine`]), tune the run with [`seed`](FlowRun::seed),
+/// and finish with a terminal — [`snapshot`](FlowRun::snapshot) for the
+/// full evaluated layout or [`metrics`](FlowRun::metrics) for the fitness
+/// vector. Callers that treat a poisoned operator-edit cache as a bug
+/// rather than a recoverable condition opt into the panicking contract
+/// with [`unchecked`](FlowRun::unchecked).
 ///
 /// ```no_run
 /// use gdsii_guard::prelude::*;
@@ -329,9 +325,9 @@ impl<'a> FlowRun<'a> {
         self
     }
 
-    /// Switches the terminals to the panicking contract of the old
-    /// `*_unchecked` family: a poisoned operator-edit cache panics
-    /// instead of surfacing [`Error::EditCachePoisoned`].
+    /// Switches the terminals to a panicking contract: a poisoned
+    /// operator-edit cache panics instead of surfacing
+    /// [`Error::EditCachePoisoned`]. Validation is unchanged.
     pub fn unchecked(self) -> FlowRunUnchecked<'a> {
         FlowRunUnchecked(self)
     }
@@ -367,8 +363,8 @@ impl<'a> FlowRun<'a> {
     }
 }
 
-/// A [`FlowRun`] with the panicking terminals of the old `*_unchecked`
-/// family (see [`FlowRun::unchecked`]).
+/// A [`FlowRun`] whose terminals panic on a poisoned operator-edit cache
+/// (see [`FlowRun::unchecked`]).
 #[must_use = "a FlowRun does nothing until `.snapshot()` or `.metrics()` runs it"]
 pub struct FlowRunUnchecked<'a>(FlowRun<'a>);
 
@@ -390,109 +386,6 @@ impl FlowRunUnchecked<'_> {
     pub fn metrics(self) -> FlowMetrics {
         self.0.metrics().expect("operator-edit cache poisoned")
     }
-}
-
-/// Applies the full GDSII-Guard flow to the baseline and returns the
-/// evaluated snapshot.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(base, tech, cfg).seed(seed).unchecked().snapshot()`"
-)]
-pub fn apply_flow(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> Snapshot {
-    FlowRun::new(base, tech, cfg)
-        .seed(seed)
-        .unchecked()
-        .snapshot()
-}
-
-/// Applies the flow and returns its metrics in one call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(base, tech, cfg).seed(seed).unchecked().metrics()`"
-)]
-pub fn run_flow(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> FlowMetrics {
-    FlowRun::new(base, tech, cfg)
-        .seed(seed)
-        .unchecked()
-        .metrics()
-}
-
-/// The old incremental snapshot path through a prebuilt [`EvalEngine`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).snapshot()`"
-)]
-pub fn apply_flow_with(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Result<Snapshot, Error> {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .snapshot()
-}
-
-/// The old panicking incremental snapshot path.
-///
-/// # Panics
-///
-/// Panics if a worker poisoned the engine's operator-edit cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).unchecked().snapshot()`"
-)]
-pub fn apply_flow_with_unchecked(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Snapshot {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .unchecked()
-        .snapshot()
-}
-
-/// The old incremental metrics path through a prebuilt [`EvalEngine`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).metrics()`"
-)]
-pub fn run_flow_with(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Result<FlowMetrics, Error> {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .metrics()
-}
-
-/// The old panicking incremental metrics path.
-///
-/// # Panics
-///
-/// Panics if a worker poisoned the engine's operator-edit cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FlowRun::new(engine.base(), tech, cfg).engine(engine).seed(seed).unchecked().metrics()`"
-)]
-pub fn run_flow_with_unchecked(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> FlowMetrics {
-    FlowRun::new(engine.base(), tech, cfg)
-        .engine(engine)
-        .seed(seed)
-        .unchecked()
-        .metrics()
 }
 
 #[cfg(test)]

@@ -88,12 +88,6 @@ pub use obs;
 /// use gdsii_guard::prelude::*;
 /// ```
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::flow::{
-        apply_flow, apply_flow_with, apply_flow_with_unchecked, run_flow, run_flow_with,
-        run_flow_with_unchecked,
-    };
-
     pub use crate::checkpoint::Checkpoint;
     pub use crate::error::Error;
     pub use crate::flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};

@@ -27,9 +27,9 @@
 //!
 //! When the active segment passes its byte threshold, the registry
 //! rewrites the journal: a fresh segment receives a *snapshot* — the
-//! minimal record sequence reproducing every job's current state (two
-//! lines for a terminal job, at most three for a live one) — via the
-//! tmp + sync + rename idiom, and older segments are deleted. Replay is
+//! minimal record sequence reproducing every job's current state (at
+//! most three lines per job) — via the tmp + sync + rename idiom, and
+//! older segments are deleted. Replay is
 //! insensitive to a crash between those two steps because a re-replayed
 //! `submitted` record overwrites the job it re-introduces.
 //!
@@ -60,7 +60,7 @@ use std::time::Instant;
 
 use ggjson::{FromJson, Json, ToJson};
 
-use crate::checkpoint::{fnv1a, hex64};
+use crate::checkpoint::{fnv1a, hex64, write_synced_tmp};
 use crate::error::Error;
 use crate::serve::job::JobSpec;
 
@@ -369,16 +369,7 @@ impl Journal {
             text.push_str(&encode_line(rec));
             text.push('\n');
         }
-        let tmp = PathBuf::from({
-            let mut t = path.as_os_str().to_owned();
-            t.push(".tmp");
-            t
-        });
-        {
-            let mut f = File::create(&tmp).map_err(io)?;
-            f.write_all(text.as_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
+        let tmp = write_synced_tmp(&path, text.as_bytes()).map_err(io)?;
         std::fs::rename(&tmp, &path).map_err(io)?;
         let file = OpenOptions::new().append(true).open(&path).map_err(io)?;
         let old = state.seg;
@@ -567,6 +558,24 @@ mod tests {
         let back = Journal::replay(&dir).expect("replay");
         assert_eq!(back, vec![JournalRecord::transition(1, "paused")]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The exact bytes of one line, as written by the build that
+    /// introduced this test: journals must replay across builds, so any
+    /// change here is a format change (bump [`JOURNAL_VERSION`]).
+    #[test]
+    fn encoded_line_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            r#"{"v":1,"checksum":"f59b60a6daff1c7c","record":{"job":7,"kind":"submitted","seq":3,"#,
+            r#""generation":null,"spec":{"version":2,"kind":"explore","design":"TINY","priority":0,"#,
+            r#""population":10,"generations":3,"seed":26018,"threads":0,"op":"","out":null,"#,
+            r#""checkpoint":null,"resume":false,"dedup":null},"checkpoint":"/tmp/job3.ckpt","#,
+            r#""result":null,"error":null}}"#
+        );
+        let rec =
+            JournalRecord::submitted(7, &JobSpec::explore("TINY"), 3, Path::new("/tmp/job3.ckpt"));
+        assert_eq!(encode_line(&rec), GOLDEN);
+        assert_eq!(decode_line(GOLDEN), Some(rec));
     }
 
     #[test]

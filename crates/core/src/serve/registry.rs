@@ -9,13 +9,20 @@
 //! long-running low-priority explore at its next generation boundary
 //! without killing it.
 //!
-//! When constructed [`Registry::with_journal`], every lifecycle
-//! transition is appended to the durable [`Journal`] *before* the
-//! corresponding event is published — write-ahead ordering, so a watcher
-//! can never observe a transition the journal might forget. On restart,
-//! [`Registry::recover`] replays the log: non-terminal jobs re-enter the
-//! queue with their original submit-order tickets (priority/FIFO order
-//! preserved), terminal jobs come back queryable with their results.
+//! Every durable lifecycle transition is a [`JournalRecord`], and
+//! `Inner::apply` is the one function that turns a record into job
+//! state. The live methods decide *which* transition happens and then
+//! `commit` it: append to the [`Journal`] (when constructed
+//! [`Registry::with_journal`]), apply, and only then publish the event —
+//! write-ahead ordering, so a watcher can never observe a transition the
+//! journal might forget. On restart, [`Registry::recover`] applies the
+//! replayed records through the same function, so recovered state cannot
+//! drift from live state: non-terminal jobs re-enter the queue with their
+//! original submit-order tickets (priority/FIFO order preserved), terminal
+//! jobs come back queryable with their results. Only what a restart may
+//! lose stays outside the journal: the running mark of a claimed step,
+//! pause/cancel requests against a running job, and the `resumed` event
+//! a resumed job emits when it is next claimed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -50,6 +57,32 @@ pub(crate) struct Job {
     /// Pareto-front member keys as of the last generation, for computing
     /// streamed front deltas.
     pub front_keys: Vec<String>,
+}
+
+impl Job {
+    /// A freshly queued job that has run no step yet.
+    fn new(spec: JobSpec, seq: u64, checkpoint: PathBuf) -> Self {
+        let total_steps = match spec.kind {
+            // Steps 0..=generations: the initial population counts as one.
+            JobKind::Explore => spec.generations as u64 + 1,
+            _ => 1,
+        };
+        Self {
+            spec,
+            state: JobState::Queued,
+            seq,
+            next_step: 0,
+            total_steps,
+            pause_requested: false,
+            cancel_requested: false,
+            resumed_pending: false,
+            events: Vec::new(),
+            result: None,
+            error: None,
+            checkpoint,
+            front_keys: Vec::new(),
+        }
+    }
 }
 
 /// What a runner's completed step did to its job.
@@ -115,6 +148,60 @@ impl Inner {
             });
         }
     }
+
+    /// Applies one journaled transition to the job state — the only
+    /// place a [`JournalRecord`] becomes state, shared by the live path
+    /// ([`Registry::commit`]) and by [`Registry::recover`].
+    ///
+    /// A `submitted` record (re)creates its job, overwriting any earlier
+    /// copy: a compaction snapshot may repeat a job an older segment
+    /// already introduced. Records for unknown jobs are ignored.
+    fn apply(&mut self, rec: &JournalRecord) {
+        let id = rec.job;
+        if rec.kind == "submitted" {
+            let Some(spec) = rec.spec.clone() else { return };
+            if let Some(tok) = &spec.dedup {
+                self.dedup.insert(tok.clone(), id);
+            }
+            self.next_id = self.next_id.max(id.saturating_add(1));
+            self.next_seq = self.next_seq.max(rec.seq.saturating_add(1));
+            let checkpoint = PathBuf::from(rec.checkpoint.clone().unwrap_or_default());
+            self.jobs.insert(id, Job::new(spec, rec.seq, checkpoint));
+            return;
+        }
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        match rec.kind.as_str() {
+            "started" => job.state = JobState::Running,
+            "generation" => {
+                // A completed step hands the job back to the queue.
+                if job.state == JobState::Running {
+                    job.state = JobState::Queued;
+                }
+                if let Some(g) = rec.generation {
+                    job.next_step = g.saturating_add(1);
+                }
+            }
+            "paused" => job.state = JobState::Paused,
+            "resumed" => {
+                job.state = JobState::Queued;
+                job.seq = rec.seq;
+                self.next_seq = self.next_seq.max(rec.seq.saturating_add(1));
+            }
+            "cancelled" => job.state = JobState::Cancelled,
+            "done" => {
+                job.state = JobState::Done;
+                job.result = rec.result.clone();
+                job.next_step = job.total_steps;
+            }
+            "failed" => {
+                job.state = JobState::Failed;
+                job.error = rec.error.clone();
+            }
+            other => obs::diagln!("journal: ignoring unknown record kind '{other}'"),
+        }
+    }
 }
 
 pub(crate) struct Registry {
@@ -150,13 +237,23 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Journals one transition (no-op without a journal). Called while
-    /// holding the registry lock, *before* the matching `push_event` —
+    /// Commits one transition, in write-ahead order: journal it (no-op
+    /// without a journal), apply it, then publish `event` (kind,
+    /// generation, payload). Called while holding the registry lock —
     /// the journal has its own mutex and never takes ours, so the
     /// ordering is deadlock-free.
-    fn jot(&self, rec: &JournalRecord) {
+    fn commit(
+        &self,
+        inner: &mut Inner,
+        rec: &JournalRecord,
+        event: Option<(&str, Option<u64>, Json)>,
+    ) {
         if let Some(j) = &self.journal {
             j.append(rec);
+        }
+        inner.apply(rec);
+        if let Some((kind, generation, data)) = event {
+            inner.push_event(rec.job, kind, generation, data);
         }
     }
 
@@ -164,43 +261,12 @@ impl Registry {
     /// already-seen `dedup` token returns the existing job instead.
     pub fn submit(&self, spec: JobSpec, checkpoint: PathBuf) -> u64 {
         let mut inner = self.lock();
-        if let Some(tok) = &spec.dedup {
-            if let Some(&existing) = inner.dedup.get(tok) {
-                return existing;
-            }
+        if let Some(&existing) = spec.dedup.as_ref().and_then(|t| inner.dedup.get(t)) {
+            return existing;
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let total_steps = match spec.kind {
-            // Steps 0..=generations: the initial population counts as one.
-            JobKind::Explore => spec.generations as u64 + 1,
-            _ => 1,
-        };
-        if let Some(tok) = &spec.dedup {
-            inner.dedup.insert(tok.clone(), id);
-        }
-        self.jot(&JournalRecord::submitted(id, &spec, seq, &checkpoint));
-        inner.jobs.insert(
-            id,
-            Job {
-                spec,
-                state: JobState::Queued,
-                seq,
-                next_step: 0,
-                total_steps,
-                pause_requested: false,
-                cancel_requested: false,
-                resumed_pending: false,
-                events: Vec::new(),
-                result: None,
-                error: None,
-                checkpoint,
-                front_keys: Vec::new(),
-            },
-        );
-        inner.push_event(id, "queued", None, Json::Null);
+        let (id, seq) = (inner.next_id, inner.next_seq);
+        let rec = JournalRecord::submitted(id, &spec, seq, &checkpoint);
+        self.commit(&mut inner, &rec, Some(("queued", None, Json::Null)));
         drop(inner);
         self.cv.notify_all();
         id
@@ -223,6 +289,10 @@ impl Registry {
 
     /// Claims the highest-priority queued job and marks it running.
     /// With `block`, waits until a job is runnable or shutdown begins.
+    ///
+    /// Only a job's first step journals `started`; later claims (and a
+    /// resumed job's, which emits `resumed` instead) mark it running
+    /// without a record, since a restart re-queues a running job anyway.
     pub fn claim_next(&self, block: bool) -> Claim {
         let mut inner = self.lock();
         loop {
@@ -236,19 +306,18 @@ impl Registry {
                 .min_by_key(|(_, j)| (std::cmp::Reverse(j.spec.priority), j.seq))
                 .map(|(id, _)| *id);
             if let Some(id) = pick {
-                let (first_step, resumed) = match inner.jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.state = JobState::Running;
-                        let resumed = std::mem::take(&mut job.resumed_pending);
-                        (job.next_step == 0, resumed)
-                    }
-                    None => continue,
+                let Some(job) = inner.jobs.get_mut(&id) else {
+                    continue;
                 };
-                if resumed {
-                    inner.push_event(id, "resumed", None, Json::Null);
-                } else if first_step {
-                    self.jot(&JournalRecord::transition(id, "started"));
-                    inner.push_event(id, "started", None, Json::Null);
+                let resumed = std::mem::take(&mut job.resumed_pending);
+                if resumed || job.next_step > 0 {
+                    job.state = JobState::Running;
+                    if resumed {
+                        inner.push_event(id, "resumed", None, Json::Null);
+                    }
+                } else {
+                    let rec = JournalRecord::transition(id, "started");
+                    self.commit(&mut inner, &rec, Some(("started", None, Json::Null)));
                 }
                 drop(inner);
                 self.cv.notify_all();
@@ -270,61 +339,45 @@ impl Registry {
     /// or re-terminate it.
     pub fn finish_step(&self, id: u64, outcome: StepOutcome) {
         let mut inner = self.lock();
-        if inner
-            .jobs
-            .get(&id)
-            .is_none_or(|j| j.state != JobState::Running)
-        {
+        let Some(job) = inner.jobs.get_mut(&id) else {
+            return;
+        };
+        if job.state != JobState::Running {
             return;
         }
         match outcome {
             StepOutcome::Failed { error } => {
-                if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.state = JobState::Failed;
-                    job.error = Some(error.clone());
-                }
-                self.jot(&JournalRecord::failed(id, &error));
-                inner.push_event(id, "failed", None, Json::Str(error));
+                let rec = JournalRecord::failed(id, &error);
+                self.commit(&mut inner, &rec, Some(("failed", None, Json::Str(error))));
             }
             StepOutcome::Finished {
                 generation,
                 data,
                 result,
             } => {
-                if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.next_step += 1;
-                    job.result = Some(result.clone());
-                    job.state = JobState::Done;
-                }
-                self.jot(&JournalRecord::done(id, result));
-                inner.push_event(id, "done", generation, data);
+                let rec = JournalRecord::done(id, result);
+                self.commit(&mut inner, &rec, Some(("done", generation, data)));
             }
             StepOutcome::Progress { generation, data } => {
-                let follow_up = match inner.jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.next_step += 1;
-                        if job.cancel_requested {
-                            job.state = JobState::Cancelled;
-                            Some("cancelled")
-                        } else if job.pause_requested {
-                            job.pause_requested = false;
-                            job.state = JobState::Paused;
-                            Some("paused")
-                        } else {
-                            job.state = JobState::Queued;
-                            None
-                        }
-                    }
-                    None => None,
+                let follow_up = if job.cancel_requested {
+                    Some("cancelled")
+                } else if std::mem::take(&mut job.pause_requested) {
+                    Some("paused")
+                } else {
+                    None
                 };
                 // The generation record lands *after* explore_with_engine
                 // persisted the step's checkpoint, so the journal never
                 // claims progress the checkpoint cannot replay.
-                self.jot(&JournalRecord::generation(id, generation));
-                inner.push_event(id, "generation", Some(generation), data);
+                let rec = JournalRecord::generation(id, generation);
+                self.commit(
+                    &mut inner,
+                    &rec,
+                    Some(("generation", Some(generation), data)),
+                );
                 if let Some(kind) = follow_up {
-                    self.jot(&JournalRecord::transition(id, kind));
-                    inner.push_event(id, kind, None, Json::Null);
+                    let rec = JournalRecord::transition(id, kind);
+                    self.commit(&mut inner, &rec, Some((kind, None, Json::Null)));
                 }
             }
         }
@@ -359,7 +412,8 @@ impl Registry {
     }
 
     /// Rebuilds registry state from replayed journal records (call once,
-    /// before any runner starts claiming).
+    /// before any runner starts claiming) by applying each record in
+    /// order.
     ///
     /// Jobs that were `Running` at the crash re-queue with their original
     /// ticket: the in-flight step re-runs, and for explores the
@@ -367,107 +421,26 @@ impl Registry {
     /// already-checkpointed generation is returned from the archive, not
     /// recomputed). Each reconstructed job gets a synthesized event
     /// prefix — `queued`, then `recovered` carrying `steps_done`, then
-    /// its terminal event if it has one — so `watch` clients see a
-    /// coherent stream.
+    /// its terminal or parked event if it has one — so `watch` clients
+    /// see a coherent stream.
     pub fn recover(&self, records: &[JournalRecord]) -> RecoveryStats {
         let mut inner = self.lock();
         for rec in records {
-            let id = rec.job;
-            match rec.kind.as_str() {
-                "submitted" => {
-                    let Some(spec) = rec.spec.clone() else {
-                        continue;
-                    };
-                    let total_steps = match spec.kind {
-                        JobKind::Explore => spec.generations as u64 + 1,
-                        _ => 1,
-                    };
-                    if let Some(tok) = &spec.dedup {
-                        inner.dedup.insert(tok.clone(), id);
-                    }
-                    let checkpoint = PathBuf::from(rec.checkpoint.clone().unwrap_or_default());
-                    // Insert overwrites: a compaction snapshot may repeat
-                    // a job an older segment already introduced.
-                    inner.jobs.insert(
-                        id,
-                        Job {
-                            spec,
-                            state: JobState::Queued,
-                            seq: rec.seq,
-                            next_step: 0,
-                            total_steps,
-                            pause_requested: false,
-                            cancel_requested: false,
-                            resumed_pending: false,
-                            events: Vec::new(),
-                            result: None,
-                            error: None,
-                            checkpoint,
-                            front_keys: Vec::new(),
-                        },
-                    );
-                }
-                "started" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Running;
-                    }
-                }
-                "generation" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        if let Some(g) = rec.generation {
-                            job.next_step = g + 1;
-                        }
-                    }
-                }
-                "paused" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Paused;
-                    }
-                }
-                "resumed" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Queued;
-                        job.seq = rec.seq;
-                    }
-                }
-                "cancelled" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Cancelled;
-                    }
-                }
-                "done" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Done;
-                        job.result = rec.result.clone();
-                        job.next_step = job.total_steps;
-                    }
-                }
-                "failed" => {
-                    if let Some(job) = inner.jobs.get_mut(&id) {
-                        job.state = JobState::Failed;
-                        job.error = rec.error.clone();
-                    }
-                }
-                other => {
-                    obs::diagln!("journal: ignoring unknown record kind '{other}'");
-                }
-            }
+            inner.apply(rec);
         }
         let mut stats = RecoveryStats::default();
         let ids: Vec<u64> = inner.jobs.keys().copied().collect();
         for id in ids {
-            let (steps_done, terminal, error) = match inner.jobs.get_mut(&id) {
-                Some(job) => {
-                    // The step in flight at the crash re-runs.
-                    if job.state == JobState::Running {
-                        job.state = JobState::Queued;
-                    }
-                    (job.next_step, job.state, job.error.clone())
-                }
-                None => continue,
+            let Some(job) = inner.jobs.get_mut(&id) else {
+                continue;
             };
+            // The step in flight at the crash re-runs.
+            if job.state == JobState::Running {
+                job.state = JobState::Queued;
+            }
+            let (steps_done, state, error) = (job.next_step, job.state, job.error.clone());
             stats.jobs += 1;
-            if terminal.is_terminal() {
+            if state.is_terminal() {
                 stats.finished += 1;
             } else {
                 stats.requeued += 1;
@@ -479,27 +452,13 @@ impl Registry {
                 None,
                 Json::Obj(vec![("steps_done".into(), Json::Num(steps_done as f64))]),
             );
-            match terminal {
-                JobState::Done => inner.push_event(id, "done", None, Json::Null),
-                JobState::Cancelled => inner.push_event(id, "cancelled", None, Json::Null),
-                JobState::Failed => inner.push_event(
-                    id,
-                    "failed",
-                    None,
-                    Json::Str(error.unwrap_or_else(|| "unknown error".into())),
-                ),
-                JobState::Paused => inner.push_event(id, "paused", None, Json::Null),
-                JobState::Queued | JobState::Running => {}
-            }
+            let data = match state {
+                JobState::Failed => Json::Str(error.unwrap_or_else(|| "unknown error".into())),
+                JobState::Done | JobState::Cancelled | JobState::Paused => Json::Null,
+                JobState::Queued | JobState::Running => continue,
+            };
+            inner.push_event(id, state.as_str(), None, data);
         }
-        inner.next_id = inner.jobs.keys().max().map_or(1, |m| m + 1);
-        inner.next_seq = inner
-            .jobs
-            .values()
-            .map(|j| j.seq + 1)
-            .max()
-            .unwrap_or(0)
-            .max(inner.next_seq);
         drop(inner);
         self.cv.notify_all();
         stats
@@ -509,24 +468,18 @@ impl Registry {
     /// at their next generation boundary.
     pub fn pause(&self, id: u64) -> Result<(), String> {
         let mut inner = self.lock();
-        let newly_paused = match inner.jobs.get_mut(&id) {
-            Some(job) => match job.state {
-                JobState::Queued => {
-                    job.state = JobState::Paused;
-                    true
-                }
-                JobState::Running => {
-                    job.pause_requested = true;
-                    false
-                }
-                JobState::Paused => false,
-                s => return Err(format!("cannot pause a {} job", s.as_str())),
-            },
-            None => return Err(format!("no job {id}")),
-        };
-        if newly_paused {
-            self.jot(&JournalRecord::transition(id, "paused"));
-            inner.push_event(id, "paused", None, Json::Null);
+        let job = inner
+            .jobs
+            .get_mut(&id)
+            .ok_or_else(|| format!("no job {id}"))?;
+        match job.state {
+            JobState::Queued => {
+                let rec = JournalRecord::transition(id, "paused");
+                self.commit(&mut inner, &rec, Some(("paused", None, Json::Null)));
+            }
+            JobState::Running => job.pause_requested = true,
+            JobState::Paused => {}
+            s => return Err(format!("cannot pause a {} job", s.as_str())),
         }
         drop(inner);
         self.cv.notify_all();
@@ -538,27 +491,19 @@ impl Registry {
     pub fn resume(&self, id: u64) -> Result<(), String> {
         let mut inner = self.lock();
         let seq = inner.next_seq;
-        let requeued = match inner.jobs.get_mut(&id) {
-            Some(job) => match job.state {
-                JobState::Paused => {
-                    job.state = JobState::Queued;
-                    job.seq = seq;
-                    job.resumed_pending = true;
-                    true
-                }
-                JobState::Queued | JobState::Running => {
-                    // Un-park a pause that has not landed yet.
-                    job.pause_requested = false;
-                    false
-                }
-                s => return Err(format!("cannot resume a {} job", s.as_str())),
-            },
-            None => return Err(format!("no job {id}")),
-        };
-        if requeued {
-            self.jot(&JournalRecord::resumed(id, seq));
+        let job = inner
+            .jobs
+            .get_mut(&id)
+            .ok_or_else(|| format!("no job {id}"))?;
+        match job.state {
+            JobState::Paused => {
+                job.resumed_pending = true;
+                self.commit(&mut inner, &JournalRecord::resumed(id, seq), None);
+            }
+            // Un-park a pause that has not landed yet.
+            JobState::Queued | JobState::Running => job.pause_requested = false,
+            s => return Err(format!("cannot resume a {} job", s.as_str())),
         }
-        inner.next_seq += 1;
         drop(inner);
         self.cv.notify_all();
         Ok(())
@@ -568,23 +513,18 @@ impl Registry {
     /// jobs die at their next generation boundary.
     pub fn cancel(&self, id: u64) -> Result<(), String> {
         let mut inner = self.lock();
-        let now_cancelled = match inner.jobs.get_mut(&id) {
-            Some(job) => match job.state {
-                JobState::Queued | JobState::Paused => {
-                    job.state = JobState::Cancelled;
-                    true
-                }
-                JobState::Running => {
-                    job.cancel_requested = true;
-                    false
-                }
-                _ => false, // already terminal: cancel is idempotent
-            },
-            None => return Err(format!("no job {id}")),
-        };
-        if now_cancelled {
-            self.jot(&JournalRecord::transition(id, "cancelled"));
-            inner.push_event(id, "cancelled", None, Json::Null);
+        let job = inner
+            .jobs
+            .get_mut(&id)
+            .ok_or_else(|| format!("no job {id}"))?;
+        match job.state {
+            JobState::Queued | JobState::Paused => {
+                let rec = JournalRecord::transition(id, "cancelled");
+                self.commit(&mut inner, &rec, Some(("cancelled", None, Json::Null)));
+            }
+            JobState::Running => job.cancel_requested = true,
+            // Already terminal: cancel is idempotent.
+            _ => {}
         }
         drop(inner);
         self.cv.notify_all();
@@ -708,7 +648,8 @@ impl Registry {
 
 /// The minimal record sequence reproducing every job's current state,
 /// used as the compaction snapshot: `submitted`, a `generation` marking
-/// completed progress for live jobs, and the parked/terminal transition.
+/// completed progress (except for `done` jobs, whose `done` record
+/// restores it), and the parked/terminal transition.
 fn snapshot_records(inner: &Inner) -> Vec<JournalRecord> {
     let mut recs = Vec::new();
     for (&id, job) in &inner.jobs {
@@ -718,7 +659,7 @@ fn snapshot_records(inner: &Inner) -> Vec<JournalRecord> {
             job.seq,
             &job.checkpoint,
         ));
-        if job.next_step > 0 && !job.state.is_terminal() {
+        if job.next_step > 0 && job.state != JobState::Done {
             recs.push(JournalRecord::generation(id, job.next_step - 1));
         }
         match job.state {
@@ -761,6 +702,7 @@ fn status_of(id: u64, job: &Job) -> JobStatus {
 mod tests {
     use super::*;
     use crate::serve::job::JobSpec;
+    use proptest::prelude::*;
 
     fn ckpt(n: u64) -> PathBuf {
         PathBuf::from(format!("/tmp/unused-{n}.ckpt"))
@@ -1105,5 +1047,121 @@ mod tests {
         assert_eq!(reg2.result(a).expect("result"), Json::Num(7.0));
         assert_eq!(reg2.status(b).expect("status").state, JobState::Queued);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The job fields recovery must reproduce, per job: state (a
+    /// `Running` job reads as `Queued`, since its in-flight step re-runs
+    /// after a restart), submit-order ticket, progress, result and error.
+    type DurableJob = (u64, JobState, u64, u64, u64, Option<Json>, Option<String>);
+
+    fn durable_view(reg: &Registry) -> Vec<DurableJob> {
+        let inner = reg.lock();
+        inner
+            .jobs
+            .iter()
+            .map(|(&id, j)| {
+                let state = match j.state {
+                    JobState::Running => JobState::Queued,
+                    s => s,
+                };
+                let (result, error) = (j.result.clone(), j.error.clone());
+                (id, state, j.seq, j.next_step, j.total_steps, result, error)
+            })
+            .collect()
+    }
+
+    /// Applies one random operation `(code, selector, argument)` the way
+    /// the server would: submits (with and without dedup tokens), claims,
+    /// step outcomes shaped like `run_step`'s, pause, resume and cancel.
+    fn drive(reg: &Registry, (code, sel, arg): (u8, u8, u8)) {
+        let jobs = reg.jobs();
+        let pick = |of: &[JobStatus]| of.get(usize::from(sel) % of.len().max(1)).map(|s| s.id);
+        match code {
+            0 | 1 => {
+                let mut spec = if sel % 2 == 0 {
+                    JobSpec::analyze("TINY")
+                } else {
+                    JobSpec::explore("TINY")
+                };
+                spec.generations = usize::from(sel / 2 % 4);
+                spec.priority = arg % 3;
+                if code == 1 {
+                    spec.dedup = Some(format!("tok-{}", arg % 4));
+                }
+                reg.submit(spec, ckpt(u64::from(sel)));
+            }
+            2 | 3 => {
+                reg.claim_next(false);
+            }
+            4 => {
+                let running: Vec<JobStatus> = jobs
+                    .into_iter()
+                    .filter(|s| s.state == JobState::Running)
+                    .collect();
+                let Some(s) = running.get(usize::from(sel) % running.len().max(1)) else {
+                    return;
+                };
+                let step = s.steps_done;
+                let outcome = if arg % 4 == 0 {
+                    StepOutcome::Failed {
+                        error: format!("boom {arg}"),
+                    }
+                } else if step + 1 < s.steps_total {
+                    StepOutcome::Progress {
+                        generation: step,
+                        data: Json::Null,
+                    }
+                } else {
+                    StepOutcome::Finished {
+                        generation: Some(step),
+                        data: Json::Null,
+                        result: Json::Num(f64::from(arg)),
+                    }
+                };
+                reg.finish_step(s.id, outcome);
+            }
+            _ => {
+                let Some(id) = pick(&jobs) else { return };
+                // Refused transitions (e.g. pausing a done job) are part
+                // of the workload too.
+                let _ = match code {
+                    5 => reg.pause(id),
+                    6 => reg.resume(id),
+                    _ => reg.cancel(id),
+                };
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Replay equals live: a registry recovered from the journal of
+        /// a random operation sequence (compacting as it goes) holds the
+        /// same durable job state as the live one, and so does one
+        /// recovered again after a post-recovery compaction.
+        #[test]
+        fn recovered_registry_matches_the_live_one(
+            ops in proptest::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 1..80)
+        ) {
+            let dir = journal_dir("replay-prop");
+            let live = {
+                let journal = Journal::open_with(&dir, 600, false).expect("open journal");
+                let reg = Registry::with_journal(Some(Arc::new(journal)));
+                for &op in &ops {
+                    drive(&reg, op);
+                }
+                durable_view(&reg)
+            };
+            let journal = Journal::open_with(&dir, 600, false).expect("reopen journal");
+            let recovered = Registry::with_journal(Some(Arc::new(journal)));
+            recovered.recover(&Journal::replay(&dir).expect("replay"));
+            prop_assert_eq!(&durable_view(&recovered), &live);
+            recovered.compact_now();
+            let again = Registry::new();
+            again.recover(&Journal::replay(&dir).expect("replay compacted"));
+            prop_assert_eq!(&durable_view(&again), &live);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -231,6 +231,22 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// Validates, admits and queues a job — the one submit path behind
+/// [`Server::submit`] and the socket's `submit` request. Refusals are
+/// [`Error::Serve`] (invalid spec) or the retryable [`Error::Busy`].
+fn submit(shared: &Shared, spec: JobSpec) -> Result<u64, Error> {
+    spec.validate().map_err(Error::Serve)?;
+    admit(shared, &spec).map_err(Error::Busy)?;
+    let checkpoint = match &spec.checkpoint {
+        Some(path) => PathBuf::from(path),
+        None => {
+            let n = shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
+            shared.data_dir.join(format!("job{n}.ckpt"))
+        }
+    };
+    Ok(shared.registry.submit(spec, checkpoint))
+}
+
 fn busy_metric() -> &'static obs::Counter {
     use std::sync::OnceLock;
     static M: OnceLock<obs::Counter> = OnceLock::new();
@@ -341,16 +357,7 @@ impl Server {
     /// retryable [`Error::Busy`] when admission limits are exceeded
     /// (idempotent resubmits bypass the gate).
     pub fn submit(&self, spec: JobSpec) -> Result<u64, Error> {
-        spec.validate().map_err(Error::Serve)?;
-        admit(&self.shared, &spec).map_err(Error::Busy)?;
-        let checkpoint = match &spec.checkpoint {
-            Some(path) => PathBuf::from(path),
-            None => {
-                let n = self.shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
-                self.shared.data_dir.join(format!("job{n}.ckpt"))
-            }
-        };
-        Ok(self.shared.registry.submit(spec, checkpoint))
+        submit(&self.shared, spec)
     }
 
     /// Point-in-time status of one job.
@@ -833,114 +840,56 @@ fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io:
         Ok(req) => req,
         Err(e) => return write_line(writer, &Response::Err(e.to_string())),
     };
+    let registry = &shared.registry;
     let reply = |r: Result<Json, String>| match r {
         Ok(payload) => Response::Ok(payload),
         Err(why) => Response::Err(why),
     };
-    match req {
-        Request::Ping => write_line(writer, &Response::Ok(Json::Str("pong".into()))),
-        Request::Jobs => write_line(
-            writer,
-            &Response::Ok(ggjson::ToJson::to_json(&shared.registry.jobs())),
-        ),
-        Request::Stats => write_line(
-            writer,
-            &Response::Ok(ggjson::ToJson::to_json(&collect_stats(shared))),
-        ),
+    let status = |id: u64| registry.status(id).map(|s| ggjson::ToJson::to_json(&s));
+    let resp = match req {
+        Request::Ping => Response::Ok(Json::Str("pong".into())),
+        Request::Jobs => Response::Ok(ggjson::ToJson::to_json(&registry.jobs())),
+        Request::Stats => Response::Ok(ggjson::ToJson::to_json(&collect_stats(shared))),
         Request::Shutdown => {
-            shared.registry.shutdown();
+            registry.shutdown();
             let out = write_line(writer, &Response::Ok(Json::Str("bye".into())));
             if let Some(path) = &shared.socket_path {
                 let _ = UnixStream::connect(path);
             }
-            out
+            return out;
         }
-        Request::Submit(spec) => {
-            let resp = match spec.validate() {
-                Err(why) => Response::Err(why),
-                Ok(()) => match admit(shared, &spec) {
-                    Err(why) => Response::Busy(why),
-                    Ok(()) => {
-                        let checkpoint = match &spec.checkpoint {
-                            Some(path) => PathBuf::from(path),
-                            None => {
-                                let n = shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
-                                shared.data_dir.join(format!("job{n}.ckpt"))
-                            }
-                        };
-                        let id = shared.registry.submit(spec, checkpoint);
-                        Response::Ok(Json::Obj(vec![("job".to_owned(), Json::Num(id as f64))]))
-                    }
-                },
-            };
-            write_line(writer, &resp)
-        }
-        Request::Status(id) => write_line(
-            writer,
-            &reply(
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s)),
-            ),
-        ),
-        Request::Pause(id) => write_line(
-            writer,
-            &reply(shared.registry.pause(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
-        Request::Resume(id) => write_line(
-            writer,
-            &reply(shared.registry.resume(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
-        Request::Cancel(id) => write_line(
-            writer,
-            &reply(shared.registry.cancel(id).and_then(|()| {
-                shared
-                    .registry
-                    .status(id)
-                    .map(|s| ggjson::ToJson::to_json(&s))
-            })),
-        ),
-        Request::Result(id) => write_line(writer, &reply(shared.registry.result(id))),
+        Request::Submit(spec) => match submit(shared, spec) {
+            Ok(id) => Response::Ok(Json::Obj(vec![("job".to_owned(), Json::Num(id as f64))])),
+            Err(Error::Busy(why)) => Response::Busy(why),
+            // The wire carries the bare diagnostic, not `Error`'s prefix.
+            Err(Error::Serve(why)) => Response::Err(why),
+            Err(e) => Response::Err(e.to_string()),
+        },
+        Request::Status(id) => reply(status(id)),
+        Request::Pause(id) => reply(registry.pause(id).and_then(|()| status(id))),
+        Request::Resume(id) => reply(registry.resume(id).and_then(|()| status(id))),
+        Request::Cancel(id) => reply(registry.cancel(id).and_then(|()| status(id))),
+        Request::Result(id) => reply(registry.result(id)),
         Request::Watch { job, from } => {
             let mut cursor = from;
             loop {
-                let (events, terminal) = match shared.registry.events_since(
-                    job,
-                    cursor,
-                    true,
-                    Duration::from_millis(200),
-                ) {
+                let wait = Duration::from_millis(200);
+                let (events, terminal) = match registry.events_since(job, cursor, true, wait) {
                     Ok(pair) => pair,
-                    Err(why) => return write_line(writer, &Response::Err(why)),
+                    Err(why) => break Response::Err(why),
                 };
                 cursor += events.len() as u64;
                 for e in events {
                     write_line(writer, &Response::Event(e))?;
                 }
                 if terminal {
-                    let resp = reply(
-                        shared
-                            .registry
-                            .status(job)
-                            .map(|s| ggjson::ToJson::to_json(&s)),
-                    );
-                    return write_line(writer, &resp);
+                    break reply(status(job));
                 }
-                if shared.registry.is_shutdown() {
-                    return write_line(writer, &Response::Err("server shutting down".to_owned()));
+                if registry.is_shutdown() {
+                    break Response::Err("server shutting down".to_owned());
                 }
             }
         }
-    }
+    };
+    write_line(writer, &resp)
 }

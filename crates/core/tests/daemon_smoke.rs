@@ -245,33 +245,22 @@ fn cli_rejects_unknown_flags_and_prints_help() {
     let text = String::from_utf8_lossy(&help.stderr);
     assert!(text.contains("usage: ggd"));
     assert!(text.contains("serve"), "help documents the daemon");
-    assert!(
-        text.contains("deprecated positional aliases"),
-        "help documents the positional-to-flag mapping"
-    );
 }
 
 #[test]
-fn positional_aliases_still_work() {
-    // Deprecated positional form of analyze: `ggd analyze TINY`.
+fn positional_design_is_refused_naming_the_flag() {
+    // The removed positional form `ggd analyze TINY` fails and points
+    // at the flag that replaced it.
     let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
         .args(["analyze", "TINY"])
-        .stderr(Stdio::null())
         .output()
         .expect("run ggd analyze TINY");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("baseline:"));
-    assert!(stdout.contains("Trojan battery success rate"));
-
-    // Flag form produces the same bytes.
-    let flagged = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["analyze", "--design", "TINY"])
-        .stderr(Stdio::null())
-        .output()
-        .expect("run ggd analyze --design TINY");
-    assert!(flagged.status.success());
-    assert_eq!(out.stdout, flagged.stdout);
+    assert!(!out.status.success(), "a stray positional is an error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--design"),
+        "error names the flag: {stderr}"
+    );
 }
 
 #[test]
