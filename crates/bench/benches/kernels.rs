@@ -2,7 +2,7 @@
 //! spends its wall time in: frontier-driven incremental STA
 //! (`sta::analyze_incremental`) and the bucket-frontier A* maze search.
 //!
-//! `BENCH_explore.json` records the whole-replay speedup; these pin the
+//! `BENCH_suite.json` records the whole-replay speedup; these pin the
 //! per-call cost of the kernels underneath it, so a regression surfaces
 //! at the kernel that caused it instead of diluted into the end-to-end
 //! ratio. CI compiles them with the workspace benches and runs each one

@@ -1,8 +1,8 @@
 //! Criterion bench: the full implementation pipeline per design-size
 //! bucket (place → route → STA → power → security), i.e. one flow-candidate
 //! evaluation end to end — plus the incremental-vs-full evaluation
-//! comparison that `BENCH_explore.json` records at the whole-exploration
-//! level (see `src/bin/bench_explore.rs`).
+//! comparison that `BENCH_suite.json` records per design at the
+//! whole-exploration level (see `src/bin/bench_suite.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdsii_guard::prelude::*;

@@ -662,19 +662,6 @@ pub struct ExploreOptions {
     pub deadline: Option<Duration>,
 }
 
-impl ExploreOptions {
-    /// Environment-driven options for binaries: `GG_CHECKPOINT` (path)
-    /// and `GG_EVAL_DEADLINE_MS`.
-    pub fn from_env() -> Self {
-        Self {
-            checkpoint: std::env::var("GG_CHECKPOINT").ok().map(PathBuf::from),
-            resume: false,
-            halt_after: None,
-            deadline: SandboxPolicy::from_env().deadline,
-        }
-    }
-}
-
 /// Runs the NSGA-II exploration over the flow parameter space.
 ///
 /// Returns every evaluated point; use [`ExploreResult::pareto_front`] for

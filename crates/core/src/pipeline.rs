@@ -525,14 +525,6 @@ impl EvalEngine {
         Ok(entry)
     }
 
-    /// Overrides the edit-cache byte budget, bypassing
-    /// `GG_EVAL_CACHE_BYTES` (tests can't set process env without racing
-    /// parallel tests).
-    #[doc(hidden)]
-    pub fn set_cache_budget_for_tests(&mut self, bytes: u64) {
-        self.cache_budget = bytes;
-    }
-
     /// The baseline snapshot the engine was built from.
     pub fn base(&self) -> &Snapshot {
         &self.base
@@ -780,7 +772,9 @@ mod tests {
         let tech = Technology::nangate45_like();
         let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         let mut engine = EvalEngine::new(&base, &tech);
-        engine.set_cache_budget_for_tests(1);
+        // Set directly: process env (`GG_EVAL_CACHE_BYTES`) would race
+        // parallel tests.
+        engine.cache_budget = 1;
         let make = || {
             let mut l = Layout::clone(&base.layout);
             crate::preprocess::lock_critical_cells(&mut l);

@@ -19,6 +19,11 @@ use crate::pipeline::Snapshot;
 /// change even when semantically optional).
 pub const JOB_SPEC_VERSION: u32 = 2;
 
+/// Largest explore population a spec may ask for. NSGA-II reserves a
+/// population-sized vector up front, so an absurd population aborts the
+/// whole daemon on allocation failure, which no step sandbox can catch.
+const MAX_POPULATION: usize = 10_000;
+
 /// What a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -158,9 +163,9 @@ impl JobSpec {
         Self::base(JobKind::Analyze, design)
     }
 
-    /// Structural validation a server performs before queueing: version
-    /// match, non-empty design, a known harden operator, and a non-zero
-    /// population.
+    /// Structural validation a server performs before queueing and again
+    /// before running a step: version match, non-empty design, a known
+    /// harden operator, and a population between 1 and a fixed bound.
     pub fn validate(&self) -> Result<(), String> {
         if self.version != JOB_SPEC_VERSION {
             return Err(format!(
@@ -179,6 +184,12 @@ impl JobSpec {
         }
         if self.kind == JobKind::Explore && self.population == 0 {
             return Err("explore population must be at least 1".into());
+        }
+        if self.kind == JobKind::Explore && self.population > MAX_POPULATION {
+            return Err(format!(
+                "explore population {} exceeds the limit of {MAX_POPULATION}",
+                self.population
+            ));
         }
         Ok(())
     }

@@ -49,7 +49,7 @@
 //! where every record except `submitted` is recomputable from the
 //! checkpoint — so the journal pays one disk sync per job instead of
 //! one per generation, keeping its overhead under the 2 % explore-wall
-//! budget `bench_explore --smoke` enforces.
+//! budget `bench_suite --smoke` enforces.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -295,7 +295,7 @@ impl Journal {
     /// downgrades recovery to re-running from the checkpoint, while a
     /// lost `submitted` record loses the job itself. Syncing just the
     /// one record per job keeps journal overhead far under the 2 %
-    /// explore-wall budget `bench_explore --smoke` enforces. Returns
+    /// explore-wall budget `bench_suite --smoke` enforces. Returns
     /// whether the record was recorded. Failure (including an armed
     /// `journal.write` fault) degrades to a warning plus the
     /// `journal.write_errors` counter — the caller keeps serving.

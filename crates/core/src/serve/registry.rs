@@ -25,7 +25,7 @@
 //! a resumed job emits when it is next claimed.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -259,12 +259,20 @@ impl Registry {
 
     /// Queues a validated spec; returns the job id. A spec carrying an
     /// already-seen `dedup` token returns the existing job instead.
-    pub fn submit(&self, spec: JobSpec, checkpoint: PathBuf) -> u64 {
+    ///
+    /// The job checkpoints to the spec's explicit path, or else to
+    /// `job{id}.ckpt` under `data_dir`. Ids are journaled, so a restarted
+    /// server never hands a new job a recovered job's file.
+    pub fn submit(&self, spec: JobSpec, data_dir: &Path) -> u64 {
         let mut inner = self.lock();
         if let Some(&existing) = spec.dedup.as_ref().and_then(|t| inner.dedup.get(t)) {
             return existing;
         }
         let (id, seq) = (inner.next_id, inner.next_seq);
+        let checkpoint = spec
+            .checkpoint
+            .as_ref()
+            .map_or_else(|| data_dir.join(format!("job{id}.ckpt")), PathBuf::from);
         let rec = JournalRecord::submitted(id, &spec, seq, &checkpoint);
         self.commit(&mut inner, &rec, Some(("queued", None, Json::Null)));
         drop(inner);
@@ -704,8 +712,8 @@ mod tests {
     use crate::serve::job::JobSpec;
     use proptest::prelude::*;
 
-    fn ckpt(n: u64) -> PathBuf {
-        PathBuf::from(format!("/tmp/unused-{n}.ckpt"))
+    fn data() -> &'static Path {
+        Path::new("/tmp/unused")
     }
 
     fn spec(priority: u8) -> JobSpec {
@@ -725,9 +733,9 @@ mod tests {
     #[test]
     fn higher_priority_claims_first() {
         let reg = Registry::new();
-        let low = reg.submit(spec(0), ckpt(1));
-        let high = reg.submit(spec(5), ckpt(2));
-        let mid = reg.submit(spec(2), ckpt(3));
+        let low = reg.submit(spec(0), data());
+        let high = reg.submit(spec(5), data());
+        let mid = reg.submit(spec(2), data());
         let order: Vec<u64> = (0..3)
             .map(|_| match reg.claim_next(false) {
                 Claim::Step(id) => id,
@@ -740,7 +748,7 @@ mod tests {
     #[test]
     fn fifo_within_a_priority_class() {
         let reg = Registry::new();
-        let ids: Vec<u64> = (0..4).map(|n| reg.submit(spec(3), ckpt(n))).collect();
+        let ids: Vec<u64> = (0..4).map(|_| reg.submit(spec(3), data())).collect();
         for expected in &ids {
             match reg.claim_next(false) {
                 Claim::Step(id) => assert_eq!(id, *expected),
@@ -753,8 +761,8 @@ mod tests {
     #[test]
     fn cancel_while_queued_never_runs() {
         let reg = Registry::new();
-        let a = reg.submit(spec(0), ckpt(1));
-        let b = reg.submit(spec(0), ckpt(2));
+        let a = reg.submit(spec(0), data());
+        let b = reg.submit(spec(0), data());
         reg.cancel(b).expect("queued job cancels");
         assert!(matches!(reg.claim_next(false), Claim::Step(id) if id == a));
         assert!(matches!(reg.claim_next(false), Claim::Idle));
@@ -769,7 +777,7 @@ mod tests {
         let reg = Registry::new();
         let mut explore = JobSpec::explore("TINY");
         explore.generations = 3;
-        let id = reg.submit(explore, ckpt(1));
+        let id = reg.submit(explore, data());
         assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == id));
         // Pause arrives mid-step: the job keeps running...
         reg.pause(id).expect("running job accepts pause");
@@ -802,7 +810,7 @@ mod tests {
     #[test]
     fn cancel_while_running_lands_at_the_generation_boundary() {
         let reg = Registry::new();
-        let id = reg.submit(JobSpec::explore("TINY"), ckpt(1));
+        let id = reg.submit(JobSpec::explore("TINY"), data());
         assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == id));
         reg.cancel(id).expect("running job accepts cancel");
         assert_eq!(reg.status(id).expect("status").state, JobState::Running);
@@ -821,9 +829,9 @@ mod tests {
     #[test]
     fn resumed_jobs_requeue_behind_their_class() {
         let reg = Registry::new();
-        let a = reg.submit(spec(1), ckpt(1));
+        let a = reg.submit(spec(1), data());
         reg.pause(a).expect("queued job pauses");
-        let b = reg.submit(spec(1), ckpt(2));
+        let b = reg.submit(spec(1), data());
         reg.resume(a).expect("paused job resumes");
         // `a` was submitted first but re-entered the class after `b`.
         assert!(matches!(reg.claim_next(false), Claim::Step(id) if id == b));
@@ -833,8 +841,8 @@ mod tests {
     #[test]
     fn ticks_order_events_across_jobs() {
         let reg = Registry::new();
-        let a = reg.submit(spec(0), ckpt(1));
-        let b = reg.submit(spec(0), ckpt(2));
+        let a = reg.submit(spec(0), data());
+        let b = reg.submit(spec(0), data());
         let (ea, _) = reg
             .events_since(a, 0, false, Duration::from_millis(1))
             .expect("a exists");
@@ -852,7 +860,7 @@ mod tests {
     #[test]
     fn terminal_states_refuse_transitions() {
         let reg = Registry::new();
-        let id = reg.submit(spec(0), ckpt(1));
+        let id = reg.submit(spec(0), data());
         reg.cancel(id).expect("cancel");
         assert!(reg.pause(id).is_err());
         assert!(reg.resume(id).is_err());
@@ -871,7 +879,7 @@ mod tests {
     #[test]
     fn late_outcomes_from_retired_runners_are_dropped() {
         let reg = Registry::new();
-        let id = reg.submit(spec(0), ckpt(1));
+        let id = reg.submit(spec(0), data());
         assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == id));
         // The watchdog declares the job stuck...
         reg.finish_step(
@@ -914,9 +922,9 @@ mod tests {
             let reg = Registry::with_journal(Some(journal));
             let mut explore = JobSpec::explore("TINY");
             explore.generations = 4;
-            running = reg.submit(explore.clone(), ckpt(1));
-            paused = reg.submit(explore.clone(), ckpt(2));
-            finished = reg.submit(spec(0), ckpt(3));
+            running = reg.submit(explore.clone(), data());
+            paused = reg.submit(explore.clone(), data());
+            finished = reg.submit(spec(0), data());
             // `running` completes two generations, then goes mid-step 2.
             for g in 0..2 {
                 assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == running));
@@ -949,8 +957,8 @@ mod tests {
                     result: Json::Num(42.0),
                 },
             );
-            queued_hi = reg.submit(spec(9), ckpt(4));
-            queued_lo = reg.submit(spec(0), ckpt(5));
+            queued_hi = reg.submit(spec(9), data());
+            queued_lo = reg.submit(spec(0), data());
             // Crash: drop the registry with `running` mid-step.
         }
         let journal = Arc::new(Journal::open(&dir).expect("reopen journal"));
@@ -978,7 +986,7 @@ mod tests {
         assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == queued_lo));
         assert!(matches!(reg.claim_next(false), Claim::Idle));
         // New submits get fresh ids past the recovered ones.
-        let next = reg.submit(spec(0), ckpt(6));
+        let next = reg.submit(spec(0), data());
         assert!(next > queued_lo);
         // Synthesized event prefix is coherent.
         assert_eq!(kinds(&reg, paused), vec!["queued", "recovered", "paused"]);
@@ -995,8 +1003,8 @@ mod tests {
             let reg = Registry::with_journal(Some(journal));
             let mut s = spec(0);
             s.dedup = Some("tok-1".into());
-            first = reg.submit(s.clone(), ckpt(1));
-            assert_eq!(reg.submit(s.clone(), ckpt(2)), first, "resubmit dedups");
+            first = reg.submit(s.clone(), data());
+            assert_eq!(reg.submit(s.clone(), data()), first, "resubmit dedups");
             assert_eq!(reg.lookup_dedup("tok-1"), Some(first));
             assert_eq!(reg.lookup_dedup("tok-2"), None);
         }
@@ -1010,11 +1018,7 @@ mod tests {
         );
         let mut s = spec(0);
         s.dedup = Some("tok-1".into());
-        assert_eq!(
-            reg.submit(s, ckpt(3)),
-            first,
-            "post-restart resubmit dedups"
-        );
+        assert_eq!(reg.submit(s, data()), first, "post-restart resubmit dedups");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1023,8 +1027,8 @@ mod tests {
         let dir = journal_dir("compact");
         let journal = Arc::new(Journal::open_with(&dir, 64, false).expect("open"));
         let reg = Registry::with_journal(Some(journal));
-        let a = reg.submit(spec(2), ckpt(1));
-        let b = reg.submit(spec(0), ckpt(2));
+        let a = reg.submit(spec(2), data());
+        let b = reg.submit(spec(0), data());
         assert!(matches!(reg.claim_next(false), Claim::Step(i) if i == a));
         reg.finish_step(
             a,
@@ -1088,7 +1092,7 @@ mod tests {
                 if code == 1 {
                     spec.dedup = Some(format!("tok-{}", arg % 4));
                 }
-                reg.submit(spec, ckpt(u64::from(sel)));
+                reg.submit(spec, data());
             }
             2 | 3 => {
                 reg.claim_next(false);

@@ -170,7 +170,6 @@ struct Shared {
     baselines: BaselineCache,
     data_dir: PathBuf,
     socket_path: Option<PathBuf>,
-    ckpt_counter: AtomicU64,
     /// Admission limits (0 = unlimited).
     max_queued: usize,
     mem_budget_bytes: u64,
@@ -237,14 +236,7 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
 fn submit(shared: &Shared, spec: JobSpec) -> Result<u64, Error> {
     spec.validate().map_err(Error::Serve)?;
     admit(shared, &spec).map_err(Error::Busy)?;
-    let checkpoint = match &spec.checkpoint {
-        Some(path) => PathBuf::from(path),
-        None => {
-            let n = shared.ckpt_counter.fetch_add(1, Ordering::Relaxed);
-            shared.data_dir.join(format!("job{n}.ckpt"))
-        }
-    };
-    Ok(shared.registry.submit(spec, checkpoint))
+    Ok(shared.registry.submit(spec, &shared.data_dir))
 }
 
 fn busy_metric() -> &'static obs::Counter {
@@ -317,7 +309,6 @@ impl Server {
             baselines: BaselineCache::new(Technology::nangate45_like()),
             data_dir,
             socket_path: cfg.socket,
-            ckpt_counter: AtomicU64::new(0),
             max_queued: cfg.max_queued,
             mem_budget_bytes: cfg.mem_budget_bytes,
             busy_rejects: AtomicU64::new(0),
@@ -622,6 +613,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn run_step(shared: &Shared, id: u64, spec: &JobSpec, step: u64, ckpt: &Path) -> StepOutcome {
+    // Submit validated the spec, but a journal written by an older build
+    // may hold one this build refuses; fail the job, not the daemon.
+    if let Err(error) = spec.validate() {
+        return StepOutcome::Failed { error };
+    }
     let ctx = match shared.baselines.get(&spec.design) {
         Ok(ctx) => ctx,
         Err(e) => {

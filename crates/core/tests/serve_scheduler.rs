@@ -7,7 +7,7 @@
 //! [`Server::step_once`] executes exactly one scheduler step per call.
 
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{JobSpec, JobState, Server, ServerConfig};
+use gdsii_guard::serve::{JobSpec, JobState, Journal, JournalRecord, Server, ServerConfig};
 use gdsii_guard::Error;
 use ggjson::ToJson;
 use tech::Technology;
@@ -186,4 +186,111 @@ fn bad_specs_and_unknown_designs_fail_cleanly() {
         "failure diagnostic names the design"
     );
     server.stop();
+}
+
+#[test]
+fn oversized_population_is_refused_at_submit() {
+    let server = test_server("oversized");
+    let mut huge = tiny_explore();
+    huge.population = 1_000_000_000_000;
+    let err = huge
+        .validate()
+        .expect_err("population 10^12 must not validate");
+    assert!(
+        err.contains("population"),
+        "diagnostic names the field: {err}"
+    );
+    assert!(server.submit(huge).is_err(), "submit must refuse the spec");
+    assert!(server.jobs().is_empty(), "nothing was queued");
+    server.stop();
+}
+
+/// A journal written before submit bounded the population can still hold
+/// an oversized spec. Recovery re-queues it; its first step must fail the
+/// job rather than abort the daemon on an impossible allocation.
+#[test]
+fn journaled_oversized_spec_fails_its_job_not_the_daemon() {
+    let dir = std::env::temp_dir().join(format!("gg-serve-old-spec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut huge = tiny_explore();
+    huge.population = 1_000_000_000_000;
+    let journal = Journal::open(&dir.join("journal")).expect("journal opens");
+    let ckpt = dir.join("data").join("job1.ckpt");
+    assert!(journal.append(&JournalRecord::submitted(1, &huge, 0, &ckpt)));
+    drop(journal);
+
+    let server = Server::start(ServerConfig {
+        socket: None,
+        data_dir: Some(dir.join("data")),
+        journal_dir: Some(dir.join("journal")),
+        runners: 0,
+        ..ServerConfig::default()
+    })
+    .expect("server recovers the journal");
+    assert!(server.step_once(), "the recovered job is runnable");
+    let status = server.status(1).expect("recovered job exists");
+    assert_eq!(status.state, JobState::Failed);
+    assert!(
+        status.error.unwrap_or_default().contains("population"),
+        "failure names the oversized population"
+    );
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Default checkpoint paths are named after job ids, which the journal
+/// keeps unique across restarts: a job submitted after a restart must not
+/// overwrite a recovered job's checkpoint.
+#[test]
+fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
+    let dir = std::env::temp_dir().join(format!("gg-serve-ckpt-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        socket: None,
+        data_dir: Some(dir.join("data")),
+        journal_dir: Some(dir.join("journal")),
+        runners: 0,
+        ..ServerConfig::default()
+    };
+    let explore_seeded = |seed: u64, priority: u8| JobSpec {
+        seed,
+        priority,
+        ..tiny_explore()
+    };
+
+    let (spec_a, spec_b) = (explore_seeded(1, 0), explore_seeded(2, 5));
+
+    let first = Server::start(config.clone())?;
+    let a = first.submit(spec_a.clone())?;
+    assert!(first.step_once(), "generation 0 of job A runs");
+    first.stop();
+
+    // B outranks the recovered A, so its first step runs before A resumes.
+    let second = Server::start(config)?;
+    let b = second.submit(spec_b.clone())?;
+    second.run_until_idle();
+
+    let tech = Technology::nangate45_like();
+    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech)?;
+    for (id, spec) in [(a, spec_a), (b, spec_b)] {
+        let status = second.status(id)?;
+        assert_eq!(status.state, JobState::Done, "job {id}: {:?}", status.error);
+        let params = Nsga2Params::builder()
+            .population(spec.population)
+            .generations(spec.generations)
+            .seed(spec.seed)
+            .build();
+        let engine = EvalEngine::new(&base, &tech);
+        let oracle = explore_with_engine(&engine, &tech, &params, &ExploreOptions::default())?;
+        let payload = second.result(id)?;
+        assert_eq!(
+            ggjson::to_string_pretty(payload.get("explore").expect("explore payload")),
+            ggjson::to_string_pretty(&oracle.to_json()),
+            "job {id} must match a one-shot explore at seed {}",
+            spec.seed
+        );
+    }
+    second.stop();
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
 }

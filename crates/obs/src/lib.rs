@@ -667,7 +667,8 @@ impl MetricsSnapshot {
     }
 
     /// Serializes the snapshot as a self-contained JSON object (the
-    /// machine-readable export merged into `BENCH_explore.json`).
+    /// machine-readable export `ggd serve` attaches to `generation`
+    /// events).
     pub fn to_json(&self) -> String {
         fn esc(s: &str, out: &mut String) {
             out.push('"');

@@ -1,6 +1,6 @@
 //! The machine-readable export must be strict JSON: `ggjson`'s parser
-//! (the consumer that merges telemetry into `BENCH_explore.json`) has to
-//! read back every section of the snapshot losslessly.
+//! (the consumer that attaches telemetry to `ggd serve`'s `generation`
+//! events) has to read back every section of the snapshot losslessly.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
