@@ -1,6 +1,8 @@
-//! Criterion micro-benches for the two kernels the incremental replay
-//! spends its wall time in: frontier-driven incremental STA
-//! (`sta::analyze_incremental`) and the bucket-frontier A* maze search.
+//! Criterion micro-benches for the kernels the incremental replay and the
+//! harden path spend their wall time in: frontier-driven incremental STA
+//! (`sta::analyze_incremental`), the bucket-frontier A* maze search, and
+//! the two ECO operators' searches — Cell Shift's component queries and
+//! the blockage-indexed ECO legalizer (`place::eco_place`).
 //!
 //! `BENCH_suite.json` records the whole-replay speedup; these pin the
 //! per-call cost of the kernels underneath it, so a regression surfaces
@@ -8,10 +10,11 @@
 //! ratio. CI compiles them with the workspace benches and runs each one
 //! once in Criterion's `--test` mode.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gdsii_guard::prelude::*;
+use gdsii_guard::{cell_shift, preprocess};
 use geom::GcellPos;
-use layout::Floorplan;
+use layout::{Blockage, Floorplan, Layout};
 use route::{RouteGrid, GCELL_H_ROWS, GCELL_W_SITES};
 use tech::{RouteRule, Technology, NUM_METAL_LAYERS};
 
@@ -83,5 +86,88 @@ fn bench_maze_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(kernels, bench_sta_incremental, bench_maze_route);
+/// The two ECO operators on openMSP430_1's baseline with its critical
+/// cells locked, as the harden path runs them: Cell Shift (a component
+/// query after every single-site shift) and one `eco_place` call under an
+/// LDA-shaped 8×8 tiling — clamped like LDA's, tiles holding a critical
+/// cell at LDA's 0.98 ceiling and the rest at its 0.50 density floor, so
+/// phase 1 evicts and phase 2 runs budget-constrained gap queries and
+/// compaction.
+fn bench_eco_operators(c: &mut Criterion) {
+    let tech = Technology::nangate45_like();
+    let spec = netlist::bench::spec_by_name("openMSP430_1").expect("known design");
+    let base = implement_baseline(&spec, &tech).unwrap();
+    let mut locked = Layout::clone(&base.layout);
+    preprocess::lock_critical_cells(&mut locked);
+    let tiling = lda_tiling(&tech, &locked, 8);
+
+    let mut group = c.benchmark_group("eco_operators");
+    group.bench_function("cell_shift", |b| {
+        b.iter_batched(
+            || Layout::clone(&locked),
+            |mut layout| {
+                cell_shift::cell_shift(&mut layout, &tech, secmetrics::THRESH_ER);
+                layout
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("eco_place", |b| {
+        b.iter_batched(
+            || {
+                let mut layout = Layout::clone(&locked);
+                layout.set_blockages(tiling.clone());
+                layout
+            },
+            |mut layout| {
+                place::eco_place(&mut layout, &tech, 7);
+                layout
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+/// An `n × n` tiling of the core shaped like LDA's (see the doc comment
+/// of [`bench_eco_operators`]).
+fn lda_tiling(tech: &Technology, layout: &Layout, n: u32) -> Vec<Blockage> {
+    let fp = *layout.floorplan();
+    let w_max = tech
+        .library
+        .iter()
+        .map(|(_, k)| k.width_sites)
+        .max()
+        .unwrap_or(1);
+    let n_r = n.min(fp.rows() / 2).max(1);
+    let n_c = n.min(fp.cols() / (2 * w_max)).max(1);
+    let critical = &layout.design().critical_cells;
+    let mut tiles = Vec::new();
+    for i in 0..n_r {
+        for j in 0..n_c {
+            let (r0, r1) = (fp.rows() * i / n_r, fp.rows() * (i + 1) / n_r);
+            let (c0, c1) = (fp.cols() * j / n_c, fp.cols() * (j + 1) / n_c);
+            let holds_asset = critical.iter().any(|&c| {
+                layout
+                    .cell_pos(c)
+                    .is_some_and(|p| (r0..r1).contains(&p.row) && (c0..c1).contains(&p.col))
+            });
+            tiles.push(Blockage::new(
+                r0,
+                r1,
+                c0,
+                c1,
+                if holds_asset { 0.98 } else { 0.50 },
+            ));
+        }
+    }
+    tiles
+}
+
+criterion_group!(
+    kernels,
+    bench_sta_incremental,
+    bench_maze_route,
+    bench_eco_operators
+);
 criterion_main!(kernels);

@@ -17,7 +17,9 @@
 //!
 //! Flags:
 //! - `--design NAME` runs a single design (any roster name, including
-//!   `TINY` and scaled `NAME@xN` forms) instead of the matrix.
+//!   `TINY` and scaled `NAME@xN` forms) instead of the matrix, prints its
+//!   row and writes no JSON: `BENCH_suite.json` only ever holds a whole
+//!   matrix.
 //! - `--pop N` / `--gens N` / `--seed N` / `--threads N` override the
 //!   per-design explore schedule (defaults 8/3, seed shared with the
 //!   other benches).
@@ -576,10 +578,11 @@ fn main() {
         .threads(flag_value(&args, "--threads").unwrap_or(0))
         .build();
 
+    let single = flag_value::<String>(&args, "--design");
     let specs: Vec<DesignSpec> = if smoke {
         vec![resolve_or_die("Camellia"), resolve_or_die("openMSP430_1")]
-    } else if let Some(name) = flag_value::<String>(&args, "--design") {
-        vec![resolve_or_die(&name)]
+    } else if let Some(name) = &single {
+        vec![resolve_or_die(name)]
     } else {
         let mut all = vec![netlist::bench::tiny_spec()];
         all.extend(netlist::bench::all_specs());
@@ -644,6 +647,10 @@ fn main() {
             );
         }
         println!("smoke: OK (every gate passed, every replay equal to the explore)");
+        return;
+    }
+    if single.is_some() {
+        println!("suite: one design in {suite_wall_secs:.2}s; BENCH_suite.json left as it was");
         return;
     }
 

@@ -97,115 +97,128 @@ fn components_up_to(layout: &Layout, row_limit: u32) -> (Vec<(u32, Interval)>, V
     (verts, weights)
 }
 
+/// Root of `x` in a union-find parent array, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
+    }
+    x
+}
+
+/// Union-find over the empty runs of the rows a pass has already
+/// resolved, grown one row at a time. Roots carry their component's total
+/// weight in sites.
+#[derive(Default)]
+struct BelowComponents {
+    parent: Vec<u32>,
+    /// Component weight, valid at roots.
+    weight: Vec<u64>,
+    /// Empty runs of the last resolved row.
+    top: Vec<Interval>,
+    /// Vertex id of `top[0]`.
+    top_first: u32,
+}
+
+impl BelowComponents {
+    /// Appends a resolved row's runs, joining each to the runs of the
+    /// previous row it overlaps.
+    fn push_row(&mut self, runs: Vec<Interval>) {
+        let first = self.parent.len() as u32;
+        for (k, run) in runs.iter().enumerate() {
+            self.parent.push(first + k as u32);
+            self.weight.push(u64::from(run.len()));
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < self.top.len() && j < runs.len() {
+            if self.top[i].overlaps(&runs[j]) {
+                let a = find(&mut self.parent, self.top_first + i as u32);
+                let b = find(&mut self.parent, first + j as u32);
+                if a != b {
+                    self.parent[b as usize] = a;
+                    self.weight[a as usize] += self.weight[b as usize];
+                }
+            }
+            if self.top[i].hi <= runs[j].hi {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        self.top = runs;
+        self.top_first = first;
+    }
+
+    /// The context for the row above the last resolved one.
+    fn context(&mut self) -> BelowContext {
+        let roots: Vec<u32> = (0..self.top.len() as u32)
+            .map(|k| find(&mut self.parent, self.top_first + k))
+            .collect();
+        // Number the components the top row touches densely.
+        let mut order: Vec<usize> = (0..roots.len()).collect();
+        order.sort_unstable_by_key(|&k| (roots[k], k));
+        let mut prev_comp = vec![0u32; roots.len()];
+        let mut comp_weight: Vec<u64> = Vec::new();
+        for (n, &k) in order.iter().enumerate() {
+            if n == 0 || roots[order[n - 1]] != roots[k] {
+                comp_weight.push(self.weight[roots[k] as usize]);
+            }
+            prev_comp[k] = comp_weight.len() as u32 - 1;
+        }
+        BelowContext {
+            prev_runs: self.top.clone(),
+            prev_comp,
+            comp_weight,
+        }
+    }
+}
+
 /// Static context for one row being processed: the connected components of
 /// the *already-final* rows below, exposed through the runs of the row
 /// immediately underneath (the only row the current one can touch).
 struct BelowContext {
     /// Empty runs of row `i - 1` (empty when processing row 0).
     prev_runs: Vec<Interval>,
-    /// Component root of each prev run (roots are arbitrary but stable ids).
-    prev_root: Vec<u32>,
-    /// Total weight of each root's component across all below rows.
-    root_weight: std::collections::HashMap<u32, u64>,
+    /// Component of each prev run, numbered densely from 0.
+    prev_comp: Vec<u32>,
+    /// Total weight of each component across all below rows.
+    comp_weight: Vec<u64>,
 }
 
 impl BelowContext {
-    /// Builds the context from the accumulated below-row vertices.
-    fn build(below: &[(u32, Interval)], below_row_start: &[usize], row: u32) -> Self {
-        let n = below.len();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], x: u32) -> u32 {
-            let mut r = x;
-            while parent[r as usize] != r {
-                r = parent[r as usize];
-            }
-            let mut c = x;
-            while parent[c as usize] != r {
-                let nx = parent[c as usize];
-                parent[c as usize] = r;
-                c = nx;
-            }
-            r
-        }
-        let n_rows_below = below_row_start.len().saturating_sub(1);
-        for r in 1..n_rows_below {
-            let (a0, a1) = (below_row_start[r - 1], below_row_start[r]);
-            let (b0, b1) = (below_row_start[r], below_row_start[r + 1]);
-            let (mut i, mut j) = (a0, b0);
-            while i < a1 && j < b1 {
-                let ia = below[i].1;
-                let ib = below[j].1;
-                if ia.overlaps(&ib) {
-                    let (ra, rb) = (find(&mut parent, i as u32), find(&mut parent, j as u32));
-                    if ra != rb {
-                        parent[rb as usize] = ra;
-                    }
-                }
-                if ia.hi <= ib.hi {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-        }
-        let mut root_weight: std::collections::HashMap<u32, u64> = Default::default();
-        for (i, b) in below.iter().enumerate().take(n) {
-            let r = find(&mut parent, i as u32);
-            *root_weight.entry(r).or_insert(0) += b.1.len() as u64;
-        }
-        let (prev_runs, prev_root) = if row == 0 || n_rows_below < row as usize {
-            (Vec::new(), Vec::new())
-        } else {
-            let (a0, a1) = (
-                below_row_start[row as usize - 1],
-                below_row_start[row as usize],
-            );
-            let runs: Vec<Interval> = below[a0..a1].iter().map(|&(_, iv)| iv).collect();
-            let roots: Vec<u32> = (a0..a1).map(|i| find(&mut parent, i as u32)).collect();
-            (runs, roots)
-        };
-        Self {
-            prev_runs,
-            prev_root,
-            root_weight,
-        }
-    }
-
     /// Weight of the component containing current-row vertex `vi`, over the
-    /// graph of rows `0..=i`: a breadth-first walk of the bipartite graph
-    /// between current-row runs and below-component roots.
+    /// graph of rows `0..=i`. One two-pointer sweep over the sorted current
+    /// and previous runs links each current run to the below components it
+    /// touches; a union-find over those links then yields the component:
+    /// O(C + P) for C current and P previous runs.
     fn component_weight(&self, cur: &[Interval], vi: usize) -> u64 {
-        let mut vert_seen = vec![false; cur.len()];
-        let mut root_seen: std::collections::HashSet<u32> = Default::default();
-        let mut stack = vec![vi];
-        vert_seen[vi] = true;
-        let mut weight = 0u64;
-        while let Some(v) = stack.pop() {
-            weight += cur[v].len() as u64;
-            for (j, r) in self.prev_runs.iter().enumerate() {
-                if r.overlaps(&cur[v]) {
-                    let root = self.prev_root[j];
-                    if root_seen.insert(root) {
-                        weight += self.root_weight[&root];
-                        // Any other current-row vertex touching a run of
-                        // this same component joins too.
-                        for (u, cu) in cur.iter().enumerate() {
-                            if !vert_seen[u]
-                                && self
-                                    .prev_runs
-                                    .iter()
-                                    .zip(&self.prev_root)
-                                    .any(|(rr, rt)| *rt == root && rr.overlaps(cu))
-                            {
-                                vert_seen[u] = true;
-                                stack.push(u);
-                            }
-                        }
-                    }
-                }
+        let n = cur.len();
+        // Nodes `0..n` are the current runs, `n..` the below components.
+        let mut parent: Vec<u32> = (0..(n + self.comp_weight.len()) as u32).collect();
+        let (mut i, mut j) = (0, 0);
+        while i < n && j < self.prev_runs.len() {
+            if cur[i].overlaps(&self.prev_runs[j]) {
+                let a = find(&mut parent, i as u32);
+                let b = find(&mut parent, (n + self.prev_comp[j] as usize) as u32);
+                parent[b as usize] = a;
+            }
+            if cur[i].hi <= self.prev_runs[j].hi {
+                i += 1;
+            } else {
+                j += 1;
             }
         }
-        weight
+        let root = find(&mut parent, vi as u32);
+        let runs: u64 = (0..n)
+            .filter(|&u| find(&mut parent, u as u32) == root)
+            .map(|u| u64::from(cur[u].len()))
+            .sum();
+        let below: u64 = (0..self.comp_weight.len())
+            .filter(|&c| find(&mut parent, (n + c) as u32) == root)
+            .map(|c| self.comp_weight[c])
+            .sum();
+        runs + below
     }
 }
 
@@ -215,10 +228,9 @@ impl BelowContext {
 fn run_pass(layout: &mut Layout, thresh: u32, pass: Pass, stats: &mut CellShiftStats) {
     let rows = layout.floorplan().rows();
     let cols = layout.floorplan().cols();
-    let mut below: Vec<(u32, Interval)> = Vec::new();
-    let mut below_row_start: Vec<usize> = vec![0];
+    let mut below = BelowComponents::default();
     for row in 0..rows {
-        let ctx = BelowContext::build(&below, &below_row_start, row);
+        let ctx = below.context();
         // The current row's runs, maintained incrementally across shifts.
         let mut cur: Vec<Interval> = layout.occupancy().empty_runs(row);
         // Index of the vertex being processed, in scan order.
@@ -332,9 +344,7 @@ fn run_pass(layout: &mut Layout, thresh: u32, pass: Pass, stats: &mut CellShiftS
         }
         // Row resolved: its final runs become part of the static substrate
         // for the rows above.
-        let final_runs = layout.occupancy().empty_runs(row);
-        below.extend(final_runs.iter().map(|&iv| (row, iv)));
-        below_row_start.push(below.len());
+        below.push_row(layout.occupancy().empty_runs(row));
     }
 }
 
@@ -345,23 +355,132 @@ fn run_pass(layout: &mut Layout, thresh: u32, pass: Pass, stats: &mut CellShiftS
 /// Locked cells are never moved; vertices whose only neighbor is locked are
 /// skipped, exactly like the paper's preprocessing demands.
 pub fn cell_shift(layout: &mut Layout, tech: &Technology, thresh: u32) -> CellShiftStats {
-    layout.occupancy_mut().clear_fillers();
-    let mut stats = CellShiftStats::default();
-    run_pass(layout, thresh, Pass::Forward, &mut stats);
-    run_pass(layout, thresh, Pass::Backward, &mut stats);
-    // Note: exploitable components hugging *locked* cells (the critical
-    // bank) can survive both passes — the greedy cannot pull space through
-    // a wall it may not move. The flow optimizer compensates by pairing CS
-    // with routing width scaling or by choosing LDA; see EXPERIMENTS.md.
-    debug_assert!(layout.check_consistency(tech).is_ok());
-    stats
+    obs::span("cell_shift", |_| {
+        layout.occupancy_mut().clear_fillers();
+        let mut stats = CellShiftStats::default();
+        run_pass(layout, thresh, Pass::Forward, &mut stats);
+        run_pass(layout, thresh, Pass::Backward, &mut stats);
+        // Note: exploitable components hugging *locked* cells (the critical
+        // bank) can survive both passes — the greedy cannot pull space
+        // through a wall it may not move. The flow optimizer compensates by
+        // pairing CS with routing width scaling or by choosing LDA; see
+        // EXPERIMENTS.md.
+        debug_assert!(layout.check_consistency(tech).is_ok());
+        stats
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netlist::bench;
+    use proptest::prelude::*;
     use secmetrics::THRESH_ER;
+
+    /// The breadth-first [`BelowContext::component_weight`] the two-pointer
+    /// query replaced, kept as its oracle: for every run reached, scan
+    /// every previous run for overlaps, and for every component reached,
+    /// every current run for one touching it.
+    fn component_weight_bfs(ctx: &BelowContext, cur: &[Interval], vi: usize) -> u64 {
+        let mut vert_seen = vec![false; cur.len()];
+        let mut comp_seen = vec![false; ctx.comp_weight.len()];
+        let mut stack = vec![vi];
+        vert_seen[vi] = true;
+        let mut weight = 0u64;
+        while let Some(v) = stack.pop() {
+            weight += cur[v].len() as u64;
+            for (j, r) in ctx.prev_runs.iter().enumerate() {
+                if r.overlaps(&cur[v]) {
+                    let comp = ctx.prev_comp[j];
+                    if !comp_seen[comp as usize] {
+                        comp_seen[comp as usize] = true;
+                        weight += ctx.comp_weight[comp as usize];
+                        for (u, cu) in cur.iter().enumerate() {
+                            if !vert_seen[u]
+                                && ctx
+                                    .prev_runs
+                                    .iter()
+                                    .zip(&ctx.prev_comp)
+                                    .any(|(rr, c)| *c == comp && rr.overlaps(cu))
+                            {
+                                vert_seen[u] = true;
+                                stack.push(u);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        weight
+    }
+
+    /// Sorted, disjoint, non-empty runs from `(gap before, length)` pairs.
+    fn runs(shape: &[(u32, u32)]) -> Vec<Interval> {
+        let mut cursor = 0;
+        shape
+            .iter()
+            .map(|&(gap, len)| {
+                let run = Interval::new(cursor + gap, cursor + gap + len);
+                cursor = run.hi;
+                run
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The two-pointer query equals the breadth-first oracle at every
+        /// vertex of random run lists, with random component labels and
+        /// weights for the runs below.
+        #[test]
+        fn component_weight_matches_bfs_oracle(
+            cur_shape in proptest::collection::vec((0u32..4, 1u32..6), 1..24),
+            prev_shape in proptest::collection::vec((0u32..4, 1u32..6), 0..24),
+            labels in proptest::collection::vec(0u32..6, 24..25),
+            weights in proptest::collection::vec(1u64..500, 6..7),
+        ) {
+            let cur = runs(&cur_shape);
+            let prev_runs = runs(&prev_shape);
+            let ctx = BelowContext {
+                prev_comp: labels[..prev_runs.len()].to_vec(),
+                prev_runs,
+                comp_weight: weights,
+            };
+            for vi in 0..cur.len() {
+                prop_assert_eq!(
+                    ctx.component_weight(&cur, vi),
+                    component_weight_bfs(&ctx, &cur, vi),
+                    "vertex {}",
+                    vi
+                );
+            }
+        }
+    }
+
+    /// The row-by-row union-find agrees with the whole-layout reference on
+    /// every component weight the top row exposes.
+    #[test]
+    fn incremental_components_match_reference() {
+        let (_, layout) = placed(43);
+        let rows = layout.floorplan().rows();
+        let mut below = BelowComponents::default();
+        for row in 0..rows {
+            below.push_row(layout.occupancy().empty_runs(row));
+            let ctx = below.context();
+            let (verts, weights) = components_up_to(&layout, row);
+            let top: Vec<u64> = verts
+                .iter()
+                .zip(&weights)
+                .filter(|((r, _), _)| *r == row)
+                .map(|(_, &w)| w)
+                .collect();
+            let mine: Vec<u64> = ctx
+                .prev_comp
+                .iter()
+                .map(|&c| ctx.comp_weight[c as usize])
+                .collect();
+            assert_eq!(mine, top, "row {row}");
+        }
+    }
 
     fn placed(seed: u64) -> (Technology, Layout) {
         // CS targets adequately dense designs (the paper pairs low-density

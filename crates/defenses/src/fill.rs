@@ -112,7 +112,7 @@ pub(crate) fn fill_runs(
     tech: &Technology,
     runs: &[(u32, Interval)],
 ) -> (Layout, usize) {
-    let mut design = base_layout.design().clone();
+    let mut design = Design::clone(base_layout.design());
     let mut chain = FillChain::new(&mut design);
     // Collect (position, kind) first so the design surgery happens in one
     // deterministic sweep.

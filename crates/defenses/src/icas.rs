@@ -23,7 +23,7 @@ pub const MAX_DRC_INCREASE: u32 = 30;
 /// each sweep density (full global P&R) and keeps the densest candidate
 /// that still routes acceptably. Falls back to the baseline if none does.
 pub fn apply_icas(base: &Snapshot, tech: &Technology) -> Snapshot {
-    let design = base.layout.design().clone();
+    let design = netlist::Design::clone(base.layout.design());
     let critical = design.critical_cells.clone();
     let seed = 0x1CA5u64;
     let base_util = base.layout.utilization();

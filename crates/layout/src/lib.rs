@@ -70,8 +70,9 @@ impl Layout {
         }
     }
 
-    /// The underlying netlist.
-    pub fn design(&self) -> &Design {
+    /// The underlying netlist, shared: `Arc::clone` it to keep the
+    /// netlist while mutating the layout, without copying it.
+    pub fn design(&self) -> &std::sync::Arc<Design> {
         &self.design
     }
 

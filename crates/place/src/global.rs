@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use geom::SitePos;
 use layout::Layout;
 use netlist::CellId;
@@ -28,7 +30,7 @@ use tech::Technology;
 /// design.
 pub fn global_place(layout: &mut Layout, tech: &Technology, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_91AC_E000_0000);
-    let design = layout.design().clone();
+    let design = Arc::clone(layout.design());
     let fp = *layout.floorplan();
     let cols = fp.cols();
     let rows = fp.rows();
@@ -165,7 +167,10 @@ pub fn global_place(layout: &mut Layout, tech: &Technology, seed: u64) {
         let pos = layout
             .occupancy()
             .find_gap(w, center, rows.max(cols))
-            .or_else(|| crate::eco::make_gap_by_compaction(layout, &[], &mut [], w, center))
+            .or_else(|| {
+                let mut no_blockages = crate::eco::BlockageIndex::new(layout, &[]);
+                crate::eco::make_gap_by_compaction(layout, &mut no_blockages, w, center)
+            })
             .unwrap_or_else(|| panic!("core cannot hold {}", design.name));
         layout
             .occupancy_mut()
@@ -195,7 +200,7 @@ pub fn bank_cells(
 ) -> (u32, u32, u32, u32) {
     assert!(bank_utilization > 0.0 && bank_utilization <= 1.0);
     let fp = *layout.floorplan();
-    let design = layout.design().clone();
+    let design = Arc::clone(layout.design());
     let member_set: std::collections::HashSet<CellId> = members.iter().copied().collect();
     let total_sites: u64 = members
         .iter()

@@ -26,8 +26,6 @@ mod eco;
 mod global;
 mod wirelength;
 
-#[doc(hidden)]
-pub use eco::eco_place_reference;
 pub use eco::{eco_place, EcoPlaceStats};
 pub use global::{bank_cells, global_place};
 pub use wirelength::{hpwl_total, hpwl_um, net_bbox, refine_wirelength};

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use geom::{Point, Rect};
 use layout::Layout;
 use netlist::{CellId, NetDriver, NetId, Sink};
@@ -88,7 +90,7 @@ pub fn refine_wirelength(
     seed: u64,
 ) -> usize {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0EF1_4E00);
-    let design = layout.design().clone();
+    let design = Arc::clone(layout.design());
     let clock = design.clock;
     let mut order: Vec<CellId> = design.cells_iter().map(|(id, _)| id).collect();
     let mut accepted = 0;
