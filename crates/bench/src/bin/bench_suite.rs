@@ -26,12 +26,12 @@
 //! - `--smoke` is the CI gate and writes no JSON. It first runs the TINY
 //!   gates: telemetry must leave a small exploration bit-identical and
 //!   cost under 5 % wall, the incremental STA must take its fast paths,
-//!   routing threads 1 and 4 must agree bit for bit, `eco.phase2` must
-//!   stay inside its budget, a kill/resume cycle must reproduce the
-//!   uninterrupted run, and journal appends must cost under 2 % of a
-//!   journaled explore. Then it runs the Camellia and openMSP430_1 rows
-//!   on a reduced schedule and asserts the wall and peak-RSS budgets and
-//!   an incremental replay faster than the full one on every row.
+//!   `eco.phase2` must stay inside its budget, a kill/resume cycle must
+//!   reproduce the uninterrupted run, and journal appends must cost under
+//!   2 % of a journaled explore. Then it runs the Camellia and
+//!   openMSP430_1 rows on a reduced schedule and asserts the wall and
+//!   peak-RSS budgets and an incremental replay faster than the full one
+//!   on every row.
 //!
 //! Designs above [`BIG_DESIGN_CELLS`] cells run a reduced schedule and
 //! replay only the first [`BIG_REPLAY_CAP`] schedule points through the
@@ -412,21 +412,6 @@ fn tiny_gates(tech: &Technology) {
             telemetry.counter("sta.early_exits"),
         );
     }
-
-    // Region-parallel Phase B must be bit-identical at any routing thread
-    // bound — serial vs threaded rip-up-and-reroute may not steer results.
-    let with_route_threads = |n: usize| {
-        route::set_parallelism(n);
-        let r = run();
-        route::set_parallelism(0);
-        r
-    };
-    assert_eq!(
-        ggjson::to_string_pretty(&with_route_threads(1)),
-        ggjson::to_string_pretty(&with_route_threads(4)),
-        "region-parallel Phase B diverged from the serial router"
-    );
-    println!("smoke: route threads 1 vs 4 bit-identical");
 
     // Regression gate on the gap-indexed legalizer: the index-backed
     // kernel clocks ~1 ms here; the pre-index linear-scan legalizer ran

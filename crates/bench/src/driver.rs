@@ -17,10 +17,8 @@ use tech::Technology;
 /// candidate evaluation is CPU-bound, so spawning more workers than
 /// hardware threads only adds queue contention and preemption stalls —
 /// on a single-core runner a pinned 8-worker replay measured ~1.7x
-/// slower than the same replay sized to the machine. Routing still gets
-/// at least two region workers per evaluation via
-/// [`route::budget_for_workers`], so the region-parallel Phase B path is
-/// exercised (and timed) everywhere.
+/// slower than the same replay sized to the machine. Each worker's
+/// Phase B runs serially on that worker's thread.
 pub const GG_GA_PARAMS: Nsga2Params = Nsga2Params::builder()
     .population(24)
     .generations(128)

@@ -122,8 +122,9 @@ impl FlowMetrics {
         base_drc + N_DRC
     }
 
-    /// Whether the hard constraints of §II-C hold
-    /// (`DRC ≤ max(N_DRC, DRC_base)`, `Power ≤ β_power · Power_base`).
+    /// Whether the hard constraints of §II-C hold, as enforced here:
+    /// `DRC ≤ DRC_base + N_DRC` ([`Self::drc_limit`]) and
+    /// `Power ≤ β_power · Power_base`.
     pub fn feasible(&self, base_power_mw: f64, base_drc: u32) -> bool {
         self.drc <= Self::drc_limit(base_drc) && self.power_mw <= BETA_POWER * base_power_mw
     }
@@ -484,6 +485,9 @@ mod tests {
         assert!(ok.feasible(1.0, 0));
         // The DRC bound tracks a noisier baseline: base 30 admits 25.
         assert!(m.feasible(1.0, 30), "baseline at 30 DRC admits 25");
+        // The bound is base + N_DRC = 50, not max(N_DRC, base) = 30.
+        let drc45 = FlowMetrics { drc: 45, ..m };
+        assert!(drc45.feasible(1.0, 30), "baseline at 30 DRC admits 45");
         assert_eq!(FlowMetrics::drc_limit(0), crate::N_DRC);
         assert_eq!(ok.constraint_violation(1.0, 0), 0.0);
         assert_eq!(ok.objectives(), [0.1, 50.0]);

@@ -529,12 +529,6 @@ fn evaluate_all(
     ga_metrics().evaluations.add(missing.len() as u64);
     let threads = threads.max(1).min(missing.len());
     obs::span("nsga2.evaluate", |_| {
-        // Candidate-level and region-level parallelism compose: with
-        // `threads` candidate workers running concurrently, each router call
-        // gets an even share of the machine instead of oversubscribing it
-        // `threads`-fold. Routing results are bit-identical at any budget, so
-        // this only shapes scheduling, never the Pareto front.
-        route::set_parallelism(route::budget_for_workers(threads));
         let next = AtomicUsize::new(0);
         type Outcome = (usize, Genome, FlowMetrics, EvalStatus);
         let done: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(missing.len()));
@@ -564,7 +558,6 @@ fn evaluate_all(
                 }
             });
         }
-        route::set_parallelism(0);
         let mut results = done.into_inner().unwrap_or_else(|p| p.into_inner());
         // Candidate order, so the quarantine ledger (and therefore the
         // checkpoint bytes) never depend on thread scheduling.

@@ -10,7 +10,7 @@
 //!   aggregates `(count, total_nanos)` per dotted call path
 //!   (`"eval.incremental/route.phase_b"`). Nesting is tracked per thread;
 //!   aggregation is process-global and thread-safe, so spans recorded
-//!   from rayon workers and evaluation threads merge losslessly.
+//!   from worker and evaluation threads merge losslessly.
 //! - **Metrics** — [`counter`], [`gauge`], and [`histogram`] hand out
 //!   cheap atomic-backed handles registered by name
 //!   (`"rrr.rounds"`, `"maze.pops"`, `"eval.cache_hits"`). Histograms

@@ -1,11 +1,17 @@
 //! Lossless aggregation under concurrency: counter and histogram updates
-//! fanned out across rayon workers must sum exactly, and span nesting
-//! must stay well-formed on every worker thread.
+//! fanned out across scoped worker threads must sum exactly, and span
+//! nesting must stay well-formed on every worker thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
+
+/// Splits `items` into at most `workers` contiguous chunks, one per
+/// thread.
+fn chunks<T>(items: &[T], workers: usize) -> std::slice::Chunks<'_, T> {
+    items.chunks(items.len().div_ceil(workers))
+}
 
 /// obs state is process-global; every test (and proptest case) in this
 /// binary serializes on this lock and starts from a clean registry.
@@ -27,10 +33,10 @@ proptest! {
     ) {
         let _g = exclusive();
         let c = obs::counter("cc.losses");
-        rayon::scope_with(workers, |s| {
-            for &n in &increments {
+        std::thread::scope(|s| {
+            for chunk in chunks(&increments, workers) {
                 let c = c.clone();
-                s.spawn(move |_| c.add(n));
+                s.spawn(move || chunk.iter().for_each(|&n| c.add(n)));
             }
         });
         let expect: u64 = increments.iter().sum();
@@ -46,10 +52,10 @@ proptest! {
     ) {
         let _g = exclusive();
         let h = obs::histogram("cc.hist");
-        rayon::scope_with(workers, |s| {
-            for &v in &values {
+        std::thread::scope(|s| {
+            for chunk in chunks(&values, workers) {
                 let h = h.clone();
-                s.spawn(move |_| h.record(v));
+                s.spawn(move || chunk.iter().for_each(|&v| h.record(v)));
             }
         });
         let snap = obs::snapshot();
@@ -65,27 +71,30 @@ proptest! {
 #[test]
 fn spans_stay_well_formed_on_every_worker() {
     let _g = exclusive();
+    const WORKERS: u64 = 4;
     const TASKS: u64 = 32;
     let bad_depth = AtomicU64::new(0);
-    rayon::scope_with(4, |s| {
-        for _ in 0..TASKS {
+    std::thread::scope(|s| {
+        for _ in 0..WORKERS {
             let bad_depth = &bad_depth;
-            s.spawn(move |_| {
-                // Worker threads start with an empty span stack; nesting
-                // within the task must be exact regardless of what other
-                // workers are doing.
-                obs::span("cc.task", |_| {
-                    if obs::current_span_depth() != 1 {
-                        bad_depth.fetch_add(1, Ordering::Relaxed);
-                    }
-                    obs::span("cc.leaf", |_| {
-                        if obs::current_span_depth() != 2 {
+            s.spawn(move || {
+                for _ in 0..TASKS / WORKERS {
+                    // Worker threads start with an empty span stack;
+                    // nesting within the task must be exact regardless of
+                    // what other workers are doing.
+                    obs::span("cc.task", |_| {
+                        if obs::current_span_depth() != 1 {
                             bad_depth.fetch_add(1, Ordering::Relaxed);
                         }
+                        obs::span("cc.leaf", |_| {
+                            if obs::current_span_depth() != 2 {
+                                bad_depth.fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
                     });
-                });
-                if obs::current_span_depth() != 0 {
-                    bad_depth.fetch_add(1, Ordering::Relaxed);
+                    if obs::current_span_depth() != 0 {
+                        bad_depth.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             });
         }

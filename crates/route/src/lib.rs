@@ -27,56 +27,24 @@
 
 mod grid;
 mod router;
-mod rrr;
 
 pub use grid::{OverflowSet, PagedPlane, RouteGrid, GCELL_H_ROWS, GCELL_W_SITES, QUANTA_PER_TRACK};
 pub use router::{
-    dirty_between, finalize_route, finalize_route_serial, finalize_route_with, plan_route,
-    plan_update, route_design, DirtySet, NetRc, RoutePlan, RouteSeg, RoutingState,
+    dirty_between, finalize_route, plan_route, plan_update, route_design, DirtySet, NetRc,
+    RoutePlan, RouteSeg, RoutingState,
 };
 #[doc(hidden)]
 pub use router::{maze_route_dial_for_tests, maze_route_heap_for_tests};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+/// No-op: Phase B is serial and takes no thread budget. Kept only because
+/// the standalone `perfbench` harness still calls it; it goes when that
+/// call does.
+#[doc(hidden)]
+pub fn set_parallelism(_threads: usize) {}
 
-/// Worker-thread bound for region-parallel rip-up-and-reroute; 0 = auto
-/// (follow `rayon`'s machine-derived count).
-static PARALLELISM: AtomicUsize = AtomicUsize::new(0);
-
-/// Worker threads [`finalize_route`] uses for region-parallel rip-up-and-
-/// reroute: the value last passed to [`set_parallelism`], or rayon's
-/// machine-derived thread count when unset. The result of a fixed-seed
-/// run is bit-identical at every value — this only bounds concurrency.
-pub fn parallelism() -> usize {
-    match PARALLELISM.load(Ordering::Relaxed) {
-        0 => rayon::current_num_threads(),
-        n => n,
-    }
-}
-
-/// Sets the process-wide routing thread bound (0 restores auto).
-///
-/// Outer parallel loops (e.g. NSGA-II candidate evaluation) call this
-/// with [`budget_for_workers`] so the candidate-level and region-level
-/// pools compose instead of oversubscribing the machine.
-pub fn set_parallelism(threads: usize) {
-    PARALLELISM.store(threads, Ordering::Relaxed);
-    static GAUGE: std::sync::OnceLock<obs::Gauge> = std::sync::OnceLock::new();
-    GAUGE
-        .get_or_init(|| obs::gauge("route.parallelism"))
-        .set(threads as f64);
-}
-
-/// Floor of the per-worker routing thread budget. Region-parallel Phase B
-/// is bit-identical at any thread count, so granting at least two threads
-/// even on machines the evaluation workers already saturate only shapes
-/// scheduling — it never changes results, and it keeps the recorded bench
-/// exercising (and timing) the region-parallel path everywhere.
-const MIN_ROUTE_THREADS: usize = 2;
-
-/// Per-worker routing thread budget when `workers` evaluation workers run
-/// concurrently: the machine's thread count divided evenly, floored at
-/// `MIN_ROUTE_THREADS` (2).
-pub fn budget_for_workers(workers: usize) -> usize {
-    (rayon::current_num_threads() / workers.max(1)).max(MIN_ROUTE_THREADS)
+/// Always 1: Phase B is serial. Kept only because the standalone
+/// `perfbench` harness still calls it; it goes when that call does.
+#[doc(hidden)]
+pub fn budget_for_workers(_workers: usize) -> usize {
+    1
 }

@@ -1,4 +1,4 @@
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use geom::GcellPos;
 use layout::Layout;
@@ -6,7 +6,6 @@ use netlist::{NetDriver, NetId, Sink};
 use tech::{LayerDir, Technology};
 
 use crate::grid::{OverflowSet, RouteGrid};
-use crate::rrr::{self, Rect};
 
 /// One committed straight global-routing run on a single layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +65,6 @@ struct RouteMetrics {
     rrr_rounds: obs::Counter,
     /// Victim nets ripped and rerouted.
     rrr_victims: obs::Counter,
-    /// Disjoint congestion regions processed.
-    rrr_regions: obs::Counter,
-    /// Rounds that took the region-parallel path.
-    rrr_parallel_rounds: obs::Counter,
     /// Heap pops per maze (Dijkstra) search — the router's unit of work.
     maze_pops: obs::Histogram,
     /// Entries redistributed between radix-frontier buckets per maze
@@ -89,8 +84,6 @@ fn metrics() -> &'static RouteMetrics {
         rrr_calls: obs::counter("rrr.calls"),
         rrr_rounds: obs::counter("rrr.rounds"),
         rrr_victims: obs::counter("rrr.victims"),
-        rrr_regions: obs::counter("rrr.regions"),
-        rrr_parallel_rounds: obs::counter("rrr.parallel_rounds"),
         maze_pops: obs::histogram("maze.pops"),
         maze_bucket_scans: obs::histogram("maze.bucket_scans"),
     })
@@ -541,13 +534,6 @@ impl LayerConsts {
 }
 
 /// Detour margin of the maze search window around an edge's bounding box.
-///
-/// Also the halo of a victim's *footprint* in region-parallel rip-up-and-
-/// reroute: every gcell a victim's reroute can read or write — the maze
-/// window, the ±1-row/column pattern detours, and old segments produced
-/// by earlier rounds inside the same windows — lies within its MST edges'
-/// bounding boxes expanded by this margin, which is what makes
-/// disjoint-footprint victims commute (see `rrr`).
 const MAZE_MARGIN: u32 = 8;
 
 /// A maze frontier entry packed into one `u128` whose natural ascending
@@ -1189,18 +1175,6 @@ fn rip_up(grid: &mut RouteGrid, segs: &[RouteSeg]) {
     }
 }
 
-/// Re-applies already-routed segments to a grid: the positive mirror of
-/// [`rip_up`], used when merging region-locally rerouted nets back into
-/// the master grid. Adds exactly the quanta [`commit`] added when the
-/// segments were produced.
-fn commit_segs(grid: &mut RouteGrid, segs: &[RouteSeg]) {
-    for s in segs {
-        for (g, q) in seg_usage(grid, s) {
-            grid.add_quanta(s.layer, g, q);
-        }
-    }
-}
-
 /// Number of rip-up-and-reroute refinement rounds.
 const RRR_ROUNDS: usize = 5;
 
@@ -1398,88 +1372,15 @@ fn reroute_net(
     net_segs
 }
 
-/// Reroutes footprint-disjoint victim components concurrently, then
-/// merges the results into the master grid deterministically.
-///
-/// Each component clones the master grid — a refcount bump per usage
-/// plane under copy-on-write; only planes the component writes un-share —
-/// and reroutes its victims sequentially in net-id order against that
-/// region-local view. Components share no gcell, so each observes exactly
-/// the usage the sequential pass would show it regardless of scheduling.
-/// The merge replays every victim in (component, net-id) order onto the
-/// master: integer rip-up/commit quanta commute, so the merged state is
-/// bit-identical to the sequential path at any thread count.
-fn reroute_groups_parallel(
-    grid: &mut RouteGrid,
-    segs: &mut [Arc<Vec<RouteSeg>>],
-    edges: &[Arc<Vec<(GcellPos, GcellPos)>>],
-    victims: &[u32],
-    groups: &[Vec<usize>],
-    penalty: f64,
-    threads: usize,
-) {
-    // Per-component output slot: (net id, new segments) in reroute order.
-    type GroupResult = Mutex<Vec<(u32, Vec<RouteSeg>)>>;
-    let results: Vec<GroupResult> = groups.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let master = &*grid;
-    let segs_ref = &*segs;
-    rayon::scope_with(threads, |s| {
-        for (slot, group) in results.iter().zip(groups) {
-            s.spawn(move |_| {
-                let mut local = master.clone();
-                let mut out = Vec::with_capacity(group.len());
-                for &vi in group {
-                    let net = victims[vi] as usize;
-                    rip_up(&mut local, &segs_ref[net]);
-                    out.push((net as u32, reroute_net(&mut local, &edges[net], penalty)));
-                }
-                *slot.lock().expect("region result slot") = out;
-            });
-        }
-    });
-    for slot in &results {
-        for (net, new_segs) in slot.lock().expect("region result slot").drain(..) {
-            let net = net as usize;
-            rip_up(grid, &segs[net]);
-            commit_segs(grid, &new_segs);
-            segs[net] = Arc::new(new_segs);
-        }
-    }
-}
-
 /// Phase B plus extraction: refines a pattern plan with deterministic
-/// rip-up-and-reroute and computes per-net parasitics. Disjoint
-/// congestion regions reroute in parallel on up to [`crate::parallelism`]
-/// worker threads; results are bit-identical at any thread count (see
-/// [`finalize_route_with`]).
-pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> RoutingState {
-    finalize_route_with(layout, tech, plan, crate::parallelism())
-}
-
-/// [`finalize_route`] pinned to one worker thread: the sequential
-/// reference path, processing victims strictly in net-id order against
-/// the live master grid.
-pub fn finalize_route_serial(layout: &Layout, tech: &Technology, plan: RoutePlan) -> RoutingState {
-    finalize_route_with(layout, tech, plan, 1)
-}
-
-/// [`finalize_route`] with an explicit worker-thread bound.
+/// rip-up-and-reroute and computes per-net parasitics.
 ///
-/// Determinism is load-bearing: for a fixed layout and plan the returned
-/// state is bit-identical for every `threads` value. Per round, victims
-/// are grouped into connected components of footprint overlap (`rrr`);
-/// components reroute concurrently against region-local copy-on-write
-/// grids and merge back in (component, net-id) order. A victim whose
-/// footprint touches several congestion regions merges those regions into
-/// one component rather than being deferred, which preserves sequential
-/// equivalence; in the worst case everything collapses into a single
-/// component and the round degenerates to the serial pass.
-pub fn finalize_route_with(
-    layout: &Layout,
-    tech: &Technology,
-    plan: RoutePlan,
-    threads: usize,
-) -> RoutingState {
+/// Each round tears out every net crossing an overflowed `(layer, gcell)`
+/// pair and reroutes it, in net-id order, against the live usage of every
+/// other net. Sequential rip-up keeps the process convergent
+/// (unsynchronized parallel rip-up oscillates) and the result a pure
+/// function of the layout and plan.
+pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> RoutingState {
     let design = layout.design();
     let clock = design.clock;
     let n_nets = design.nets.len();
@@ -1488,7 +1389,6 @@ pub fn finalize_route_with(
         mut segs,
         edges,
     } = plan;
-    let threads = threads.max(1);
     let m = metrics();
     m.rrr_calls.incr();
 
@@ -1537,46 +1437,18 @@ pub fn finalize_route_with(
                 break; // regressing: stop and restore the best state
             }
             let penalty = 3.0f64.powi(round as i32 + 1);
-            let footprints: Vec<Vec<Rect>> = victims
-                .iter()
-                .map(|&i| {
-                    edges[i as usize]
-                        .iter()
-                        .map(|&(a, b)| Rect::from_edge(a, b, MAZE_MARGIN, grid.nx(), grid.ny()))
-                        .collect()
-                })
-                .collect();
-            let groups = rrr::partition(&footprints, grid.nx(), grid.ny());
-            let parallel = threads > 1 && groups.len() > 1;
-            if parallel {
-                reroute_groups_parallel(
-                    &mut grid, &mut segs, &edges, &victims, &groups, penalty, threads,
-                );
-            } else {
-                // Sequential reference path: each victim is torn out and
-                // immediately rerouted against the live usage of every other
-                // net, which keeps the process convergent (unsynchronized
-                // parallel rip-up oscillates).
-                for &i in &victims {
-                    let old = Arc::clone(&segs[i as usize]);
-                    rip_up(&mut grid, &old);
-                    segs[i as usize] =
-                        Arc::new(reroute_net(&mut grid, &edges[i as usize], penalty));
-                }
+            for &i in &victims {
+                let old = Arc::clone(&segs[i as usize]);
+                rip_up(&mut grid, &old);
+                segs[i as usize] = Arc::new(reroute_net(&mut grid, &edges[i as usize], penalty));
             }
             m.rrr_rounds.incr();
             m.rrr_victims.add(victims.len() as u64);
-            m.rrr_regions.add(groups.len() as u64);
-            if parallel {
-                m.rrr_parallel_rounds.incr();
-            }
             obs::trace(obs::Topic::Route, || {
                 format!(
-                    "rrr round {round}: overflow_pairs {} total {score:.0} victims {} regions {}{}",
+                    "rrr round {round}: overflow_pairs {} total {score:.0} victims {}",
                     oset.pairs(),
                     victims.len(),
-                    groups.len(),
-                    if parallel { " (parallel)" } else { "" },
                 )
             });
         }
@@ -1719,117 +1591,6 @@ mod tests {
         let (_, layout, routing) = routed(RouteRule::default());
         let v = routing.drc_violations(&layout);
         assert!(v <= 3, "baseline should be nearly DRC-clean, got {v}");
-    }
-
-    /// Benchmark-scale grids usually collapse into one congestion region
-    /// (the maze halo is wide relative to the die), so the multi-group
-    /// path of [`reroute_groups_parallel`] is exercised here directly: a
-    /// wide synthetic grid with two far-apart hotspots must partition
-    /// into two components and merge back bit-identical to the
-    /// sequential reference at every thread bound.
-    #[test]
-    fn parallel_group_merge_matches_serial_on_disjoint_regions() {
-        let tech = Technology::nangate45_like();
-        let rule = RouteRule::default();
-        let fp = layout::Floorplan::new(12 * crate::GCELL_H_ROWS, 60 * crate::GCELL_W_SITES);
-        let mut grid = RouteGrid::new(&fp, &tech, &rule);
-        assert!(grid.nx() >= 60 && grid.ny() >= 10);
-
-        // Two nets per hotspot; the hotspots sit far enough apart that
-        // their maze footprints (edge bbox + MAZE_MARGIN) cannot touch.
-        let edges: Vec<Arc<Vec<(GcellPos, GcellPos)>>> = vec![
-            Arc::new(vec![(GcellPos::new(2, 2), GcellPos::new(9, 8))]),
-            Arc::new(vec![(GcellPos::new(3, 9), GcellPos::new(8, 3))]),
-            Arc::new(vec![(GcellPos::new(46, 2), GcellPos::new(53, 8))]),
-            Arc::new(vec![(GcellPos::new(47, 9), GcellPos::new(52, 3))]),
-        ];
-        let segs: Vec<Arc<Vec<RouteSeg>>> = edges
-            .iter()
-            .map(|e| Arc::new(reroute_net(&mut grid, e, 1.0)))
-            .collect();
-        // Saturate a column inside each hotspot so rerouting has real
-        // congestion to negotiate instead of replaying the same pattern.
-        for gx in [5u32, 49] {
-            for gy in 2..=8 {
-                for layer in 2..=5 {
-                    grid.add_quanta(layer, GcellPos::new(gx, gy), 1000);
-                }
-            }
-        }
-
-        let victims: Vec<u32> = vec![0, 1, 2, 3];
-        let footprints: Vec<Vec<Rect>> = victims
-            .iter()
-            .map(|&i| {
-                edges[i as usize]
-                    .iter()
-                    .map(|&(a, b)| Rect::from_edge(a, b, MAZE_MARGIN, grid.nx(), grid.ny()))
-                    .collect()
-            })
-            .collect();
-        let groups = rrr::partition(&footprints, grid.nx(), grid.ny());
-        assert_eq!(groups.len(), 2, "hotspots must form two disjoint regions");
-
-        // Sequential reference: victims in net-id order on the live grid.
-        let mut sg = grid.clone();
-        let mut ss = segs.clone();
-        for &i in &victims {
-            let old = Arc::clone(&ss[i as usize]);
-            rip_up(&mut sg, &old);
-            ss[i as usize] = Arc::new(reroute_net(&mut sg, &edges[i as usize], 3.0));
-        }
-        assert!(
-            ss.iter().zip(&segs).any(|(a, b)| a != b),
-            "reroute must change something"
-        );
-
-        for threads in [2usize, 8] {
-            let mut pg = grid.clone();
-            let mut ps = segs.clone();
-            reroute_groups_parallel(&mut pg, &mut ps, &edges, &victims, &groups, 3.0, threads);
-            assert!(pg == sg, "grid diverged at {threads} threads");
-            for (net, (a, b)) in ss.iter().zip(&ps).enumerate() {
-                assert_eq!(a, b, "segments of net {net} diverged at {threads} threads");
-            }
-        }
-
-        // Span nesting stays well-formed across the region-parallel
-        // fan-out: the caller's stack is untouched by worker threads, and
-        // the maze searches on the workers still aggregate. Delta-based
-        // assertions: obs state is process-global and other tests in this
-        // binary may be recording concurrently.
-        obs::set_enabled(true);
-        let pops_before = {
-            let snap = obs::snapshot();
-            snap.histograms
-                .iter()
-                .find(|h| h.name == "maze.pops")
-                .map_or(0, |h| h.count)
-        };
-        let mut pg = grid.clone();
-        let mut ps = segs.clone();
-        obs::span("route.rrr_span_test", |_| {
-            assert_eq!(obs::current_span_depth(), 1);
-            reroute_groups_parallel(&mut pg, &mut ps, &edges, &victims, &groups, 3.0, 4);
-            assert_eq!(
-                obs::current_span_depth(),
-                1,
-                "workers must not touch this stack"
-            );
-        });
-        assert_eq!(obs::current_span_depth(), 0);
-        let snap = obs::snapshot();
-        assert!(snap.span_count("route.rrr_span_test") >= 1);
-        let pops_after = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "maze.pops")
-            .map_or(0, |h| h.count);
-        assert!(
-            pops_after > pops_before,
-            "worker-side maze searches must aggregate"
-        );
-        obs::set_enabled(false);
     }
 
     #[test]

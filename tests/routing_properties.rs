@@ -114,22 +114,49 @@ fn ndr_trades_tracks_for_resistance_end_to_end() {
     assert!(res(&wide) < res(&base));
 }
 
+/// TINY globally placed at `util` with `seed`.
+fn tiny_placed(tech: &Technology, util: f64, seed: u64) -> layout::Layout {
+    let design = bench::generate(&bench::tiny_spec(), tech);
+    let mut layout = layout::Layout::empty_floorplan(design, tech, util);
+    place::global_place(&mut layout, tech, seed);
+    layout
+}
+
 #[test]
 fn routing_is_deterministic_and_bounded_by_capacity() {
     let tech = Technology::nangate45_like();
-    let design = bench::generate(&bench::tiny_spec(), &tech);
-    let mut layout = layout::Layout::empty_floorplan(design, &tech, 0.6);
-    place::global_place(&mut layout, &tech, 3);
-    let a = route::route_design(&layout, &tech);
-    let b = route::route_design(&layout, &tech);
-    assert_eq!(a.total_wirelength_um(), b.total_wirelength_um());
-    let g = a.grid();
-    for y in 0..g.ny() {
-        for x in 0..g.nx() {
-            let p = GcellPos::new(x, y);
-            let free = g.free_tracks_all_layers(p);
-            assert!(free >= 0.0 && free <= g.capacity_all_layers() + 1e-9);
-            assert_eq!(free, b.grid().free_tracks_all_layers(p));
+    let loose = tiny_placed(&tech, 0.6, 3);
+    // Dense and wide-wired: its routing enters rip-up-and-reroute, so this
+    // case pins Phase B's determinism on a congested input.
+    let mut congested = tiny_placed(&tech, 0.75, 5);
+    place::refine_wirelength(&mut congested, &tech, 2, 5);
+    congested.set_route_rule(RouteRule::uniform(1.5));
+    for (layout, runs_rrr) in [(&loose, false), (&congested, true)] {
+        let a = route::route_design(layout, &tech);
+        let b = route::route_design(layout, &tech);
+        if runs_rrr {
+            assert!(
+                !a.touched_nets().is_empty(),
+                "congested fixture must run rip-up-and-reroute"
+            );
+        }
+        assert!(a.grid() == b.grid(), "route grid diverged between runs");
+        for (nid, _) in layout.design().nets_iter() {
+            assert_eq!(
+                a.net_segs(nid),
+                b.net_segs(nid),
+                "segments of net {}",
+                nid.0
+            );
+            assert_eq!(a.net_rc(nid), b.net_rc(nid), "parasitics of net {}", nid.0);
+        }
+        assert_eq!(a.total_wirelength_um(), b.total_wirelength_um());
+        let g = a.grid();
+        for y in 0..g.ny() {
+            for x in 0..g.nx() {
+                let free = g.free_tracks_all_layers(GcellPos::new(x, y));
+                assert!(free >= 0.0 && free <= g.capacity_all_layers() + 1e-9);
+            }
         }
     }
 }
