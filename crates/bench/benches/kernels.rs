@@ -1,7 +1,7 @@
 //! Criterion micro-benches for the kernels the incremental replay and the
 //! harden path spend their wall time in: frontier-driven incremental STA
-//! (`sta::analyze_incremental`), the bucket-frontier A* maze search, and
-//! the two ECO operators' searches — Cell Shift's component queries and
+//! (`sta::analyze_incremental`), Phase B's rip-up-and-reroute
+//! (`route::finalize_route`), and the two ECO operators' searches — Cell Shift's component queries and
 //! the blockage-indexed ECO legalizer (`place::eco_place`).
 //!
 //! `BENCH_suite.json` records the whole-replay speedup; these pin the
@@ -13,9 +13,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gdsii_guard::prelude::*;
 use gdsii_guard::{cell_shift, preprocess};
-use geom::GcellPos;
-use layout::{Blockage, Floorplan, Layout};
-use route::{RouteGrid, GCELL_H_ROWS, GCELL_W_SITES};
+use layout::{Blockage, Layout};
 use tech::{RouteRule, Technology, NUM_METAL_LAYERS};
 
 /// Incremental STA against a cached base, on the candidate shapes the
@@ -56,32 +54,31 @@ fn bench_sta_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// One maze search on a congested grid, via the production radix (Dial)
-/// frontier and the reference binary heap — the pair the equivalence
-/// proptest pins together. The spread between them is the bucket
-/// frontier's win; the dial number alone is the rip-up-and-reroute
-/// per-search cost.
-fn bench_maze_route(c: &mut Criterion) {
+/// Phase B as a widened candidate runs it: one `finalize_route` —
+/// rip-up-and-reroute rounds of maze searches, then extraction — on the
+/// pattern plan of PRESENT's baseline with every layer at 1.5x width,
+/// which overflows and so enters rip-up-and-reroute. Phase B is most of
+/// an AES-class candidate's time.
+fn bench_phase_b(c: &mut Criterion) {
     let tech = Technology::nangate45_like();
-    let fp = Floorplan::new(24 * GCELL_H_ROWS, 32 * GCELL_W_SITES);
-    let mut grid = RouteGrid::new(&fp, &tech, &RouteRule::default());
-    // A deterministic congestion wall between the endpoints, so the
-    // search has to detour instead of running the bare Manhattan line.
-    for y in 4..20 {
-        for m in 2..=3 {
-            grid.add_quanta(m, GcellPos::new(16, y), 3000);
-        }
-    }
-    let (a, b) = (GcellPos::new(2, 2), GcellPos::new(30, 21));
-    // The escalated penalty rip-up-and-reroute rounds actually use.
-    let penalty = 9.0;
+    let spec = netlist::bench::spec_by_name("PRESENT").expect("known design");
+    let base = implement_baseline(&spec, &tech).unwrap();
+    let mut layout = Layout::clone(&base.layout);
+    layout.set_route_rule(RouteRule::uniform(1.5));
+    let plan = route::plan_route(&layout, &tech);
+    let routed = route::finalize_route(&layout, &tech, plan.clone());
+    assert!(
+        !routed.touched_nets().is_empty(),
+        "the widened plan must enter rip-up-and-reroute"
+    );
 
-    let mut group = c.benchmark_group("maze_route");
-    group.bench_function("dial", |bench| {
-        bench.iter(|| std::hint::black_box(route::maze_route_dial_for_tests(&grid, a, b, penalty)))
-    });
-    group.bench_function("heap", |bench| {
-        bench.iter(|| std::hint::black_box(route::maze_route_heap_for_tests(&grid, a, b, penalty)))
+    let mut group = c.benchmark_group("phase_b");
+    group.bench_function("finalize_route", |b| {
+        b.iter_batched(
+            || plan.clone(),
+            |plan| route::finalize_route(&layout, &tech, plan),
+            BatchSize::LargeInput,
+        )
     });
     group.finish();
 }
@@ -167,7 +164,7 @@ fn lda_tiling(tech: &Technology, layout: &Layout, n: u32) -> Vec<Blockage> {
 criterion_group!(
     kernels,
     bench_sta_incremental,
-    bench_maze_route,
+    bench_phase_b,
     bench_eco_operators
 );
 criterion_main!(kernels);

@@ -84,6 +84,12 @@ struct Phases {
     sta_cone_nets: u64,
     sta_early_exits: u64,
     rrr_rounds: u64,
+    /// Nets ripped up and rerouted, summed over every RRR round.
+    rrr_victims: u64,
+    /// Maze searches run (the count of the `maze.pops` histogram).
+    maze_searches: u64,
+    /// Frontier pops over all maze searches (that histogram's sum).
+    maze_pops: u64,
     faults_injected: u64,
 }
 
@@ -103,12 +109,16 @@ ggjson::json_struct!(Phases {
     sta_cone_nets,
     sta_early_exits,
     rrr_rounds,
+    rrr_victims,
+    maze_searches,
+    maze_pops,
     faults_injected
 });
 
 impl Phases {
     fn from_snapshot(t: &MetricsSnapshot) -> Self {
         let secs = |leaf: &str| t.span_total_nanos(leaf) as f64 / 1e9;
+        let maze_pops = t.histograms.iter().find(|h| h.name == "maze.pops");
         Self {
             baseline_implement_secs: secs("baseline.implement"),
             phase_a_route_secs: secs("route.phase_a") + secs("route.phase_a_patch"),
@@ -125,6 +135,9 @@ impl Phases {
             sta_cone_nets: t.counter("sta.cone_nets"),
             sta_early_exits: t.counter("sta.early_exits"),
             rrr_rounds: t.counter("rrr.rounds"),
+            rrr_victims: t.counter("rrr.victims"),
+            maze_searches: maze_pops.map_or(0, |h| h.count),
+            maze_pops: maze_pops.map_or(0, |h| h.sum),
             faults_injected: t.counter("faults.injected"),
         }
     }

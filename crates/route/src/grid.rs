@@ -135,8 +135,8 @@ impl PagedPlane {
 ///
 /// Usage planes are copy-on-write at page granularity: each layer is a
 /// [`PagedPlane`] of 16×16-gcell tiles behind `Arc`s, so cloning a grid
-/// (plan memoization, best-state snapshots, region-worker scratch
-/// grids) costs one refcount bump per page, and a write deep-copies
+/// (plan memoization, rip-up-and-reroute best-state snapshots) costs one
+/// refcount bump per page, and a write deep-copies
 /// only the 2 KiB page it lands in ([`Arc::make_mut`] in
 /// [`RouteGrid::add_quanta`]) — warm candidates no longer copy whole
 /// planes.
@@ -422,7 +422,6 @@ impl RouteGrid {
             nx: self.nx,
             n_cells,
             words: vec![0u64; (n_routable * n_cells).div_ceil(64)],
-            cell_words: vec![0u64; n_cells.div_ceil(64)],
             pairs: 0,
             total: 0.0,
         };
@@ -435,7 +434,6 @@ impl RouteGrid {
                     set.pairs += 1;
                     let bit = (m - 2) * n_cells + i;
                     set.words[bit / 64] |= 1 << (bit % 64);
-                    set.cell_words[i / 64] |= 1 << (i % 64);
                 }
             });
         }
@@ -446,16 +444,13 @@ impl RouteGrid {
 /// Bitset census of overflowed `(layer, gcell)` pairs, built once per
 /// rip-up-and-reroute round by [`RouteGrid::overflow_set`]. Victim
 /// scanning tests membership here instead of re-deriving scaled usage per
-/// segment cell, and the 2-D projection seeds the congestion-region
-/// partitioner.
+/// segment cell.
 #[derive(Debug, Clone)]
 pub struct OverflowSet {
     nx: u32,
     n_cells: usize,
     /// Per-(layer, gcell) bits; bit index `(m - 2) * n_cells + idx`.
     words: Vec<u64>,
-    /// 2-D projection: gcells overflowed on *any* routable layer.
-    cell_words: Vec<u64>,
     pairs: u32,
     total: f64,
 }
@@ -483,25 +478,6 @@ impl OverflowSet {
         let idx = (g.y * self.nx + g.x) as usize;
         let bit = (m - 2) * self.n_cells + idx;
         self.words[bit / 64] & (1 << (bit % 64)) != 0
-    }
-
-    /// Gcells overflowed on at least one layer, in row-major order — the
-    /// seeds of the congestion-region partition.
-    pub fn cells_2d(&self) -> Vec<GcellPos> {
-        let mut cells = Vec::new();
-        for (w, &word) in self.cell_words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let idx = w * 64 + b;
-                cells.push(GcellPos::new(
-                    (idx % self.nx as usize) as u32,
-                    (idx / self.nx as usize) as u32,
-                ));
-                bits &= bits - 1;
-            }
-        }
-        cells
     }
 }
 
@@ -693,22 +669,14 @@ mod tests {
         assert_eq!(set.pairs(), g.overflow_pairs());
         assert_eq!(set.total_overflow(), g.total_overflow());
         assert!(!set.is_empty());
-        let mut cells = Vec::new();
         for m in 2..=NUM_METAL_LAYERS {
             for y in 0..g.ny() {
                 for x in 0..g.nx() {
                     let gp = GcellPos::new(x, y);
                     let over = g.usage(m, gp) > g.capacity(m) + 1e-9;
                     assert_eq!(set.contains(m, gp), over, "layer {m} at {gp:?}");
-                    if over && !cells.contains(&gp) {
-                        cells.push(gp);
-                    }
                 }
             }
         }
-        let mut proj = set.cells_2d();
-        proj.sort_by_key(|g| (g.y, g.x));
-        cells.sort_by_key(|g| (g.y, g.x));
-        assert_eq!(proj, cells);
     }
 }

@@ -5,9 +5,10 @@
 //! The core area is tiled into *gcells*; every metal layer contributes a
 //! per-gcell track capacity derived from its pitch and the active
 //! [`tech::RouteRule`] width scale. Nets are decomposed into minimum
-//! spanning tree edges and routed with congestion-aware L-shapes; each
-//! committed segment consumes `scale_M[layer]` tracks per gcell it crosses.
-//! The two quantities the security analysis needs fall out directly:
+//! spanning tree edges, pattern-routed as straight runs and L-shapes, and
+//! then refined by maze rip-up-and-reroute; each committed segment
+//! consumes `scale_M[layer]` tracks per gcell it crosses. The two
+//! quantities the security analysis needs fall out directly:
 //! per-gcell *free tracks* (for ERtracks) and overflow counts (for DRC).
 //!
 //! # Examples
@@ -33,8 +34,6 @@ pub use router::{
     dirty_between, finalize_route, plan_route, plan_update, route_design, DirtySet, NetRc,
     RoutePlan, RouteSeg, RoutingState,
 };
-#[doc(hidden)]
-pub use router::{maze_route_dial_for_tests, maze_route_heap_for_tests};
 
 /// No-op: Phase B is serial and takes no thread budget. Kept only because
 /// the standalone `perfbench` harness still calls it; it goes when that

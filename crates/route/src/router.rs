@@ -373,101 +373,15 @@ fn pick_layer(
         .expect("each direction has layers")
 }
 
-/// A candidate path for one MST edge: a list of straight runs, each tagged
-/// with its required direction.
-fn candidate_paths(
-    a: GcellPos,
-    b: GcellPos,
-    nx: u32,
-    ny: u32,
-    detours: bool,
-) -> Vec<Vec<(LayerDir, Vec<GcellPos>)>> {
-    use LayerDir::{Horizontal as H, Vertical as V};
-    let dx = a.x != b.x;
-    let dy = a.y != b.y;
-    if dx && dy {
-        let mut cands = vec![
-            // Two L-shapes.
-            vec![(H, h_run(a.y, a.x, b.x)), (V, v_run(b.x, a.y, b.y))],
-            vec![(V, v_run(a.x, a.y, b.y)), (H, h_run(b.y, a.x, b.x))],
-        ];
-        // Two Z-shapes through the midpoints, for congestion escape.
-        let xm = (a.x + b.x) / 2;
-        if xm != a.x && xm != b.x {
-            cands.push(vec![
-                (H, h_run(a.y, a.x, xm)),
-                (V, v_run(xm, a.y, b.y)),
-                (H, h_run(b.y, xm, b.x)),
-            ]);
-        }
-        let ym = (a.y + b.y) / 2;
-        if ym != a.y && ym != b.y {
-            cands.push(vec![
-                (V, v_run(a.x, a.y, ym)),
-                (H, h_run(ym, a.x, b.x)),
-                (V, v_run(b.x, ym, b.y)),
-            ]);
-        }
-        cands
-    } else if dx {
-        // Straight horizontal edge plus U-shaped detours through the
-        // neighboring gcell rows — the only lateral escape for a congested
-        // row.
-        let mut cands = vec![vec![(H, h_run(a.y, a.x, b.x))]];
-        if !detours {
-            return cands;
-        }
-        for dy in [-1i64, 1] {
-            let y = a.y as i64 + dy;
-            if y >= 0 && (y as u32) < ny {
-                let y = y as u32;
-                cands.push(vec![
-                    (V, v_run(a.x, a.y, y)),
-                    (H, h_run(y, a.x, b.x)),
-                    (V, v_run(b.x, y, a.y)),
-                ]);
-            }
-        }
-        cands
-    } else if dy {
-        let mut cands = vec![vec![(V, v_run(a.x, a.y, b.y))]];
-        if !detours {
-            return cands;
-        }
-        for dx in [-1i64, 1] {
-            let x = a.x as i64 + dx;
-            if x >= 0 && (x as u32) < nx {
-                let x = x as u32;
-                cands.push(vec![
-                    (H, h_run(a.y, a.x, x)),
-                    (V, v_run(x, a.y, b.y)),
-                    (H, h_run(b.y, x, a.x)),
-                ]);
-            }
-        }
-        cands
-    } else {
-        Vec::new()
-    }
-}
-
 /// Integer step-cost unit: one thousandth of [`run_cost`]'s unit cost.
 /// Quantizing to milli-units makes maze distances exact integers (no
 /// epsilon in the relaxation test) and keys them for the radix frontier.
 const MILLI: f64 = 1000.0;
 
-/// Marginal cost of pushing one more track through each gcell of one
-/// Step cost of entering one gcell in direction `dir` — the cheapest
-/// same-direction layer's congestion cost (mirroring [`run_cost`]
-/// without the layer-preference term) — quantized to integer
-/// milli-units.
-///
-/// Computed per cell, on first touch: a maze search relaxes only a few
-/// dozen cells, so filling whole window rows (the previous scheme)
-/// computed many times more costs than the search ever read — the row
-/// fills were ~40% of the maze wall. The per-layer min-fold runs in the
-/// same order over the same `f64` expressions as the row fill did, so
-/// every cost the search reads is bit-identical.
+/// Step cost of entering gcell `(x, y)` in direction `dir` — the
+/// cheapest same-direction layer's congestion cost (mirroring
+/// [`run_cost`] without the layer-preference term) — quantized to integer
+/// milli-units. [`StepCosts`] holds it for every gcell and axis.
 #[inline]
 fn cell_cost(
     grid: &RouteGrid,
@@ -496,12 +410,11 @@ fn cell_cost(
     (best * MILLI).round() as u32
 }
 
-/// Per-layer constants of [`cell_cost`]'s congestion cost, hoisted
-/// out of the row fills: the two divides are invariant for the duration
-/// of a maze call, and a typical rip-up window row is only a handful of
-/// cells wide, so recomputing them per (row, layer) visit was a
-/// measurable slice of the fill. The hoisted values are produced by the
-/// identical expressions, so every filled cost is bit-identical.
+/// Per-layer constants of [`cell_cost`]'s congestion cost, hoisted out of
+/// the per-cell fold: the two divides depend only on the layer's capacity
+/// and scale, which stay fixed for a whole [`finalize_route`] call. The
+/// hoisted values are produced by the identical expressions, so every
+/// cost is bit-identical to computing them inline.
 #[derive(Clone, Copy, Default)]
 struct LayerConsts {
     cap: f64,
@@ -528,6 +441,79 @@ impl LayerConsts {
                 cap,
                 scale,
                 ..Default::default()
+            }
+        }
+    }
+}
+
+/// One rip-up-and-reroute round's maze step costs: the [`cell_cost`] of a
+/// horizontal and of a vertical move into every gcell, row-major at
+/// `y * nx + x`, under the round's overflow penalty.
+///
+/// Built once when the round starts, then kept equal to a fresh
+/// `StepCosts::new(grid, penalty)`: every gcell that [`rip_up`] or
+/// [`commit`] writes is refreshed right after the write, with the same
+/// `cell_cost`. A round on an AES-class chip runs thousands of searches
+/// over a grid of a few thousand `(gcell, axis)` pairs, so computing each
+/// cost once per write instead of once per search removes most of the
+/// cost evaluation from the maze loop.
+///
+/// The planes belong to one [`finalize_route`] call, because the penalty
+/// changes every round; the cloned, shared [`RouteGrid`] never holds them.
+struct StepCosts {
+    nx: u32,
+    ny: u32,
+    penalty_mult: f64,
+    consts: [LayerConsts; tech::NUM_METAL_LAYERS],
+    /// Milli-unit cost of a horizontal move into each gcell.
+    h: Vec<u32>,
+    /// Milli-unit cost of a vertical move into each gcell.
+    v: Vec<u32>,
+}
+
+impl StepCosts {
+    fn new(grid: &RouteGrid, penalty_mult: f64) -> Self {
+        let mut consts = [LayerConsts::default(); tech::NUM_METAL_LAYERS];
+        for (i, k) in consts.iter_mut().enumerate() {
+            *k = LayerConsts::of(grid, i + 1); // layers are 1-based
+        }
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let cells = (nx * ny) as usize;
+        let mut costs = StepCosts {
+            nx,
+            ny,
+            penalty_mult,
+            consts,
+            h: vec![0; cells],
+            v: vec![0; cells],
+        };
+        for y in 0..ny {
+            for x in 0..nx {
+                let g = GcellPos::new(x, y);
+                costs.refresh(grid, LayerDir::Horizontal, g);
+                costs.refresh(grid, LayerDir::Vertical, g);
+            }
+        }
+        costs
+    }
+
+    /// Recomputes the cost of a `dir` move into `g` from the grid's usage.
+    #[inline]
+    fn refresh(&mut self, grid: &RouteGrid, dir: LayerDir, g: GcellPos) {
+        let c = cell_cost(grid, dir, &self.consts, self.penalty_mult, g.y, g.x);
+        let i = (g.y * self.nx + g.x) as usize;
+        match dir {
+            LayerDir::Horizontal => self.h[i] = c,
+            LayerDir::Vertical => self.v[i] = c,
+        }
+    }
+
+    /// Refreshes every gcell `segs` cover, on their layers' axes.
+    fn refresh_segs(&mut self, grid: &RouteGrid, segs: &[RouteSeg]) {
+        for s in segs {
+            let dir = grid.dir(s.layer);
+            for (g, _) in seg_usage(grid, s) {
+                self.refresh(grid, dir, g);
             }
         }
     }
@@ -582,9 +568,10 @@ trait MazeFrontier {
 /// pop either takes bucket 0 directly or drains the lowest non-empty
 /// bucket, whose members provably re-bucket strictly lower once the new
 /// minimum is fixed. Every push costs O(1); each entry is redistributed
-/// at most 128 times over its lifetime (in practice ~1: see the
-/// `maze.bucket_scans` histogram), replacing the binary heap's per-op
-/// `log n` compare-and-swap chains.
+/// at most 128 times over its lifetime (about 1.9 on an AES_1 explore:
+/// 139.7M redistributions over 72.1M pushes; see the `maze.bucket_scans`
+/// histogram), replacing the binary heap's per-op `log n`
+/// compare-and-swap chains.
 ///
 /// Monotonicity — no push below the last popped minimum — holds because
 /// every step costs at least one full milli-quantized unit, so relaxed
@@ -711,23 +698,6 @@ impl MazeFrontier for RadixFrontier {
     }
 }
 
-/// The pre-rework reference frontier, kept for the kernel-equivalence
-/// proptest: `Reverse<u128>` pops in ascending packed order, which is the
-/// tuple order the heap popped in before entries were packed.
-impl MazeFrontier for std::collections::BinaryHeap<std::cmp::Reverse<u128>> {
-    fn fclear(&mut self) {
-        self.clear();
-    }
-
-    fn fpush(&mut self, e: u128) {
-        self.push(std::cmp::Reverse(e));
-    }
-
-    fn fpop(&mut self) -> Option<u128> {
-        self.pop().map(|r| r.0)
-    }
-}
-
 /// Reusable per-thread maze state. Rip-up-and-reroute issues tens of
 /// thousands of maze calls per evaluation; without reuse, the
 /// window-sized arrays and the frontier are reallocated on every one of
@@ -739,16 +709,10 @@ struct MazeScratch {
     dist: Vec<[u64; 2]>,
     /// Per (cell, incoming axis) predecessor `(x, y, axis)`.
     prev: Vec<[(u32, u32, u8); 2]>,
-    /// Per-cell step-cost planes, one per move axis, filled one cell at
-    /// a time on first touch (`cell_cost`).
-    cost_h: Vec<u32>,
-    cost_v: Vec<u32>,
-    /// Which generation last filled each cell of each cost plane.
-    cost_stamp: Vec<[u32; 2]>,
     /// Which generation last wrote each cell's `dist`/`prev` entries.
     stamp: Vec<u32>,
-    /// Reconstructed path of the last successful search, reused across
-    /// calls so reconstruction never allocates on the hot path.
+    /// Reconstructed path of the last search, reused across calls so
+    /// reconstruction never allocates on the hot path.
     path: Vec<GcellPos>,
     /// Direction-tagged straight runs of `path`, as inclusive index
     /// ranges (`path[lo..=hi]`); adjacent runs share their corner cell,
@@ -763,9 +727,6 @@ impl MazeScratch {
         MazeScratch {
             dist: Vec::new(),
             prev: Vec::new(),
-            cost_h: Vec::new(),
-            cost_v: Vec::new(),
-            cost_stamp: Vec::new(),
             stamp: Vec::new(),
             path: Vec::new(),
             runs: Vec::new(),
@@ -796,27 +757,17 @@ impl MazeScratch {
             self.dist.shrink_to_fit();
             self.prev.truncate(keep);
             self.prev.shrink_to_fit();
-            self.cost_h.truncate(keep);
-            self.cost_h.shrink_to_fit();
-            self.cost_v.truncate(keep);
-            self.cost_v.shrink_to_fit();
             self.stamp.truncate(keep);
             self.stamp.shrink_to_fit();
-            self.cost_stamp.truncate(keep);
-            self.cost_stamp.shrink_to_fit();
         }
         if self.stamp.len() < cells {
             self.dist.resize(cells, [u64::MAX; 2]);
             self.prev.resize(cells, [(u32::MAX, u32::MAX, 0); 2]);
-            self.cost_h.resize(cells, 0);
-            self.cost_v.resize(cells, 0);
             self.stamp.resize(cells, u32::MAX);
-            self.cost_stamp.resize(cells, [u32::MAX; 2]);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == u32::MAX {
             self.stamp.fill(0);
-            self.cost_stamp.fill([0; 2]);
             self.generation = 1;
         }
     }
@@ -860,45 +811,40 @@ const TURN_COST_MILLI: u64 = 500;
 /// full-key invariant. The pruning loss is at most 0.1% of the bound.
 const ASTAR_H_MILLI: u64 = 999;
 
-/// Maze (A*) search between two gcells with congestion-aware step costs
-/// and a small turn penalty. The frontier is ordered by `g + h` with
+/// Maze (A*) search between two gcells over one round's [`StepCosts`],
+/// with a small turn penalty. The frontier is ordered by `g + h` with
 /// `h = ASTAR_H_MILLI * manhattan(cell, b)`; `h` is consistent (each
 /// move changes it by less than any step's cost), so keys stay strictly
 /// monotone for the radix frontier and the first pop of `b` is optimal,
 /// while searches across quiet regions expand near-linearly along the
-/// corridor instead of flooding the window. On success the reconstructed path and
+/// corridor instead of flooding the window. The reconstructed path and
 /// its direction-tagged straight runs are left in `s.path`/`s.runs`
-/// (scratch-resident, so the hot path never allocates); returns whether
-/// `b` was reached. Used for rip-up-and-reroute victims, where the fixed
-/// L/Z/U candidate shapes have been exhausted.
+/// (scratch-resident, so the hot path never allocates).
+///
+/// The search always reaches `b`: its window is a connected rectangle
+/// holding both endpoints, and every step cost is finite.
 fn maze_search(
     s: &mut MazeScratch,
     fr: &mut impl MazeFrontier,
-    grid: &RouteGrid,
+    costs: &StepCosts,
     a: GcellPos,
     b: GcellPos,
-    penalty_mult: f64,
-) -> bool {
+) {
     debug_assert!(
-        grid.nx() <= 1 << 16 && grid.ny() <= 1 << 16,
+        costs.nx <= 1 << 16 && costs.ny <= 1 << 16,
         "packed frontier entries carry 16-bit coordinates"
     );
     // Search window: the edge's bounding box plus the detour margin. Full-
     // grid Dijkstra would dominate rip-up-and-reroute on large designs.
     let wx0 = a.x.min(b.x).saturating_sub(MAZE_MARGIN);
     let wy0 = a.y.min(b.y).saturating_sub(MAZE_MARGIN);
-    let wx1 = (a.x.max(b.x) + MAZE_MARGIN).min(grid.nx() - 1);
-    let wy1 = (a.y.max(b.y) + MAZE_MARGIN).min(grid.ny() - 1);
+    let wx1 = (a.x.max(b.x) + MAZE_MARGIN).min(costs.nx - 1);
+    let wy1 = (a.y.max(b.y) + MAZE_MARGIN).min(costs.ny - 1);
     let wnx = (wx1 - wx0 + 1) as usize;
     let wny = (wy1 - wy0 + 1) as usize;
     let idx = |g: GcellPos| (g.y - wy0) as usize * wnx + (g.x - wx0) as usize;
-    // Window-local state lives in the per-thread scratch; the grid is
-    // immutable for the duration of one call, so each (cell, axis) step
-    // cost is computed at most once, on first touch.
-    let mut consts = [LayerConsts::default(); tech::NUM_METAL_LAYERS];
-    for (i, k) in consts.iter_mut().enumerate() {
-        *k = LayerConsts::of(grid, i + 1); // layers are 1-based
-    }
+    // Window-local search state lives in the per-thread scratch; step
+    // costs are read straight from the round's grid-wide planes.
     s.begin(wnx * wny);
     fr.fclear();
     let h = |x: u32, y: u32| (x.abs_diff(b.x) as u64 + y.abs_diff(b.y) as u64) * ASTAR_H_MILLI;
@@ -933,25 +879,8 @@ fn maze_search(
             let ti = idx(t);
             s.touch(ti);
             let ma = maxis as usize;
-            if s.cost_stamp[ti][ma] != s.generation {
-                s.cost_stamp[ti][ma] = s.generation;
-                let dir = if maxis == 0 {
-                    LayerDir::Horizontal
-                } else {
-                    LayerDir::Vertical
-                };
-                let c = cell_cost(grid, dir, &consts, penalty_mult, t.y, t.x);
-                if maxis == 0 {
-                    s.cost_h[ti] = c;
-                } else {
-                    s.cost_v[ti] = c;
-                }
-            }
-            let step = if maxis == 0 {
-                s.cost_h[ti]
-            } else {
-                s.cost_v[ti]
-            } as u64;
+            let gi = (t.y * costs.nx + t.x) as usize;
+            let step = if maxis == 0 { costs.h[gi] } else { costs.v[gi] } as u64;
             let mut nd = d + step;
             if maxis != axis {
                 nd += TURN_COST_MILLI;
@@ -972,9 +901,10 @@ fn maze_search(
     } else {
         1u8
     };
-    if s.dist[idx(b)][axis as usize] == u64::MAX {
-        return false; // unreachable; caller falls back to patterns
-    }
+    assert!(
+        s.dist[idx(b)][axis as usize] != u64::MAX,
+        "the maze window connects both endpoints"
+    );
     s.path.clear();
     s.path.push(b);
     let mut cur = b;
@@ -1001,114 +931,37 @@ fn maze_search(
             _ => s.runs.push((dir, i as u32 - 1, i as u32)),
         }
     }
-    !s.runs.is_empty()
 }
 
-/// The scratch-resident runs of the last successful [`maze_search`],
-/// materialized in the pre-rework return shape (used by the test hooks).
-fn materialize_runs(s: &MazeScratch) -> Vec<(LayerDir, Vec<GcellPos>)> {
-    s.runs
-        .iter()
-        .map(|&(d, lo, hi)| (d, s.path[lo as usize..=hi as usize].to_vec()))
-        .collect()
-}
-
-/// Test hook: one maze search on a fresh scratch through the production
-/// radix frontier. Pinned against [`maze_route_heap_for_tests`] by the
-/// kernel-equivalence proptest.
-#[doc(hidden)]
-pub fn maze_route_dial_for_tests(
-    grid: &RouteGrid,
-    a: GcellPos,
-    b: GcellPos,
-    penalty_mult: f64,
-) -> Vec<(LayerDir, Vec<GcellPos>)> {
-    let mut s = MazeScratch::new();
-    let mut fr = RadixFrontier::new();
-    if !maze_search(&mut s, &mut fr, grid, a, b, penalty_mult) {
-        return Vec::new();
-    }
-    materialize_runs(&s)
-}
-
-/// Test hook: the identical search driven by the reference binary heap.
-#[doc(hidden)]
-pub fn maze_route_heap_for_tests(
-    grid: &RouteGrid,
-    a: GcellPos,
-    b: GcellPos,
-    penalty_mult: f64,
-) -> Vec<(LayerDir, Vec<GcellPos>)> {
-    let mut s = MazeScratch::new();
-    let mut fr: std::collections::BinaryHeap<std::cmp::Reverse<u128>> =
-        std::collections::BinaryHeap::new();
-    if !maze_search(&mut s, &mut fr, grid, a, b, penalty_mult) {
-        return Vec::new();
-    }
-    materialize_runs(&s)
-}
-
-/// Routes one MST edge through the maze router (rip-up-and-reroute path);
-/// commits usage. Returns false when no path exists.
+/// Routes one MST edge through the maze router over `costs` and commits
+/// it, refreshing `costs` at every gcell the commit writes.
 fn route_edge_maze(
     grid: &mut RouteGrid,
+    costs: &mut StepCosts,
     a: GcellPos,
     b: GcellPos,
-    penalty_mult: f64,
     segs: &mut Vec<RouteSeg>,
-) -> bool {
+) {
     if a == b {
-        return true;
+        return;
     }
     MAZE_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         // The frontier steps out of the scratch for the duration of the
         // search so the search body can borrow both mutably.
         let mut fr = std::mem::take(&mut s.frontier);
-        let found = maze_search(s, &mut fr, grid, a, b, penalty_mult);
+        maze_search(s, &mut fr, costs, a, b);
         s.frontier = fr;
-        if !found {
-            return false;
-        }
         for &(dir, lo, hi) in &s.runs {
             let cells = &s.path[lo as usize..=hi as usize];
             let len = cells.len() as u32 - 1;
-            let (layer, _) = pick_layer(grid, dir, cells, len, penalty_mult);
+            let (layer, _) = pick_layer(grid, dir, cells, len, costs.penalty_mult);
             commit(grid, layer, cells, segs);
+            for &g in cells {
+                costs.refresh(grid, dir, g);
+            }
         }
-        true
     })
-}
-
-/// Routes one MST edge along the cheapest candidate path; commits usage and
-/// appends the segments.
-fn route_edge(
-    grid: &mut RouteGrid,
-    a: GcellPos,
-    b: GcellPos,
-    penalty_mult: f64,
-    segs: &mut Vec<RouteSeg>,
-) {
-    #[allow(clippy::type_complexity)] // (cost, per-run layer assignment) candidate
-    let mut best: Option<(f64, Vec<(usize, Vec<GcellPos>)>)> = None;
-    for cand in candidate_paths(a, b, grid.nx(), grid.ny(), penalty_mult > 1.0) {
-        let mut cost = 0.0;
-        let mut runs: Vec<(usize, Vec<GcellPos>)> = Vec::with_capacity(cand.len());
-        for (dir, cells) in cand {
-            let len = cells.len() as u32 - 1;
-            let (layer, c) = pick_layer(grid, dir, &cells, len, penalty_mult);
-            cost += c;
-            runs.push((layer, cells));
-        }
-        if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, runs));
-        }
-    }
-    if let Some((_, runs)) = best {
-        for (layer, cells) in runs {
-            commit(grid, layer, &cells, segs);
-        }
-    }
 }
 
 /// Track demand of a run's cells in usage quanta: endpoints count a
@@ -1202,8 +1055,8 @@ fn pattern_runs(a: GcellPos, b: GcellPos) -> Vec<(LayerDir, Vec<GcellPos>)> {
 }
 
 /// Commits one edge's pattern route on its length-ideal layer. Unlike
-/// [`route_edge`] this never reads usage, capacity, or scale: the result
-/// depends only on the edge itself.
+/// [`route_edge_maze`] this never reads usage, capacity, or scale: the
+/// result depends only on the edge itself.
 fn pattern_route_edge(grid: &mut RouteGrid, a: GcellPos, b: GcellPos, segs: &mut Vec<RouteSeg>) {
     for (dir, cells) in pattern_runs(a, b) {
         let layers = grid.layers_with_dir(dir);
@@ -1355,21 +1208,36 @@ fn seg_crosses_overflow(oset: &OverflowSet, grid: &RouteGrid, s: &RouteSeg) -> b
     }
 }
 
-/// Reroutes one victim's MST edges against `grid` (maze router first,
-/// pattern fallback when the window is exhausted); returns the fresh
-/// segments.
-fn reroute_net(
+/// Ids of the nets with a segment crossing an overflowed `(layer, gcell)`
+/// pair of the round's census, in ascending order.
+fn overflow_victims(oset: &OverflowSet, grid: &RouteGrid, segs: &[Arc<Vec<RouteSeg>>]) -> Vec<u32> {
+    (0..segs.len() as u32)
+        .filter(|&i| {
+            segs[i as usize]
+                .iter()
+                .any(|s| seg_crosses_overflow(oset, grid, s))
+        })
+        .collect()
+}
+
+/// Rips victim net `i` out of `grid` and reroutes its MST `edges` through
+/// the maze router against every other net's live usage, refreshing
+/// `costs` at every gcell either step writes.
+fn reroute_victim(
     grid: &mut RouteGrid,
+    costs: &mut StepCosts,
+    segs: &mut [Arc<Vec<RouteSeg>>],
     edges: &[(GcellPos, GcellPos)],
-    penalty: f64,
-) -> Vec<RouteSeg> {
+    i: usize,
+) {
+    let old = Arc::clone(&segs[i]);
+    rip_up(grid, &old);
+    costs.refresh_segs(grid, &old);
     let mut net_segs = Vec::new();
     for &(a, b) in edges {
-        if !route_edge_maze(grid, a, b, penalty, &mut net_segs) {
-            route_edge(grid, a, b, penalty, &mut net_segs);
-        }
+        route_edge_maze(grid, costs, a, b, &mut net_segs);
     }
-    net_segs
+    segs[i] = Arc::new(net_segs);
 }
 
 /// Phase B plus extraction: refines a pattern plan with deterministic
@@ -1417,13 +1285,7 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
                 best = None;
                 break;
             }
-            let victims: Vec<u32> = (0..n_nets as u32)
-                .filter(|&i| {
-                    segs[i as usize]
-                        .iter()
-                        .any(|s| seg_crosses_overflow(&oset, &grid, s))
-                })
-                .collect();
+            let victims = overflow_victims(&oset, &grid, &segs);
             if victims.is_empty() {
                 break;
             }
@@ -1437,10 +1299,10 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
                 break; // regressing: stop and restore the best state
             }
             let penalty = 3.0f64.powi(round as i32 + 1);
+            let mut costs = StepCosts::new(&grid, penalty);
             for &i in &victims {
-                let old = Arc::clone(&segs[i as usize]);
-                rip_up(&mut grid, &old);
-                segs[i as usize] = Arc::new(reroute_net(&mut grid, &edges[i as usize], penalty));
+                let i = i as usize;
+                reroute_victim(&mut grid, &mut costs, &mut segs, &edges[i], i);
             }
             m.rrr_rounds.incr();
             m.rrr_victims.add(victims.len() as u64);
@@ -1508,20 +1370,137 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
-    use layout::Layout;
+    use layout::{Floorplan, Layout};
     use netlist::bench;
+    use proptest::prelude::*;
     use tech::{RouteRule, Technology};
 
-    fn routed(rule: RouteRule) -> (Technology, Layout, RoutingState) {
+    /// TINY placed at `util`, wirelength-refined, under `rule`.
+    fn tiny_layout(util: f64, rule: RouteRule) -> (Technology, Layout) {
         let tech = Technology::nangate45_like();
         let design = bench::generate(&bench::tiny_spec(), &tech);
-        let mut layout = Layout::empty_floorplan(design, &tech, 0.6);
+        let mut layout = Layout::empty_floorplan(design, &tech, util);
         place::global_place(&mut layout, &tech, 5);
         place::refine_wirelength(&mut layout, &tech, 2, 5);
         layout.set_route_rule(rule);
+        (tech, layout)
+    }
+
+    fn routed(rule: RouteRule) -> (Technology, Layout, RoutingState) {
+        let (tech, layout) = tiny_layout(0.6, rule);
         let routing = route_design(&layout, &tech);
         (tech, layout, routing)
+    }
+
+    /// The reference frontier the radix frontier replaced: `Reverse<u128>`
+    /// pops in ascending packed order, which is the tuple order the heap
+    /// popped in before entries were packed.
+    impl MazeFrontier for BinaryHeap<Reverse<u128>> {
+        fn fclear(&mut self) {
+            self.clear();
+        }
+
+        fn fpush(&mut self, e: u128) {
+            self.push(Reverse(e));
+        }
+
+        fn fpop(&mut self) -> Option<u128> {
+            self.pop().map(|r| r.0)
+        }
+    }
+
+    /// One maze search on a fresh scratch: its path and its runs.
+    #[allow(clippy::type_complexity)] // (path, direction-tagged runs)
+    fn search(
+        fr: &mut impl MazeFrontier,
+        costs: &StepCosts,
+        a: GcellPos,
+        b: GcellPos,
+    ) -> (Vec<GcellPos>, Vec<(LayerDir, u32, u32)>) {
+        let mut s = MazeScratch::new();
+        maze_search(&mut s, fr, costs, a, b);
+        (s.path, s.runs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Pins the radix frontier to the reference binary heap: on random
+        /// grids, congestion blobs, windows and penalty escalations, both
+        /// drive the shared search body to the identical path. The packed
+        /// entry order is the heap's tie-break order, so any divergence
+        /// is a frontier bug, not a tie.
+        #[test]
+        fn bucket_frontier_matches_binary_heap(
+            dims in (2u32..40, 2u32..24),
+            blobs in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), 2usize..=10, 1i64..4000),
+                0..40,
+            ),
+            ends in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            round in 0i32..5,
+            wide in any::<bool>(),
+        ) {
+            let tech = Technology::nangate45_like();
+            let rule = if wide {
+                RouteRule::uniform(1.5)
+            } else {
+                RouteRule::default()
+            };
+            let fp = Floorplan::new(dims.1 * crate::GCELL_H_ROWS, dims.0 * crate::GCELL_W_SITES);
+            let mut grid = RouteGrid::new(&fp, &tech, &rule);
+            for (x, y, m, q) in blobs {
+                grid.add_quanta(m, GcellPos::new(x % grid.nx(), y % grid.ny()), q);
+            }
+            let a = GcellPos::new(ends.0 % grid.nx(), ends.1 % grid.ny());
+            let b = GcellPos::new(ends.2 % grid.nx(), ends.3 % grid.ny());
+            // The penalty schedule rip-up-and-reroute actually escalates with.
+            let costs = StepCosts::new(&grid, 3.0f64.powi(round + 1));
+            let dial = search(&mut RadixFrontier::new(), &costs, a, b);
+            let heap = search(&mut BinaryHeap::new(), &costs, a, b);
+            prop_assert_eq!(dial, heap, "{:?} -> {:?} round {}", a, b, round);
+        }
+    }
+
+    /// Runs Phase B's rounds on TINY and checks, after every victim, that
+    /// the maintained step costs equal a fresh build: a write that skips
+    /// its refresh leaves a stale cost for later searches. Wires are 3x
+    /// wide so that every layer of a direction carries usage; at 1.5x
+    /// each gcell keeps an empty layer and every cost sits at the
+    /// 1000-milli floor, where a stale plane cannot show.
+    #[test]
+    fn step_costs_track_every_phase_b_write() {
+        let (tech, layout) = tiny_layout(0.75, RouteRule::uniform(3.0));
+        let RoutePlan {
+            mut grid,
+            mut segs,
+            edges,
+        } = plan_route(&layout, &tech);
+        let mut checked = 0;
+        for round in 0..RRR_ROUNDS as i32 {
+            let victims = overflow_victims(&grid.overflow_set(), &grid, &segs);
+            let penalty = 3.0f64.powi(round + 1);
+            let mut costs = StepCosts::new(&grid, penalty);
+            for &i in &victims {
+                let i = i as usize;
+                reroute_victim(&mut grid, &mut costs, &mut segs, &edges[i], i);
+                let fresh = StepCosts::new(&grid, penalty);
+                assert!(
+                    costs.h == fresh.h && costs.v == fresh.v,
+                    "round {round}: planes went stale after victim {i}"
+                );
+                checked += 1;
+            }
+        }
+        let floor = StepCosts::new(&grid, 3.0);
+        assert!(
+            checked > 0 && floor.h.iter().chain(&floor.v).any(|&c| c > 1000),
+            "the fixture must enter rip-up-and-reroute with congested step costs"
+        );
     }
 
     #[test]

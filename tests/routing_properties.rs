@@ -122,15 +122,21 @@ fn tiny_placed(tech: &Technology, util: f64, seed: u64) -> layout::Layout {
     layout
 }
 
+/// TINY placed dense and wired wide: its routing enters rip-up-and-reroute.
+fn congested_tiny(tech: &Technology) -> layout::Layout {
+    let mut layout = tiny_placed(tech, 0.75, 5);
+    place::refine_wirelength(&mut layout, tech, 2, 5);
+    layout.set_route_rule(RouteRule::uniform(1.5));
+    layout
+}
+
 #[test]
 fn routing_is_deterministic_and_bounded_by_capacity() {
     let tech = Technology::nangate45_like();
     let loose = tiny_placed(&tech, 0.6, 3);
-    // Dense and wide-wired: its routing enters rip-up-and-reroute, so this
-    // case pins Phase B's determinism on a congested input.
-    let mut congested = tiny_placed(&tech, 0.75, 5);
-    place::refine_wirelength(&mut congested, &tech, 2, 5);
-    congested.set_route_rule(RouteRule::uniform(1.5));
+    // Dense and wide-wired: this case pins Phase B's determinism on a
+    // congested input.
+    let congested = congested_tiny(&tech);
     for (layout, runs_rrr) in [(&loose, false), (&congested, true)] {
         let a = route::route_design(layout, &tech);
         let b = route::route_design(layout, &tech);
@@ -159,4 +165,90 @@ fn routing_is_deterministic_and_bounded_by_capacity() {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Hash of a routing result: every net's segments, every layer's usage
+/// quanta and every net's RC bits.
+fn routing_hash(layout: &layout::Layout, r: &route::RoutingState) -> u64 {
+    let mut h = Fnv1a::new();
+    for (nid, _) in layout.design().nets_iter() {
+        let segs = r.net_segs(nid);
+        h.word(segs.len() as u64);
+        for s in segs {
+            for v in [s.layer as u32, s.from.x, s.from.y, s.to.x, s.to.y] {
+                h.word(v as u64);
+            }
+        }
+        let rc = r.net_rc(nid);
+        h.word(rc.res.to_bits());
+        h.word(rc.cap.to_bits());
+    }
+    let g = r.grid();
+    for m in 1..=tech::NUM_METAL_LAYERS {
+        for y in 0..g.ny() {
+            for x in 0..g.nx() {
+                h.word(g.quanta_at(m, x, y) as u64);
+            }
+        }
+    }
+    h.0
+}
+
+/// Pins Phase B's output across commits: a router change that claims
+/// bit-identical routes must leave these hashes alone. Re-capture them
+/// only with a change meant to alter routes, and say so.
+#[test]
+fn phase_b_routes_match_the_golden_hashes() {
+    let tech = Technology::nangate45_like();
+    let loose = tiny_placed(&tech, 0.6, 3);
+    let congested = congested_tiny(&tech);
+    let present = implement_baseline(
+        &bench::spec_by_name("PRESENT").expect("known design"),
+        &tech,
+    )
+    .unwrap();
+    let mut present_wide = layout::Layout::clone(&present.layout);
+    present_wide.set_route_rule(RouteRule::uniform(1.5));
+    // (input, whether it must enter rip-up-and-reroute, golden hash)
+    let cases: [(&str, &layout::Layout, bool, u64); 3] = [
+        ("TINY util 0.6", &loose, false, 0x9af2_d051_6c1d_928b),
+        (
+            "TINY congested 1.5x",
+            &congested,
+            true,
+            0x0ba2_c893_1d1a_d0aa,
+        ),
+        ("PRESENT 1.5x", &present_wide, true, 0x73aa_92a2_d5c3_d0c3),
+    ];
+    let mut diffs = Vec::new();
+    for (name, layout, runs_rrr, golden) in cases {
+        let r = route::route_design(layout, &tech);
+        if runs_rrr {
+            assert!(
+                !r.touched_nets().is_empty(),
+                "{name}: widened input must run rip-up-and-reroute"
+            );
+        }
+        let got = routing_hash(layout, &r);
+        if got != golden {
+            diffs.push(format!("{name}: {got:#018x}, golden {golden:#018x}"));
+        }
+    }
+    assert!(diffs.is_empty(), "routes changed: {diffs:#?}");
 }
