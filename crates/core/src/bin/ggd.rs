@@ -11,21 +11,26 @@
 //!
 //! Designs are the twelve benchmark specs of `netlist::bench` (AES_1 …
 //! TDEA) plus the miniature `TINY` smoke design. All runs are
-//! deterministic: `ggd explore` is a thin submit-and-watch over an
-//! in-process job server and prints bit-identical output to the historic
-//! one-shot path. `--verbose` turns the telemetry subsystem on and
+//! deterministic. `analyze`, `harden` and `explore` are one
+//! submit-and-watch over a job server: an in-process one by default, or
+//! the daemon at `--socket`. Either way the server's `run_analyze`,
+//! `run_harden` and explore steps are the only implementations, and the
+//! stdout is the same. `--verbose` turns the telemetry subsystem on and
 //! prints the span/metric tree to stderr when the command finishes —
 //! including on error paths, now that `main` returns `Result`.
 //!
 //! Inputs are named by flags; the only positionals are `submit`'s job
 //! kind and the client commands' job id. A stray positional is refused
-//! with an error pointing at `--design`.
+//! with an error pointing at `--design`. Every setting is a flag except
+//! `GG_EVAL_DEADLINE_MS`, the per-candidate evaluation budget, read once
+//! into [`ServerConfig::eval_deadline`] by whichever server a command
+//! stands up.
 //!
 //! `ggd serve` is **crash-safe** by default: job-lifecycle transitions
-//! are journaled under `--journal-dir` (default `$GG_JOURNAL_DIR`, else
-//! `results/journal`), and a restarted daemon pointed at the same
-//! journal re-queues every interrupted job and resumes explores from
-//! their checkpoints bit-identically. `--no-journal` opts out.
+//! are journaled under `--journal-dir` (default `results/journal`), and a
+//! restarted daemon pointed at the same journal re-queues every
+//! interrupted job and resumes explores from their checkpoints
+//! bit-identically. `--no-journal` opts out.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -35,15 +40,14 @@ use std::time::Duration;
 use gdsii_guard::obs::diagln;
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::{
-    BaselineSummary, Client, JobEvent, JobSpec, JobState, Server, ServerConfig,
+    BaselineSummary, Client, JobEvent, JobKind, JobSpec, JobState, JobStatus, Server, ServerConfig,
 };
 use gdsii_guard::Error;
 use ggjson::{FromJson, Json, ToJson};
-use tech::Technology;
 
 const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    \n\
-   one-shot commands:\n\
+   one-shot commands (in-process, or on the daemon at --socket <path>):\n\
    \x20 list                                     list benchmark designs\n\
    \x20 analyze --design <name>                  baseline metrics\n\
    \x20 harden  --design <name> [--op cs|lda] [--out out.gds]\n\
@@ -52,11 +56,10 @@ const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    daemon:\n\
    \x20 serve   --socket <path> [--runners N] [--data-dir <dir>]\n\
    \x20         [--journal-dir <dir>|--no-journal] [--max-queued N]\n\
-   \x20         env: GG_JOURNAL_DIR, GG_MAX_QUEUED, GG_SERVE_MEM_BUDGET,\n\
-   \x20              GG_STUCK_MS (runner watchdog; default 8x GG_EVAL_DEADLINE_MS)\n\
+   \x20         [--mem-budget <bytes>]\n\
    \n\
-   client commands (all accept --socket <path>; default $GGD_SOCKET,\n\
-   else ggd.sock under the system temp dir):\n\
+   client commands (all accept --socket <path>; default ggd.sock under\n\
+   the system temp dir):\n\
    \x20 submit  <explore|harden|analyze> --design <name> [--priority N]\n\
    \x20         [--pop N] [--gens N] [--seed N] [--threads N] [--op cs|lda]\n\
    \x20         [--out <path>] [--checkpoint <path>] [--resume]\n\
@@ -68,7 +71,10 @@ const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    \x20 result  <job>                            final result payload (JSON)\n\
    \x20 jobs                                     all jobs\n\
    \x20 stats                                    scheduler + baseline-cache counters\n\
-   \x20 shutdown                                 stop the daemon";
+   \x20 shutdown                                 stop the daemon\n\
+   \n\
+   env: GG_EVAL_DEADLINE_MS  per-candidate evaluation budget (ms); a runner\n\
+   \x20    step past 8x it is declared stuck and its runner replaced";
 
 /// Everything the flag parser can collect; each command reads the
 /// subset it understands.
@@ -89,6 +95,7 @@ struct Opts {
     journal_dir: Option<PathBuf>,
     no_journal: bool,
     max_queued: Option<usize>,
+    mem_budget: Option<u64>,
     checkpoint: Option<String>,
     resume: bool,
     help: bool,
@@ -131,6 +138,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, Error> {
             "--journal-dir" => o.journal_dir = Some(PathBuf::from(value(&mut it, a)?)),
             "--no-journal" => o.no_journal = true,
             "--max-queued" => o.max_queued = Some(num(&mut it, a)?),
+            "--mem-budget" => o.mem_budget = Some(num(&mut it, a)?),
             "--checkpoint" => o.checkpoint = Some(value(&mut it, a)?),
             s if s.starts_with("--") => {
                 return Err(Error::InvalidArgs(format!("unknown flag '{s}'")))
@@ -157,19 +165,17 @@ impl Opts {
             .ok_or_else(|| Error::InvalidArgs("expected a numeric job id".into()))
     }
 
-    /// The daemon socket path: `--socket`, `$GGD_SOCKET`, or the default
-    /// under the system temp dir.
+    /// The daemon socket path: `--socket`, or the default under the
+    /// system temp dir.
     fn socket(&self) -> PathBuf {
         self.socket
             .clone()
-            .or_else(|| std::env::var_os("GGD_SOCKET").map(PathBuf::from))
             .unwrap_or_else(|| std::env::temp_dir().join("ggd.sock"))
     }
 }
 
 /// Fails fast on a design name the benchmark roster does not know,
-/// listing every accepted name — shared by the local commands and
-/// `submit`, so a typo dies at the CLI instead of inside the daemon.
+/// listing every accepted name.
 fn validate_design(name: &str) -> Result<(), Error> {
     if gdsii_guard::serve::baseline::resolve_spec(name).is_none() {
         return Err(Error::InvalidArgs(format!(
@@ -178,16 +184,6 @@ fn validate_design(name: &str) -> Result<(), Error> {
         )));
     }
     Ok(())
-}
-
-fn baseline(name: &str, tech: &Technology) -> Result<Snapshot, Error> {
-    validate_design(name)?;
-    let spec = gdsii_guard::serve::baseline::resolve_spec(name).expect("validated above");
-    implement_baseline(&spec, tech)
-}
-
-fn print_snapshot(label: &str, s: &Snapshot) {
-    println!("{}", BaselineSummary::from_snapshot(s).render(label));
 }
 
 fn cmd_list() {
@@ -209,52 +205,6 @@ fn cmd_list() {
             }
         );
     }
-}
-
-fn cmd_analyze(o: &Opts) -> Result<(), Error> {
-    let name = o.design()?;
-    let tech = Technology::nangate45_like();
-    let base = baseline(&name, &tech)?;
-    print_snapshot("baseline", &base);
-    let battery = secmetrics::attack::battery_success_rate(&base.security, &tech);
-    println!("  Trojan battery success rate: {:.0} %", battery * 100.0);
-    Ok(())
-}
-
-fn cmd_harden(o: &Opts) -> Result<(), Error> {
-    let name = o.design()?;
-    let op = o.op.as_deref().unwrap_or("cs");
-    let tech = Technology::nangate45_like();
-    let base = baseline(&name, &tech)?;
-    print_snapshot("baseline", &base);
-    let cfg = match op {
-        "cs" => FlowConfig::cell_shift_default(),
-        "lda" => FlowConfig::lda_default(),
-        other => {
-            return Err(Error::InvalidArgs(format!(
-                "unknown operator '{other}' (expected cs or lda)"
-            )))
-        }
-    };
-    let mut hardened = FlowRun::new(&base, &tech, &cfg).snapshot()?;
-    print_snapshot("hardened", &hardened);
-    let m = FlowMetrics::from_snapshot(&hardened, &base);
-    println!(
-        "  security {:.3} (risk reduced {:.1} %), battery success {:.0} %",
-        m.security,
-        (1.0 - m.security) * 100.0,
-        secmetrics::attack::battery_success_rate(&hardened.security, &tech) * 100.0
-    );
-    if let Some(path) = &o.out {
-        // The snapshot's layout is Arc-shared; un-share before mutating.
-        let hl = std::sync::Arc::make_mut(&mut hardened.layout);
-        layout::insert_fillers(hl.occupancy_mut(), &tech);
-        let lib = gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing));
-        std::fs::write(path, lib.to_bytes())
-            .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
-        println!("  wrote {path}");
-    }
-    Ok(())
 }
 
 /// Renders the final Pareto front exactly as the one-shot CLI always
@@ -314,19 +264,55 @@ fn describe_event(e: &JobEvent) -> String {
     s
 }
 
-/// Unpacks an explore job's result payload and prints the front.
-fn print_explore_payload(payload: &Json) -> Result<(), Error> {
-    let result = payload
-        .get("explore")
-        .and_then(ExploreResult::from_json)
-        .ok_or_else(|| Error::Serve("malformed explore result payload".into()))?;
-    print_front(&result);
+/// Prints what a done job adds after its baseline summary: the Trojan
+/// battery rate (analyze), the hardened summary, security and written
+/// file (harden), or the Pareto front (explore).
+fn print_result(kind: JobKind, payload: &Json) -> Result<(), Error> {
+    let malformed = || Error::Serve(format!("malformed {} result payload", kind.as_str()));
+    let battery = || {
+        payload
+            .get("battery_success")
+            .and_then(Json::as_num)
+            .ok_or_else(malformed)
+    };
+    match kind {
+        JobKind::Analyze => {
+            println!("  Trojan battery success rate: {:.0} %", battery()? * 100.0);
+        }
+        JobKind::Harden => {
+            let hardened = payload
+                .get("hardened")
+                .and_then(BaselineSummary::from_json)
+                .ok_or_else(malformed)?;
+            let m = payload
+                .get("metrics")
+                .and_then(FlowMetrics::from_json)
+                .ok_or_else(malformed)?;
+            println!("{}", hardened.render("hardened"));
+            println!(
+                "  security {:.3} (risk reduced {:.1} %), battery success {:.0} %",
+                m.security,
+                (1.0 - m.security) * 100.0,
+                battery()? * 100.0
+            );
+            if let Some(path) = payload.get("wrote").and_then(Json::as_str) {
+                println!("  wrote {path}");
+            }
+        }
+        JobKind::Explore => {
+            let result = payload
+                .get("explore")
+                .and_then(ExploreResult::from_json)
+                .ok_or_else(malformed)?;
+            print_front(&result);
+        }
+    }
     Ok(())
 }
 
-/// Streams an explore job's progress: the baseline summary to stdout
-/// (part of the pinned one-shot output), generation events to stderr.
-fn print_explore_event(e: &JobEvent) {
+/// Streams a one-shot job's progress: the baseline summary to stdout
+/// (part of the pinned output), generation events to stderr.
+fn print_event(e: &JobEvent) {
     match e.kind.as_str() {
         "baseline" => {
             if let Some(sum) = BaselineSummary::from_json(&e.data) {
@@ -339,9 +325,11 @@ fn print_explore_event(e: &JobEvent) {
 }
 
 /// The job spec the flags describe: a `kind` job over `--design`, with
-/// every given flag overriding the [`JobSpec`] default.
+/// every given flag overriding the [`JobSpec`] default. An unknown design
+/// fails here, at the CLI, not inside a server.
 fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
     let design = o.design()?;
+    validate_design(&design)?;
     let mut spec = match kind {
         "explore" => JobSpec::explore(&design),
         "analyze" => JobSpec::analyze(&design),
@@ -373,108 +361,90 @@ fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
     Ok(spec)
 }
 
-/// `ggd explore` without `--socket`: submit-and-watch over an in-process
-/// server, output pinned bit-identical to the historic one-shot path.
-fn cmd_explore_local(o: &Opts) -> Result<(), Error> {
-    let spec = job_spec(o, "explore")?;
-    let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
-    let server = Server::start(ServerConfig {
-        socket: None,
-        data_dir: Some(data_dir.clone()),
-        runners: 1,
-        ..ServerConfig::default()
-    })?;
+/// `ggd analyze|harden|explore`: submits the job the flags describe to
+/// an in-process server over a scratch data dir, or to the daemon at
+/// `--socket`, and watches it to the end. The baseline summary prints
+/// when its event arrives, then the job's result.
+fn cmd_run(o: &Opts, kind: &str) -> Result<(), Error> {
+    let spec = job_spec(o, kind)?;
+    let (status, payload) = match &o.socket {
+        Some(socket) => {
+            let mut client = Client::connect(socket)?;
+            let id = client.submit(&spec)?;
+            let status = client.watch(id, 0, print_event)?;
+            let done = status.state == JobState::Done;
+            let payload = done.then(|| client.result(id)).transpose()?;
+            (status, payload)
+        }
+        None => {
+            let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
+            let server = Server::start(ServerConfig {
+                data_dir: Some(data_dir.clone()),
+                eval_deadline: eval_deadline(),
+                ..ServerConfig::default()
+            })?;
+            let outcome = watch_local(&server, spec.clone());
+            server.stop();
+            let _ = std::fs::remove_dir_all(&data_dir);
+            outcome?
+        }
+    };
+    match payload {
+        Some(payload) => print_result(spec.kind, &payload),
+        None => Err(Error::Serve(format!(
+            "{kind} job ended {}: {}",
+            status.state.as_str(),
+            status.error.unwrap_or_else(|| "no diagnostic".into())
+        ))),
+    }
+}
+
+/// Submits `spec` to an in-process server and streams its events until
+/// the job is terminal, as [`Client::watch`] does over a socket; returns
+/// the final status and, for a done job, its result payload.
+fn watch_local(server: &Server, spec: JobSpec) -> Result<(JobStatus, Option<Json>), Error> {
     let id = server.submit(spec)?;
     let mut cursor = 0u64;
-    let status = loop {
+    loop {
         let (events, terminal) = server.events_since(id, cursor, true)?;
         cursor += events.len() as u64;
-        events.iter().for_each(print_explore_event);
+        events.iter().for_each(print_event);
         if terminal {
-            break server.status(id)?;
+            break;
         }
-    };
-    let outcome = match status.state {
-        JobState::Done => {
-            let payload = server.result(id)?;
-            print_explore_payload(&payload)
-        }
-        other => Err(Error::Serve(format!(
-            "explore job ended {}: {}",
-            other.as_str(),
-            status.error.unwrap_or_else(|| "no diagnostic".into())
-        ))),
-    };
-    server.stop();
-    let _ = std::fs::remove_dir_all(&data_dir);
-    outcome
-}
-
-/// `ggd explore --socket <path>`: the same submit-and-watch against a
-/// remote daemon.
-fn cmd_explore_remote(o: &Opts) -> Result<(), Error> {
-    let spec = job_spec(o, "explore")?;
-    let mut client = Client::connect(&o.socket())?;
-    let id = client.submit(&spec)?;
-    let status = client.watch(id, 0, print_explore_event)?;
-    match status.state {
-        JobState::Done => print_explore_payload(&client.result(id)?),
-        other => Err(Error::Serve(format!(
-            "explore job {id} ended {}: {}",
-            other.as_str(),
-            status.error.unwrap_or_else(|| "no diagnostic".into())
-        ))),
     }
+    let status = server.status(id)?;
+    let done = status.state == JobState::Done;
+    let payload = done.then(|| server.result(id)).transpose()?;
+    Ok((status, payload))
 }
 
-/// Reads a numeric env var; unset, empty, or unparsable yields `None`.
-fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
-
-/// The daemon's journal directory: `--no-journal` disables, else
-/// `--journal-dir`, `$GG_JOURNAL_DIR`, or `results/journal`.
-fn resolve_journal_dir(o: &Opts) -> Option<PathBuf> {
-    if o.no_journal {
-        return None;
-    }
-    o.journal_dir
-        .clone()
-        .or_else(|| std::env::var_os("GG_JOURNAL_DIR").map(PathBuf::from))
-        .or_else(|| Some(PathBuf::from("results/journal")))
-}
-
-/// The runner watchdog threshold: `$GG_STUCK_MS`, else 8× the
-/// cooperative eval deadline when one is configured (a step that blows
-/// through eight per-candidate budgets is wedged, not slow), else off.
-fn resolve_stuck_after() -> Option<Duration> {
-    env_num::<u64>("GG_STUCK_MS")
-        .or_else(|| env_num::<u64>("GG_EVAL_DEADLINE_MS").map(|ms| ms.saturating_mul(8)))
-        .map(Duration::from_millis)
+/// The per-candidate evaluation budget `GG_EVAL_DEADLINE_MS` (unset,
+/// empty or unparsable means none; `0` trips at the first check).
+fn eval_deadline() -> Option<Duration> {
+    let ms = std::env::var("GG_EVAL_DEADLINE_MS").ok()?;
+    ms.trim().parse().ok().map(Duration::from_millis)
 }
 
 fn cmd_serve(o: &Opts) -> Result<(), Error> {
-    let socket = o.socket();
-    let journal_dir = resolve_journal_dir(o);
-    let server = Server::start(ServerConfig {
-        socket: Some(socket.clone()),
+    let config = ServerConfig {
+        socket: Some(o.socket()),
         data_dir: o.data_dir.clone(),
         // An explicit `--runners 0` is honored: a queue-only daemon is
         // useful for inspecting admission control and recovery.
         runners: o.runners.unwrap_or(1),
-        journal_dir: journal_dir.clone(),
-        max_queued: o
-            .max_queued
-            .or_else(|| env_num("GG_MAX_QUEUED"))
-            .unwrap_or(0),
-        mem_budget_bytes: env_num("GG_SERVE_MEM_BUDGET").unwrap_or(0),
-        stuck_after: resolve_stuck_after(),
-    })?;
-    diagln!("ggd serve: listening on {}", socket.display());
-    match &journal_dir {
-        Some(dir) => diagln!("ggd serve: journaling jobs under {}", dir.display()),
-        None => diagln!("ggd serve: journal disabled; a crash forgets all jobs"),
-    }
+        // Crash-safe by default; `--no-journal` opts out.
+        journal_dir: (!o.no_journal).then(|| {
+            o.journal_dir
+                .clone()
+                .unwrap_or_else(|| "results/journal".into())
+        }),
+        max_queued: o.max_queued.unwrap_or(0),
+        mem_budget_bytes: o.mem_budget.unwrap_or(0),
+        eval_deadline: eval_deadline(),
+    };
+    let server = Server::start(config.clone())?;
+    diagln!("ggd serve: listening with {config:?}");
     server.wait();
     diagln!("ggd serve: shut down");
     Ok(())
@@ -485,14 +455,13 @@ fn cmd_submit(o: &Opts) -> Result<(), Error> {
         Error::InvalidArgs("submit needs a job kind (explore|harden|analyze)".into())
     })?;
     let spec = job_spec(o, kind)?;
-    validate_design(&spec.design)?;
     let mut client = Client::connect(&o.socket())?;
     let id = client.submit(&spec)?;
     println!("job {id}");
     Ok(())
 }
 
-fn print_status(s: &gdsii_guard::serve::JobStatus) {
+fn print_status(s: &JobStatus) {
     println!(
         "job {} {} {} {}  priority {}  steps {}/{}  events {}{}",
         s.id,
@@ -569,15 +538,7 @@ fn dispatch(args: &[String]) -> Result<(), Error> {
             cmd_list();
             Ok(())
         }
-        "analyze" => cmd_analyze(&o),
-        "harden" => cmd_harden(&o),
-        "explore" => {
-            if o.socket.is_some() || std::env::var_os("GGD_SOCKET").is_some() {
-                cmd_explore_remote(&o)
-            } else {
-                cmd_explore_local(&o)
-            }
-        }
+        "analyze" | "harden" | "explore" => cmd_run(&o, command),
         "serve" => cmd_serve(&o),
         "submit" => cmd_submit(&o),
         "status" => {

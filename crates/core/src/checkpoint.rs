@@ -21,6 +21,7 @@
 //! serialized as hex strings because `ggjson` numbers are `f64`-backed and
 //! only exact below 2^53.
 
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -28,9 +29,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ggjson::{FromJson, Json, ToJson};
+use tech::RouteRule;
 
 use crate::error::Error;
 use crate::flow::FlowMetrics;
+use crate::lda::LdaParams;
 use crate::nsga2::{Genome, Nsga2Params, QuarantineEntry};
 use crate::pipeline::Snapshot;
 
@@ -168,8 +171,12 @@ impl Checkpoint {
         Err(primary)
     }
 
-    /// Checks that this checkpoint belongs to the run being resumed: same
-    /// base snapshot and identical exploration parameters.
+    /// Checks that this checkpoint belongs to the run being resumed (same
+    /// base snapshot, identical exploration parameters) and that its state
+    /// is one that run could have written: a full population, genes inside
+    /// the Table-I candidate lists, and metrics for every genome the loop
+    /// will look up. The checksum only proves the file is the one written,
+    /// not that its writer was this code.
     pub fn verify(&self, base: &Snapshot, params: &Nsga2Params) -> Result<(), Error> {
         let fp = fingerprint(base);
         if self.base_fingerprint != fp {
@@ -183,8 +190,37 @@ impl Checkpoint {
                 "exploration parameters differ from the checkpointed run".into(),
             ));
         }
+        let malformed = |why: String| Err(Error::Checkpoint(format!("malformed state: {why}")));
         if self.rng.len() != 4 {
-            return Err(Error::Checkpoint("malformed RNG state".into()));
+            return malformed("RNG state is not four words".into());
+        }
+        if self.generation > params.generations {
+            return malformed(format!(
+                "generation {} of a {}-generation run",
+                self.generation, params.generations
+            ));
+        }
+        if self.pop.len() != params.population {
+            return malformed(format!(
+                "population of {} genomes, the run has {}",
+                self.pop.len(),
+                params.population
+            ));
+        }
+        let mut looked_up = self.pop.iter().chain(self.order.iter().map(|(g, _)| g));
+        let stored = self.cache.iter().map(|(g, _)| g);
+        let quarantined = self.quarantine.iter().map(|q| &q.genome);
+        if let Some(g) = looked_up
+            .clone()
+            .chain(stored)
+            .chain(quarantined)
+            .find(|g| !genes_in_range(g))
+        {
+            return malformed(format!("genome {g:?} has a gene outside its candidates"));
+        }
+        let cached: HashSet<&Genome> = self.cache.iter().map(|(g, _)| g).collect();
+        if let Some(g) = looked_up.find(|g| !cached.contains(g)) {
+            return malformed(format!("genome {g:?} has no cached metrics"));
         }
         Ok(())
     }
@@ -201,6 +237,17 @@ impl Checkpoint {
         }
         Ok(s)
     }
+}
+
+/// Whether every gene of `g` indexes its Table-I candidate list, as
+/// [`Genome::to_config`] requires.
+fn genes_in_range(g: &Genome) -> bool {
+    g.op <= 1
+        && usize::from(g.n_idx) < LdaParams::N_CANDIDATES.len()
+        && usize::from(g.iter_idx) < LdaParams::ITER_CANDIDATES.len()
+        && g.scale_idx
+            .iter()
+            .all(|&s| usize::from(s) < RouteRule::CANDIDATES.len())
 }
 
 /// `path` with `suffix` appended to its file name.

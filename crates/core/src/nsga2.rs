@@ -360,34 +360,6 @@ impl ExploreResult {
             reference,
         )
     }
-
-    /// The reference point [`Self::hypervolume`] wants when no external
-    /// one is given: the feasible nadir (componentwise worst) nudged 5 %
-    /// of the objective span outward, so every feasible point — including
-    /// the nadir itself — dominates it and contributes volume. `None` if
-    /// no point is feasible.
-    pub fn nadir_reference(&self) -> Option<[f64; 2]> {
-        let mut lo = [f64::INFINITY; 2];
-        let mut hi = [f64::NEG_INFINITY; 2];
-        let mut any = false;
-        for p in &self.points {
-            if !p.metrics.feasible(self.base_power_mw, self.base_drc) {
-                continue;
-            }
-            any = true;
-            let o = p.metrics.objectives();
-            for k in 0..2 {
-                lo[k] = lo[k].min(o[k]);
-                hi[k] = hi[k].max(o[k]);
-            }
-        }
-        any.then(|| {
-            [0, 1].map(|k| {
-                let span = (hi[k] - lo[k]).max(1.0);
-                hi[k] + 0.05 * span
-            })
-        })
-    }
 }
 
 /// The 2-D sweep behind [`ExploreResult::hypervolume`]: sort the
@@ -1103,9 +1075,10 @@ mod tests {
                 assert!(!dominates(&a.metrics.objectives(), &b.metrics.objectives()));
             }
         }
-        // The nadir-referenced hypervolume of a non-empty front is
-        // positive, and pushing the reference further out only grows it.
-        let r = result.nadir_reference().expect("feasible points exist");
+        // The hypervolume against the fixed per-design reference
+        // (security 1.0, a TNS bound of 2 clock periods) is positive, and
+        // pushing the reference further out only grows it.
+        let r = [1.0, 2.0 * bench::tiny_spec().clock_period()];
         let hv = result.hypervolume(r);
         assert!(hv > 0.0, "hypervolume {hv}");
         assert!(result.hypervolume([r[0] + 100.0, r[1] + 100.0]) > hv);

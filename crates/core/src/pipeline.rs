@@ -132,9 +132,8 @@ pub struct EvalEngine {
     /// machine and a preempted lock holder stalls every other worker.
     edit_cache: RwLock<EditCache>,
     metrics_memo: RwLock<HashMap<EvalKey, crate::flow::FlowMetrics>>,
-    /// Byte budget of the edit cache (`GG_EVAL_CACHE_BYTES`, read at
-    /// construction). Entries are LRU-evicted once their accounted
-    /// unshared bytes exceed this.
+    /// Byte budget of the edit cache ([`EVAL_CACHE_BYTES`]). Entries are
+    /// LRU-evicted once their accounted unshared bytes exceed this.
     cache_budget: u64,
     /// Monotonic access clock driving LRU eviction; bumped on every
     /// edit-cache hit and insert without taking the write lock.
@@ -249,13 +248,15 @@ impl CowSnapshot {
 /// Bound on memoized operator edits; a GA run touches a handful of
 /// distinct `(operator, seed)` pairs, so this only guards pathological
 /// callers from unbounded growth. The byte budget
-/// (`GG_EVAL_CACHE_BYTES`) usually binds first on big designs.
+/// ([`EVAL_CACHE_BYTES`]) usually binds first on big designs.
 const EDIT_CACHE_CAP: usize = 64;
 
-/// Default edit-cache byte budget when `GG_EVAL_CACHE_BYTES` is unset:
-/// generous enough that a TINY-class exploration never evicts, small
-/// enough that a long explore on a 100k-cell design stays bounded.
-const EVAL_CACHE_BYTES_DEFAULT: u64 = 256 << 20;
+/// Edit-cache byte budget: generous enough that a TINY-class exploration
+/// never evicts, small enough that a long explore on a 100k-cell design
+/// stays bounded. An explore's edit cache holds at most 16 keys (Cell
+/// Shift plus the 5 × 3 LDA settings; the operator seed is a function of
+/// the operator genes), so only big designs ever reach it.
+const EVAL_CACHE_BYTES: u64 = 256 << 20;
 
 /// Approximate resident bytes of one metrics-memo entry (key + value +
 /// `HashMap` slot overhead).
@@ -322,15 +323,9 @@ static EVAL_PANIC: faults::Point = faults::Point::new("eval.panic");
 impl EvalEngine {
     /// Builds the engine's caches from an implemented baseline.
     ///
-    /// Reads `GG_EVAL_CACHE_BYTES` (bytes, decimal) as the edit-cache
-    /// byte budget; unset or unparsable falls back to the 256 MiB
-    /// default. Publishes the baseline's `mem.occupancy_bytes` /
+    /// Publishes the baseline's `mem.occupancy_bytes` /
     /// `mem.route_planes_bytes` gauges.
     pub fn new(base: &Snapshot, tech: &Technology) -> Self {
-        let cache_budget = std::env::var("GG_EVAL_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(EVAL_CACHE_BYTES_DEFAULT);
         let engine = Self {
             base: base.clone(),
             plan: route::plan_route(&base.layout, tech),
@@ -338,7 +333,7 @@ impl EvalEngine {
             power_model: power::PowerModel::new(&base.layout, tech),
             edit_cache: RwLock::new(EditCache::default()),
             metrics_memo: RwLock::new(HashMap::new()),
-            cache_budget,
+            cache_budget: EVAL_CACHE_BYTES,
             clock: std::sync::atomic::AtomicU64::new(0),
             edit_bytes_now: std::sync::atomic::AtomicU64::new(0),
             memo_bytes_now: std::sync::atomic::AtomicU64::new(0),
@@ -501,7 +496,7 @@ impl EvalEngine {
             // Racing duplicate: the loser's bytes leave the account.
             cache.bytes -= old.bytes;
         }
-        // LRU eviction under the byte budget (`GG_EVAL_CACHE_BYTES`) and
+        // LRU eviction under the byte budget (`EVAL_CACHE_BYTES`) and
         // the entry-count backstop. The entry just inserted carries the
         // freshest stamp, so it is evicted only if it alone exceeds the
         // budget — and even then the handle already returned keeps it
@@ -772,8 +767,6 @@ mod tests {
         let tech = Technology::nangate45_like();
         let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         let mut engine = EvalEngine::new(&base, &tech);
-        // Set directly: process env (`GG_EVAL_CACHE_BYTES`) would race
-        // parallel tests.
         engine.cache_budget = 1;
         let make = || {
             let mut l = Layout::clone(&base.layout);

@@ -21,8 +21,8 @@
 //! Determinism: fault triggers are keyed on `(genome, seed)` through the
 //! `faults` evaluation context, never on wall time, so replay/test runs
 //! quarantine the exact same candidates at any thread count. Deadlines
-//! (`GG_EVAL_DEADLINE_MS`) are inherently wall-clock and excluded from the
-//! bit-identity guarantees.
+//! ([`SandboxPolicy::deadline`]) are inherently wall-clock and excluded
+//! from the bit-identity guarantees.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -94,21 +94,10 @@ pub enum EvalStatus {
 /// Per-candidate evaluation policy: the deadline each stage gets, if any.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SandboxPolicy {
-    /// Cooperative wall-clock budget per degrade-chain stage
-    /// (`GG_EVAL_DEADLINE_MS`); `None` disables deadline checks.
+    /// Cooperative wall-clock budget per degrade-chain stage (a job
+    /// server's [`crate::serve::ServerConfig::eval_deadline`]); `None`
+    /// disables deadline checks, and zero trips at the first checkpoint.
     pub deadline: Option<Duration>,
-}
-
-impl SandboxPolicy {
-    /// Reads `GG_EVAL_DEADLINE_MS` (unset, empty, or unparsable ⇒ no
-    /// deadline; `0` is honored and trips at the first checkpoint).
-    pub fn from_env() -> Self {
-        let deadline = std::env::var("GG_EVAL_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_millis);
-        Self { deadline }
-    }
 }
 
 /// Classifies a caught unwind payload.
@@ -347,15 +336,5 @@ mod tests {
         a.scale_idx[3] = 2;
         assert_eq!(a.flow_seed(), b.flow_seed());
         assert_ne!(candidate_key(&a), candidate_key(&b));
-    }
-
-    #[test]
-    fn policy_from_env_parses() {
-        // Not testing via set_var (process-global races); exercise the
-        // parse seam directly through a scoped helper instead.
-        let parse = |v: &str| v.trim().parse::<u64>().ok().map(Duration::from_millis);
-        assert_eq!(parse("250"), Some(Duration::from_millis(250)));
-        assert_eq!(parse(" 0 "), Some(Duration::from_millis(0)));
-        assert_eq!(parse("abc"), None);
     }
 }

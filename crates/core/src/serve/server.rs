@@ -20,9 +20,9 @@
 //! non-terminal jobs re-queue in their original order and explores
 //! resume bit-identically from their checkpoints. Runner threads are
 //! *supervised*: a runner that dies (thread panic outside the step
-//! sandbox) or wedges past `stuck_after` has its in-flight job marked
-//! failed and is replaced, so the pool never silently shrinks. Submits
-//! beyond `max_queued` or the memory budget are refused with a
+//! sandbox) or wedges past 8× the `eval_deadline` has its in-flight job
+//! marked failed and is replaced, so the pool never silently shrinks.
+//! Submits beyond `max_queued` or the memory budget are refused with a
 //! retryable [`Response::Busy`] instead of growing without bound.
 
 use std::io::{BufRead, BufReader, Write};
@@ -57,21 +57,22 @@ pub struct ServerConfig {
     /// Runner threads; `0` means no background execution — tests drive
     /// the scheduler with [`Server::step_once`].
     pub runners: usize,
-    /// Durable job-journal directory (`GG_JOURNAL_DIR`). `None` runs
-    /// volatile: a crash forgets every job.
+    /// Durable job-journal directory. `None` runs volatile: a crash
+    /// forgets every job.
     pub journal_dir: Option<PathBuf>,
-    /// Admission limit on queued jobs (`GG_MAX_QUEUED`); `0` = unlimited.
-    /// Submits beyond it get a retryable `Busy` refusal.
+    /// Admission limit on queued jobs; `0` = unlimited. Submits beyond it
+    /// get a retryable `Busy` refusal.
     pub max_queued: usize,
-    /// Admission memory budget in bytes (`GG_SERVE_MEM_BUDGET`); `0` =
-    /// unlimited. Submits are refused while peak RSS or the eval-cache
-    /// footprint exceeds it.
+    /// Admission memory budget in bytes; `0` = unlimited. Submits are
+    /// refused while peak RSS or the eval-cache footprint exceeds it.
     pub mem_budget_bytes: u64,
-    /// Watchdog threshold (`GG_STUCK_MS`): a runner whose step exceeds
-    /// this wall time is declared wedged — its job fails as stuck and
-    /// the runner is replaced. `None` disables stuck detection (dead
-    /// runners are still replaced).
-    pub stuck_after: Option<Duration>,
+    /// Cooperative wall-clock budget of each explore candidate's
+    /// evaluation (see [`crate::sandbox::SandboxPolicy`]); `None` runs
+    /// without one. It also arms the runner watchdog: a step running past
+    /// 8× this budget has blown through eight candidates' worth of time,
+    /// so it is wedged, not slow — its job fails as stuck and the runner
+    /// is replaced. Without a budget only dead runners are replaced.
+    pub eval_deadline: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -83,7 +84,7 @@ impl Default for ServerConfig {
             journal_dir: None,
             max_queued: 0,
             mem_budget_bytes: 0,
-            stuck_after: None,
+            eval_deadline: None,
         }
     }
 }
@@ -104,7 +105,7 @@ pub struct ServerStats {
     /// Arc-deduplicated per engine).
     pub route_planes_bytes: u64,
     /// Accounted candidate-cache bytes across cached engines (bounded per
-    /// engine by `GG_EVAL_CACHE_BYTES`).
+    /// engine by a fixed 256 MiB edit-cache budget).
     pub eval_cache_bytes: u64,
     /// Process peak resident set (`VmHWM`), 0 where procfs is absent.
     pub peak_rss_bytes: u64,
@@ -173,6 +174,8 @@ struct Shared {
     /// Admission limits (0 = unlimited).
     max_queued: usize,
     mem_budget_bytes: u64,
+    /// Per-candidate budget of explore steps.
+    eval_deadline: Option<Duration>,
     busy_rejects: AtomicU64,
     runner_restarts: AtomicU64,
     /// Non-terminal jobs re-queued from the journal at startup.
@@ -311,6 +314,7 @@ impl Server {
             socket_path: cfg.socket,
             max_queued: cfg.max_queued,
             mem_budget_bytes: cfg.mem_budget_bytes,
+            eval_deadline: cfg.eval_deadline,
             busy_rejects: AtomicU64::new(0),
             runner_restarts: AtomicU64::new(0),
             recovered_jobs,
@@ -324,7 +328,7 @@ impl Server {
                 slots.push(spawn_runner(&shared, i)?);
             }
             let sh = Arc::clone(&shared);
-            let stuck_after = cfg.stuck_after;
+            let stuck_after = cfg.eval_deadline.map(|d| d.saturating_mul(8));
             threads.push(
                 std::thread::Builder::new()
                     .name("ggd-supervisor".to_owned())
@@ -724,7 +728,7 @@ fn run_explore_step(
         // Cooperative per-candidate budget: a wedged evaluation trips
         // its own deadline long before the supervisor's watchdog has to
         // declare the whole runner stuck.
-        deadline: crate::sandbox::SandboxPolicy::from_env().deadline,
+        deadline: shared.eval_deadline,
     };
     let result = match explore_with_engine(&ctx.engine, shared.baselines.tech(), &params, &opts) {
         Ok(r) => r,

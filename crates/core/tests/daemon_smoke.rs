@@ -1,10 +1,11 @@
-//! End-to-end daemon drill over the real `ggd` binary and a real
-//! Unix-domain socket: start `ggd serve`, submit a TINY explore plus a
-//! higher-priority analyze, stream progress events, pause and resume the
-//! explore mid-watch, and assert the final front is bit-identical to
-//! both the library one-shot and the one-shot CLI's stdout.
+//! End-to-end drills over the real `ggd` binary. The daemon drill uses a
+//! real Unix-domain socket: start `ggd serve`, submit a TINY explore plus
+//! a higher-priority analyze, stream progress events, pause and resume
+//! the explore mid-watch, and assert the final front is bit-identical to
+//! both the library one-shot and the one-shot CLI's stdout. The one-shot
+//! drills pin `ggd analyze`/`harden` (stdout and the written GDSII) to
+//! the library calls they stand for, in-process and over `--socket`.
 
-use std::io::Read;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -83,11 +84,63 @@ fn oracle() -> ExploreResult {
     explore(&base, &tech, &params)
 }
 
+fn tiny_baseline() -> (Snapshot, Technology) {
+    let tech = Technology::nangate45_like();
+    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech).expect("tiny baseline");
+    (base, tech)
+}
+
+/// Runs `ggd` with `args` and returns its stdout, asserting success.
+fn ggd_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
+        .args(args)
+        .stderr(Stdio::null())
+        .output()
+        .expect("run ggd");
+    assert!(out.status.success(), "ggd {args:?} fails");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// The stdout `ggd analyze --design TINY` prints, rendered from the
+/// library calls the command stands for.
+fn expected_analyze_stdout() -> String {
+    let (base, tech) = tiny_baseline();
+    format!(
+        "{}\n  Trojan battery success rate: {:.0} %\n",
+        BaselineSummary::from_snapshot(&base).render("baseline"),
+        secmetrics::attack::battery_success_rate(&base.security, &tech) * 100.0
+    )
+}
+
+/// The library's TINY baseline and its harden under `cfg` (the default
+/// flow seed, as `ggd harden` runs it).
+fn library_harden(cfg: &FlowConfig) -> (Snapshot, Snapshot, Technology) {
+    let (base, tech) = tiny_baseline();
+    let hardened = FlowRun::new(&base, &tech, cfg)
+        .snapshot()
+        .expect("tiny hardens");
+    (base, hardened, tech)
+}
+
+/// The stdout `ggd harden --design TINY` prints for the operator `cfg`
+/// names, without `--out`.
+fn expected_harden_stdout(cfg: &FlowConfig) -> String {
+    let (base, hardened, tech) = library_harden(cfg);
+    let m = FlowMetrics::from_snapshot(&hardened, &base);
+    format!(
+        "{}\n{}\n  security {:.3} (risk reduced {:.1} %), battery success {:.0} %\n",
+        BaselineSummary::from_snapshot(&base).render("baseline"),
+        BaselineSummary::from_snapshot(&hardened).render("hardened"),
+        m.security,
+        (1.0 - m.security) * 100.0,
+        secmetrics::attack::battery_success_rate(&hardened.security, &tech) * 100.0
+    )
+}
+
 /// Reproduces the exact stdout `ggd explore` prints for a result, using
 /// the same library pieces the binary uses.
 fn expected_cli_stdout(result: &ExploreResult) -> String {
-    let tech = Technology::nangate45_like();
-    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech).expect("tiny baseline");
+    let (base, _) = tiny_baseline();
     let mut out = String::new();
     out.push_str(&BaselineSummary::from_snapshot(&base).render("baseline"));
     out.push('\n');
@@ -199,6 +252,14 @@ fn daemon_round_trip_streams_pauses_and_matches_one_shot() {
     assert_eq!(stats.baseline_builds, 1, "shared baseline cache");
     assert!(stats.baseline_hits >= 1);
 
+    // A one-shot command pointed at the daemon runs there, and prints
+    // what it prints in-process.
+    let socket = daemon.socket.to_str().expect("utf-8 path");
+    assert_eq!(
+        ggd_stdout(&["analyze", "--design", "TINY", "--socket", socket]),
+        expected_analyze_stdout()
+    );
+
     // Bit-identity: the daemon's ExploreResult equals the library
     // one-shot, despite the pause/resume and the interleaved job.
     let payload = control.result(explore_id).expect("result");
@@ -212,13 +273,7 @@ fn daemon_round_trip_streams_pauses_and_matches_one_shot() {
     daemon.shutdown();
 
     // And the one-shot CLI prints exactly the front this result renders.
-    let cli = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["explore", "--design", "TINY", "--pop", "4", "--gens", "2"])
-        .stderr(Stdio::null())
-        .output()
-        .expect("run one-shot ggd explore");
-    assert!(cli.status.success(), "one-shot CLI succeeds");
-    let stdout = String::from_utf8(cli.stdout).expect("utf-8 stdout");
+    let stdout = ggd_stdout(&["explore", "--design", "TINY", "--pop", "4", "--gens", "2"]);
     assert_eq!(
         stdout,
         expected_cli_stdout(&reference),
@@ -264,20 +319,63 @@ fn positional_design_is_refused_naming_the_flag() {
 }
 
 #[test]
+fn one_shot_commands_print_what_the_library_computes() {
+    assert_eq!(
+        ggd_stdout(&["analyze", "--design", "TINY"]),
+        expected_analyze_stdout()
+    );
+    assert_eq!(
+        ggd_stdout(&["harden", "--design", "TINY"]),
+        expected_harden_stdout(&FlowConfig::cell_shift_default())
+    );
+    assert_eq!(
+        ggd_stdout(&["harden", "--design", "TINY", "--op", "lda"]),
+        expected_harden_stdout(&FlowConfig::lda_default())
+    );
+}
+
+#[test]
+fn harden_out_writes_the_library_gds() {
+    let dir = std::env::temp_dir().join(format!("gg-harden-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("tiny.gds");
+    let path_str = path.to_str().expect("utf-8 path");
+    let stdout = ggd_stdout(&["harden", "--design", "TINY", "--out", path_str]);
+    assert!(
+        stdout.ends_with(&format!("  wrote {path_str}\n")),
+        "{stdout}"
+    );
+
+    let (_, mut hardened, tech) = library_harden(&FlowConfig::cell_shift_default());
+    let layout = std::sync::Arc::make_mut(&mut hardened.layout);
+    layout::insert_fillers(layout.occupancy_mut(), &tech);
+    let expected = gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing));
+    assert_eq!(
+        std::fs::read(&path).expect("ggd wrote the file"),
+        expected.to_bytes(),
+        "ggd harden --out writes the library's filled, hardened layout"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn verbose_telemetry_renders_on_error_paths() {
-    // An unknown design fails the command, but --verbose telemetry (and
-    // the error itself) must still reach stderr: the old process::exit
-    // paths dropped the obs render.
+    // The harden implements the baseline and then fails to write its
+    // output into a directory that does not exist. The error and the
+    // --verbose telemetry of the work done before it must both reach
+    // stderr.
+    let missing = std::env::temp_dir().join(format!("gg-no-such-dir-{}", std::process::id()));
+    let out_path = missing.join("x.gds");
+    let out_path = out_path.to_str().expect("utf-8 path");
     let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["--verbose", "analyze", "--design", "NO_SUCH"])
+        .args(["--verbose", "harden", "--design", "TINY", "--out", out_path])
         .output()
         .expect("run ggd");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("NO_SUCH"),
-        "error diagnostic names the design"
-    );
-    let mut read_all = String::new();
-    let _ = (&out.stderr[..]).read_to_string(&mut read_all);
+    let error = format!("cannot write {out_path}");
+    for needle in [error.as_str(), "telemetry", "baseline.implement"] {
+        assert!(stderr.contains(needle), "stderr misses {needle}:\n{stderr}");
+    }
 }

@@ -205,6 +205,28 @@ fn oversized_population_is_refused_at_submit() {
     server.stop();
 }
 
+/// A memory budget any process exceeds (1 byte of peak RSS) refuses every
+/// submit with the retryable `Busy`, counts it, and queues nothing.
+#[test]
+fn memory_budget_refuses_submits_as_busy() {
+    let data_dir = std::env::temp_dir().join(format!("gg-serve-mem-{}", std::process::id()));
+    let server = Server::start(ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        runners: 0,
+        mem_budget_bytes: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    match server.submit(JobSpec::analyze("TINY")) {
+        Err(Error::Busy(why)) => assert!(why.contains("memory budget"), "{why}"),
+        other => panic!("expected Error::Busy over the memory budget, got {other:?}"),
+    }
+    assert_eq!(server.stats().busy_rejects, 1);
+    assert!(server.jobs().is_empty(), "nothing was queued");
+    server.stop();
+    std::fs::remove_dir_all(&data_dir).ok();
+}
+
 /// A journal written before submit bounded the population can still hold
 /// an oversized spec. Recovery re-queues it; its first step must fail the
 /// job rather than abort the daemon on an impossible allocation.

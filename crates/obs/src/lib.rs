@@ -86,32 +86,17 @@ pub enum Topic {
     Route,
     /// LDA operator and its ECO placement phases.
     Lda,
-    /// Static timing analysis.
-    Sta,
-    /// NSGA-II exploration.
-    Nsga2,
-    /// Benchmark harnesses.
-    Bench,
 }
 
 impl Topic {
     /// Every topic, in display order.
-    pub const ALL: [Topic; 5] = [
-        Topic::Route,
-        Topic::Lda,
-        Topic::Sta,
-        Topic::Nsga2,
-        Topic::Bench,
-    ];
+    pub const ALL: [Topic; 2] = [Topic::Route, Topic::Lda];
 
     /// The topic's `GG_TRACE` name.
     pub fn name(self) -> &'static str {
         match self {
             Topic::Route => "route",
             Topic::Lda => "lda",
-            Topic::Sta => "sta",
-            Topic::Nsga2 => "nsga2",
-            Topic::Bench => "bench",
         }
     }
 
@@ -147,7 +132,7 @@ fn init_trace_from_env() {
                 bits |= t.bit();
             } else {
                 diag(format_args!(
-                    "obs: unknown GG_TRACE topic '{part}' (known: route, lda, sta, nsga2, bench, all)"
+                    "obs: unknown GG_TRACE topic '{part}' (known: route, lda, all)"
                 ));
             }
         }
@@ -866,10 +851,10 @@ mod tests {
         for t in Topic::ALL {
             assert_eq!(Topic::from_name(t.name()), Some(t));
         }
-        enable(Topic::Bench);
-        assert!(trace_enabled(Topic::Bench));
-        disable(Topic::Bench);
-        assert!(!trace_enabled(Topic::Bench));
+        enable(Topic::Route);
+        assert!(trace_enabled(Topic::Route));
+        disable(Topic::Route);
+        assert!(!trace_enabled(Topic::Route));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gdsii_guard::checkpoint::Checkpoint;
+use gdsii_guard::checkpoint::{fingerprint, Checkpoint};
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::proto::{Request, Response};
 use gdsii_guard::serve::{JobSpec, Journal, JournalRecord};
@@ -322,6 +322,89 @@ fn deeply_nested_checkpoint_is_refused() {
     );
     assert!(load_envelope(&dir.join("c.ckpt"), envelope.as_bytes()).is_err());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resumes a TINY explore (population 4, `generations` generations) from
+/// `cp`, saved with a valid checksum, so only `Checkpoint::verify`
+/// stands between the state and the NSGA-II loop.
+fn resume_from(tag: &str, cp: &Checkpoint, generations: usize) -> Result<ExploreResult, Error> {
+    let tech = tech::Technology::nangate45_like();
+    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech).expect("tiny baseline");
+    let params = Nsga2Params::builder()
+        .population(4)
+        .generations(generations)
+        .build();
+    let cp = Checkpoint {
+        base_fingerprint: fingerprint(&base),
+        params,
+        ..cp.clone()
+    };
+    let dir = scratch(tag);
+    let path = dir.join("c.ckpt");
+    cp.save(&path).expect("save checkpoint");
+    let opts = ExploreOptions {
+        checkpoint: Some(path),
+        resume: true,
+        ..ExploreOptions::default()
+    };
+    let outcome = explore_with(&base, &tech, &params, &opts);
+    std::fs::remove_dir_all(&dir).ok();
+    outcome
+}
+
+/// A checkpoint of four distinct genomes, every one evaluated.
+fn resumable_checkpoint(generation: usize) -> Checkpoint {
+    let mut cp = sample_checkpoint();
+    let genomes: Vec<Genome> = (0..4u8)
+        .map(|i| Genome {
+            op: i % 2,
+            n_idx: i,
+            iter_idx: 0,
+            scale_idx: [0; NUM_METAL_LAYERS],
+        })
+        .collect();
+    cp.generation = generation;
+    cp.pop = genomes.clone();
+    cp.order = genomes.iter().map(|&g| (g, 0)).collect();
+    cp.cache = genomes.iter().map(|&g| (g, cp.cache[0].1)).collect();
+    cp.quarantine.clear();
+    cp
+}
+
+#[test]
+fn checkpoint_with_out_of_range_genes_is_refused() {
+    // A finished run's archive names LDA's 10th N candidate; there are 5.
+    let mut cp = resumable_checkpoint(1);
+    cp.pop[1].n_idx = 9;
+    cp.order[1].0.n_idx = 9;
+    cp.cache[1].0.n_idx = 9;
+    match resume_from("ckpt-gene-range", &cp, 1) {
+        Err(Error::Checkpoint(why)) => assert!(why.contains("outside"), "{why}"),
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+}
+
+#[test]
+fn checkpoint_population_without_metrics_is_refused() {
+    // Generation 0 of 1: the loop's first act is to look up the
+    // population's metrics, and one genome has none.
+    let mut cp = resumable_checkpoint(0);
+    cp.cache.pop();
+    match resume_from("ckpt-missing-metrics", &cp, 1) {
+        Err(Error::Checkpoint(why)) => assert!(why.contains("no cached metrics"), "{why}"),
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+}
+
+#[test]
+fn checkpoint_past_the_last_generation_is_refused() {
+    // The largest generation the decoder accepts: resuming would start
+    // one past it.
+    let cp = resumable_checkpoint(usize::MAX);
+    match resume_from("ckpt-generation", &cp, 1) {
+        Err(Error::Checkpoint(why)) => assert!(why.contains("generation"), "{why}"),
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
 }
 
 #[test]
