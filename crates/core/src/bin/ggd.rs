@@ -11,13 +11,14 @@
 //!
 //! Designs are the twelve benchmark specs of `netlist::bench` (AES_1 …
 //! TDEA) plus the miniature `TINY` smoke design. All runs are
-//! deterministic. `analyze`, `harden` and `explore` are one
-//! submit-and-watch over a job server: an in-process one by default, or
-//! the daemon at `--socket`. Either way the server's `run_analyze`,
-//! `run_harden` and explore steps are the only implementations, and the
-//! stdout is the same. `--verbose` turns the telemetry subsystem on and
-//! prints the span/metric tree to stderr when the command finishes —
-//! including on error paths, now that `main` returns `Result`.
+//! deterministic. `analyze`, `harden` and `explore` each submit one job
+//! to a job server: the daemon at `--socket`, or by default an
+//! in-process server that runs the job's steps on the calling thread.
+//! Either way the server's `run_analyze`, `run_harden` and explore steps
+//! are the only implementations, and the stdout is the same.
+//! `--verbose` turns the telemetry subsystem on and prints the
+//! span/metric tree to stderr when the command finishes — including on
+//! error paths, now that `main` returns `Result`.
 //!
 //! Inputs are named by flags; the only positionals are `submit`'s job
 //! kind and the client commands' job id. A stray positional is refused
@@ -73,8 +74,9 @@ const USAGE: &str = "usage: ggd [--verbose] <command> [flags]\n\
    \x20 stats                                    scheduler + baseline-cache counters\n\
    \x20 shutdown                                 stop the daemon\n\
    \n\
-   env: GG_EVAL_DEADLINE_MS  per-candidate evaluation budget (ms); a runner\n\
-   \x20    step past 8x it is declared stuck and its runner replaced";
+   env: GG_EVAL_DEADLINE_MS  per-candidate evaluation budget (ms); a daemon\n\
+   \x20    also calls an explore step stuck past 8 budgets per candidate\n\
+   \x20    each of its workers evaluates, and replaces the runner";
 
 /// Everything the flag parser can collect; each command reads the
 /// subset it understands.
@@ -362,9 +364,9 @@ fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
 }
 
 /// `ggd analyze|harden|explore`: submits the job the flags describe to
-/// an in-process server over a scratch data dir, or to the daemon at
-/// `--socket`, and watches it to the end. The baseline summary prints
-/// when its event arrives, then the job's result.
+/// the daemon at `--socket` and watches it to the end, or runs it on an
+/// in-process server. The baseline summary prints when its event
+/// arrives, then the job's result.
 fn cmd_run(o: &Opts, kind: &str) -> Result<(), Error> {
     let spec = job_spec(o, kind)?;
     let (status, payload) = match &o.socket {
@@ -376,18 +378,7 @@ fn cmd_run(o: &Opts, kind: &str) -> Result<(), Error> {
             let payload = done.then(|| client.result(id)).transpose()?;
             (status, payload)
         }
-        None => {
-            let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
-            let server = Server::start(ServerConfig {
-                data_dir: Some(data_dir.clone()),
-                eval_deadline: eval_deadline(),
-                ..ServerConfig::default()
-            })?;
-            let outcome = watch_local(&server, spec.clone());
-            server.stop();
-            let _ = std::fs::remove_dir_all(&data_dir);
-            outcome?
-        }
+        None => run_in_process(spec.clone())?,
     };
     match payload {
         Some(payload) => print_result(spec.kind, &payload),
@@ -399,24 +390,39 @@ fn cmd_run(o: &Opts, kind: &str) -> Result<(), Error> {
     }
 }
 
-/// Submits `spec` to an in-process server and streams its events until
-/// the job is terminal, as [`Client::watch`] does over a socket; returns
-/// the final status and, for a done job, its result payload.
-fn watch_local(server: &Server, spec: JobSpec) -> Result<(JobStatus, Option<Json>), Error> {
-    let id = server.submit(spec)?;
-    let mut cursor = 0u64;
-    loop {
-        let (events, terminal) = server.events_since(id, cursor, true)?;
-        cursor += events.len() as u64;
-        events.iter().for_each(print_event);
-        if terminal {
-            break;
+/// Runs `spec` on an in-process server over a scratch data dir. The
+/// server has no runner pool: the job's steps run on this thread, one
+/// generation at a time, and each step's events print as it returns.
+/// Like a library call, nothing supervises the work, so no watchdog can
+/// call a slow step stuck. Returns the final status and, for a done job,
+/// its result payload.
+fn run_in_process(spec: JobSpec) -> Result<(JobStatus, Option<Json>), Error> {
+    let data_dir = std::env::temp_dir().join(format!("ggd-oneshot-{}", std::process::id()));
+    let server = Server::start(ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        runners: 0,
+        eval_deadline: eval_deadline(),
+        ..ServerConfig::default()
+    })?;
+    let outcome = server.submit(spec).and_then(|id| {
+        let mut cursor = 0u64;
+        loop {
+            let stepped = server.step_once();
+            let (events, _) = server.events_since(id, cursor, false)?;
+            cursor += events.len() as u64;
+            events.iter().for_each(print_event);
+            if !stepped {
+                break;
+            }
         }
-    }
-    let status = server.status(id)?;
-    let done = status.state == JobState::Done;
-    let payload = done.then(|| server.result(id)).transpose()?;
-    Ok((status, payload))
+        let status = server.status(id)?;
+        let done = status.state == JobState::Done;
+        let payload = done.then(|| server.result(id)).transpose()?;
+        Ok((status, payload))
+    });
+    server.stop();
+    let _ = std::fs::remove_dir_all(&data_dir);
+    outcome
 }
 
 /// The per-candidate evaluation budget `GG_EVAL_DEADLINE_MS` (unset,

@@ -200,11 +200,19 @@ impl Checkpoint {
                 self.generation, params.generations
             ));
         }
-        if self.pop.len() != params.population {
+        // Generation 0 always seeds the two canonical genomes, so a
+        // population below two checkpoints two genomes until selection
+        // first trims it.
+        let expected = if self.generation == 0 {
+            params.population.max(2)
+        } else {
+            params.population
+        };
+        if self.pop.len() != expected {
             return malformed(format!(
-                "population of {} genomes, the run has {}",
+                "population of {} genomes at generation {}, the run keeps {expected}",
                 self.pop.len(),
-                params.population
+                self.generation
             ));
         }
         let mut looked_up = self.pop.iter().chain(self.order.iter().map(|(g, _)| g));

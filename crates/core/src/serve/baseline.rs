@@ -2,11 +2,13 @@
 //!
 //! Building a baseline (placement, routing, STA, power model) is the
 //! expensive part of every job; a server builds it **once per design**,
-//! lazily, and every job over that design shares the result. The cached
-//! unit is a whole [`EvalEngine`], not just the snapshot, so concurrent
-//! jobs also share the engine's operator-edit and metrics memos —
-//! which is bit-safe, because a memo hit returns exactly what a fresh
-//! recompute would (pinned by the incremental-equivalence suite).
+//! lazily, and every job over that design shares the result. Explore
+//! jobs also share one [`EvalEngine`] per design, built on the first
+//! explore step that needs it, so concurrent explores share the
+//! engine's operator-edit and metrics memos — which is bit-safe, because
+//! a memo hit returns exactly what a fresh recompute would (pinned by
+//! the incremental-equivalence suite). Analyze and harden jobs read only
+//! the snapshot and never build the engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,22 +22,41 @@ use crate::pipeline::{implement_baseline, EvalEngine, MemoryFootprint, Snapshot}
 use crate::serve::job::BaselineSummary;
 
 /// An implemented design shared by every job targeting it: the spec it
-/// was built from, a ready evaluation engine (which owns the baseline
-/// snapshot), and the pre-rendered headline summary.
+/// was built from, the baseline snapshot, its pre-rendered headline
+/// summary, and the evaluation engine once an explore has asked for it.
 pub struct DesignContext {
     /// The benchmark spec the baseline was implemented from.
     pub spec: DesignSpec,
-    /// Engine over the implemented baseline; [`EvalEngine::base`] is the
-    /// baseline snapshot.
-    pub engine: EvalEngine,
     /// Headline metrics of the baseline, attached to `baseline` events.
     pub summary: BaselineSummary,
+    base: Snapshot,
+    engine: OnceLock<EvalEngine>,
 }
 
 impl DesignContext {
     /// The implemented baseline snapshot.
     pub fn base(&self) -> &Snapshot {
-        self.engine.base()
+        &self.base
+    }
+
+    /// The evaluation engine over the baseline, built against `tech` on
+    /// first use; concurrent first callers block on the one build.
+    pub fn engine(&self, tech: &Technology) -> &EvalEngine {
+        self.engine
+            .get_or_init(|| EvalEngine::new(&self.base, tech))
+    }
+
+    /// What this context pins in memory: the engine's footprint once it
+    /// is built, else the baseline's occupancy index and routing planes.
+    fn memory_footprint(&self) -> MemoryFootprint {
+        match self.engine.get() {
+            Some(engine) => engine.memory_footprint(),
+            None => MemoryFootprint {
+                occupancy_bytes: self.base.layout.occupancy().occupancy_bytes(),
+                route_planes_bytes: self.base.routing.grid().planes_bytes(),
+                cache_bytes: 0,
+            },
+        }
     }
 }
 
@@ -103,7 +124,7 @@ impl BaselineCache {
         let mut total = MemoryFootprint::default();
         for slot in slots {
             if let Some(Ok(ctx)) = slot.get() {
-                let m = ctx.engine.memory_footprint();
+                let m = ctx.memory_footprint();
                 total.occupancy_bytes += m.occupancy_bytes;
                 total.route_planes_bytes += m.route_planes_bytes;
                 total.cache_bytes += m.cache_bytes;
@@ -125,12 +146,11 @@ impl BaselineCache {
         let spec = resolve_spec(design)
             .ok_or_else(|| Error::Serve(format!("unknown design '{design}'")))?;
         let base = implement_baseline(&spec, &self.tech)?;
-        let summary = BaselineSummary::from_snapshot(&base);
-        let engine = EvalEngine::new(&base, &self.tech);
         Ok(Arc::new(DesignContext {
             spec,
-            engine,
-            summary,
+            summary: BaselineSummary::from_snapshot(&base),
+            base,
+            engine: OnceLock::new(),
         }))
     }
 }
@@ -189,6 +209,23 @@ mod tests {
         let b = cache.get("TINY").expect("cached");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
+    }
+
+    #[test]
+    fn engine_is_built_on_first_use_only() {
+        let cache = BaselineCache::new(Technology::nangate45_like());
+        let ctx = cache.get("TINY").expect("tiny builds");
+        assert!(
+            ctx.engine.get().is_none(),
+            "a baseline alone builds no engine"
+        );
+        let before = cache.memory_footprint();
+        assert!(before.occupancy_bytes > 0 && before.route_planes_bytes > 0);
+        let engine = ctx.engine(cache.tech());
+        assert!(std::ptr::eq(engine, ctx.engine(cache.tech())), "built once");
+        let after = cache.memory_footprint();
+        assert_eq!(after.occupancy_bytes, before.occupancy_bytes);
+        assert!(after.route_planes_bytes >= before.route_planes_bytes);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   priority, FIFO within a class, pause/cancel landing at generation
 //!   boundaries.
 //! - [`baseline`] — the per-design shared [`baseline::DesignContext`]
-//!   (spec + evaluation engine + headline summary).
+//!   (spec + baseline snapshot + headline summary, and the evaluation
+//!   engine once an explore needs it).
 //! - [`server`] — runner threads and the socket front end. Explore jobs
 //!   are **generation-stepped**: each scheduler step runs exactly one
 //!   NSGA-II generation via [`crate::nsga2::explore_with_engine`] with

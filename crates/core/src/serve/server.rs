@@ -20,10 +20,11 @@
 //! non-terminal jobs re-queue in their original order and explores
 //! resume bit-identically from their checkpoints. Runner threads are
 //! *supervised*: a runner that dies (thread panic outside the step
-//! sandbox) or wedges past 8× the `eval_deadline` has its in-flight job
-//! marked failed and is replaced, so the pool never silently shrinks.
-//! Submits beyond `max_queued` or the memory budget are refused with a
-//! retryable [`Response::Busy`] instead of growing without bound.
+//! sandbox), or whose explore step outruns the wall its candidates'
+//! `eval_deadline` allows, has its in-flight job marked failed and is
+//! replaced, so the pool never silently shrinks. Submits beyond
+//! `max_queued` or the memory budget are refused with a retryable
+//! [`Response::Busy`] instead of growing without bound.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -68,10 +69,11 @@ pub struct ServerConfig {
     pub mem_budget_bytes: u64,
     /// Cooperative wall-clock budget of each explore candidate's
     /// evaluation (see [`crate::sandbox::SandboxPolicy`]); `None` runs
-    /// without one. It also arms the runner watchdog: a step running past
-    /// 8× this budget has blown through eight candidates' worth of time,
-    /// so it is wedged, not slow — its job fails as stuck and the runner
-    /// is replaced. Without a budget only dead runners are replaced.
+    /// without one. A nonzero budget also arms the runner watchdog on
+    /// explore steps, with a wall sized to the candidates a step
+    /// evaluates: a step past it is wedged, not slow — its job fails as
+    /// stuck and the runner is replaced. Analyze and harden steps, which
+    /// no candidate budget bounds, are never called stuck.
     pub eval_deadline: Option<Duration>,
 }
 
@@ -183,12 +185,33 @@ struct Shared {
 }
 
 /// Per-runner heartbeat the supervisor watches: which job the runner is
-/// executing and since when, plus the retirement flag that tells an
-/// abandoned (wedged) runner not to claim further work if it ever wakes.
+/// executing and, once an explore step has armed it, the step's
+/// watchdog; plus the retirement flag that tells an abandoned (wedged)
+/// runner not to claim further work if it ever wakes.
 #[derive(Default)]
 struct Flight {
-    busy: Mutex<Option<(u64, Instant)>>,
+    busy: Mutex<Option<InFlight>>,
     retired: AtomicBool,
+}
+
+#[derive(Clone, Copy)]
+struct InFlight {
+    job: u64,
+    /// When the watchdog was armed and the wall it allows the step.
+    watchdog: Option<(Instant, Duration)>,
+}
+
+impl Flight {
+    fn busy(&self) -> std::sync::MutexGuard<'_, Option<InFlight>> {
+        self.busy.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Starts the in-flight step's watchdog clock.
+    fn arm(&self, limit: Duration) {
+        if let Some(f) = self.busy().as_mut() {
+            f.watchdog = Some((Instant::now(), limit));
+        }
+    }
 }
 
 struct RunnerSlot {
@@ -328,11 +351,10 @@ impl Server {
                 slots.push(spawn_runner(&shared, i)?);
             }
             let sh = Arc::clone(&shared);
-            let stuck_after = cfg.eval_deadline.map(|d| d.saturating_mul(8));
             threads.push(
                 std::thread::Builder::new()
                     .name("ggd-supervisor".to_owned())
-                    .spawn(move || supervisor_loop(&sh, slots, stuck_after))
+                    .spawn(move || supervisor_loop(&sh, slots))
                     .map_err(|e| Error::Serve(format!("cannot spawn supervisor: {e}")))?,
             );
         }
@@ -412,7 +434,7 @@ impl Server {
     pub fn step_once(&self) -> bool {
         match self.shared.registry.claim_next(false) {
             Claim::Step(id) => {
-                let outcome = execute_step(&self.shared, id);
+                let outcome = execute_step(&self.shared, id, None);
                 self.shared.registry.finish_step(id, outcome);
                 true
             }
@@ -483,14 +505,17 @@ fn runner_loop(shared: &Shared, flight: &Flight) {
             Claim::Shutdown => break,
             Claim::Idle => {}
             Claim::Step(id) => {
-                *flight.busy.lock().unwrap_or_else(|p| p.into_inner()) = Some((id, Instant::now()));
+                *flight.busy() = Some(InFlight {
+                    job: id,
+                    watchdog: None,
+                });
                 if RUNNER_PANIC.fires_external(id) {
                     std::panic::panic_any(faults::FaultPayload::Injected {
                         point: "serve.runner_panic",
                     });
                 }
-                let outcome = execute_step(shared, id);
-                *flight.busy.lock().unwrap_or_else(|p| p.into_inner()) = None;
+                let outcome = execute_step(shared, id, Some(flight));
+                *flight.busy() = None;
                 shared.registry.finish_step(id, outcome);
             }
         }
@@ -498,15 +523,11 @@ fn runner_loop(shared: &Shared, flight: &Flight) {
 }
 
 /// Watches the runner pool: joins and replaces runners whose thread
-/// died (failing their in-flight job), and — with a `stuck_after`
-/// threshold — retires runners wedged past the heartbeat, failing the
-/// stuck job and abandoning the thread (the `retired` flag plus the
-/// registry's late-outcome guard contain it if it ever wakes).
-fn supervisor_loop(
-    shared: &Arc<Shared>,
-    mut slots: Vec<RunnerSlot>,
-    stuck_after: Option<Duration>,
-) {
+/// died (failing their in-flight job), and retires runners whose step
+/// outran its armed watchdog, failing the stuck job and abandoning the
+/// thread (the `retired` flag plus the registry's late-outcome guard
+/// contain it if it ever wakes).
+fn supervisor_loop(shared: &Arc<Shared>, mut slots: Vec<RunnerSlot>) {
     let mut next_idx = slots.len();
     loop {
         if shared.registry.is_shutdown() {
@@ -520,12 +541,11 @@ fn supervisor_loop(
         for slot in &mut slots {
             let died = slot.handle.is_finished();
             let stuck = !died
-                && stuck_after.is_some_and(|limit| {
-                    matches!(
-                        *slot.flight.busy.lock().unwrap_or_else(|p| p.into_inner()),
-                        Some((_, t0)) if t0.elapsed() > limit
-                    )
-                });
+                && slot
+                    .flight
+                    .busy()
+                    .and_then(|f| f.watchdog)
+                    .is_some_and(|(t0, limit)| t0.elapsed() > limit);
             if !died && !stuck {
                 continue;
             }
@@ -539,15 +559,10 @@ fn supervisor_loop(
             next_idx += 1;
             let old = std::mem::replace(slot, fresh);
             old.flight.retired.store(true, Ordering::Relaxed);
-            let in_flight = old
-                .flight
-                .busy
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take();
+            let in_flight = old.flight.busy().take();
             if died {
                 let _ = old.handle.join(); // collect the panic
-                if let Some((job, _)) = in_flight {
+                if let Some(InFlight { job, .. }) = in_flight {
                     shared.registry.finish_step(
                         job,
                         StepOutcome::Failed {
@@ -560,14 +575,18 @@ fn supervisor_loop(
                 // Wedged: the thread cannot be joined — abandon it. Its
                 // eventual finish_step is dropped by the late-outcome
                 // guard, and the retired flag stops further claims.
-                if let Some((job, t0)) = in_flight {
+                if let Some(InFlight {
+                    job,
+                    watchdog: Some((t0, limit)),
+                }) = in_flight
+                {
                     shared.registry.finish_step(
                         job,
                         StepOutcome::Failed {
                             error: format!(
-                                "stuck: step exceeded the {} ms watchdog (ran {} ms); \
+                                "stuck: step exceeded its {} ms watchdog (ran {} ms); \
                                  runner restarted",
-                                stuck_after.map_or(0, |d| d.as_millis()),
+                                limit.as_millis(),
                                 t0.elapsed().as_millis()
                             ),
                         },
@@ -583,15 +602,17 @@ fn supervisor_loop(
 }
 
 /// Runs one claimed scheduler step, converting panics into job failures
-/// so a poisoned candidate cannot take the server down.
-fn execute_step(shared: &Shared, id: u64) -> StepOutcome {
+/// so a poisoned candidate cannot take the server down. `flight` is the
+/// calling runner's heartbeat, for an explore step to arm its watchdog
+/// on; [`Server::step_once`] runs unsupervised.
+fn execute_step(shared: &Shared, id: u64, flight: Option<&Flight>) -> StepOutcome {
     let Some((spec, step, ckpt)) = shared.registry.step_inputs(id) else {
         return StepOutcome::Failed {
             error: format!("job {id} vanished from the registry"),
         };
     };
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_step(shared, id, &spec, step, &ckpt)
+        run_step(shared, id, &spec, step, &ckpt, flight)
     })) {
         Ok(outcome) => outcome,
         Err(panic) => StepOutcome::Failed {
@@ -616,7 +637,14 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
-fn run_step(shared: &Shared, id: u64, spec: &JobSpec, step: u64, ckpt: &Path) -> StepOutcome {
+fn run_step(
+    shared: &Shared,
+    id: u64,
+    spec: &JobSpec,
+    step: u64,
+    ckpt: &Path,
+    flight: Option<&Flight>,
+) -> StepOutcome {
     // Submit validated the spec, but a journal written by an older build
     // may hold one this build refuses; fail the job, not the daemon.
     if let Err(error) = spec.validate() {
@@ -638,7 +666,7 @@ fn run_step(shared: &Shared, id: u64, spec: &JobSpec, step: u64, ckpt: &Path) ->
     match spec.kind {
         JobKind::Analyze => run_analyze(&ctx, shared.baselines.tech()),
         JobKind::Harden => run_harden(&ctx, shared.baselines.tech(), spec),
-        JobKind::Explore => run_explore_step(shared, id, &ctx, spec, step, ckpt),
+        JobKind::Explore => run_explore_step(shared, id, &ctx, spec, step, ckpt, flight),
     }
 }
 
@@ -707,6 +735,23 @@ fn run_harden(ctx: &DesignContext, tech: &Technology, spec: &JobSpec) -> StepOut
     }
 }
 
+/// The wall one explore step may take under a per-candidate `deadline`
+/// before the supervisor calls it wedged. A step evaluates at most two
+/// batches of `max(population, 2)` candidates (offspring, then the
+/// top-up), each spread over the worker threads, and every candidate
+/// runs at most two deadline-bounded stages; eight budgets per candidate
+/// a worker takes in turn leave each stage 4× slack for the overshoot of
+/// its cooperative checks. A zero budget quarantines every candidate at
+/// its first check and bounds no wall, so it arms nothing.
+fn step_watchdog(deadline: Option<Duration>, params: &Nsga2Params) -> Option<Duration> {
+    let budget = deadline.filter(|d| !d.is_zero())?;
+    let turns = 2 * params
+        .population
+        .max(2)
+        .div_ceil(params.resolved_threads().max(1));
+    Some(budget.saturating_mul(u32::try_from(8 * turns).unwrap_or(u32::MAX)))
+}
+
 fn run_explore_step(
     shared: &Shared,
     id: u64,
@@ -714,6 +759,7 @@ fn run_explore_step(
     spec: &JobSpec,
     step: u64,
     ckpt: &Path,
+    flight: Option<&Flight>,
 ) -> StepOutcome {
     let params = Nsga2Params::builder()
         .population(spec.population)
@@ -721,6 +767,13 @@ fn run_explore_step(
         .seed(spec.seed)
         .threads(spec.threads)
         .build();
+    let tech = shared.baselines.tech();
+    let engine = ctx.engine(tech);
+    // The watchdog bounds the candidate evaluations the deadline bounds,
+    // so its clock starts only now that the baseline and engine exist.
+    if let (Some(flight), Some(limit)) = (flight, step_watchdog(shared.eval_deadline, &params)) {
+        flight.arm(limit);
+    }
     let opts = ExploreOptions {
         checkpoint: Some(ckpt.to_path_buf()),
         resume: step > 0 || spec.resume,
@@ -730,7 +783,7 @@ fn run_explore_step(
         // declare the whole runner stuck.
         deadline: shared.eval_deadline,
     };
-    let result = match explore_with_engine(&ctx.engine, shared.baselines.tech(), &params, &opts) {
+    let result = match explore_with_engine(engine, tech, &params, &opts) {
         Ok(r) => r,
         Err(e) => {
             return StepOutcome::Failed {
@@ -892,4 +945,26 @@ fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io:
         }
     };
     write_line(writer, &resp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watchdog_scales_with_the_candidates_a_worker_evaluates() {
+        let params = |population, threads| {
+            Nsga2Params::builder()
+                .population(population)
+                .threads(threads)
+                .build()
+        };
+        let ms = Duration::from_millis;
+        // 16 candidates over 4 workers: 2 batches of 4 turns, 8 budgets each.
+        assert_eq!(step_watchdog(Some(ms(10)), &params(16, 4)), Some(ms(640)));
+        // A population of 1 still evaluates the two canonical genomes.
+        assert_eq!(step_watchdog(Some(ms(10)), &params(1, 1)), Some(ms(320)));
+        assert_eq!(step_watchdog(Some(Duration::ZERO), &params(16, 4)), None);
+        assert_eq!(step_watchdog(None, &params(16, 4)), None);
+    }
 }

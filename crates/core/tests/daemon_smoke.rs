@@ -92,12 +92,23 @@ fn tiny_baseline() -> (Snapshot, Technology) {
 
 /// Runs `ggd` with `args` and returns its stdout, asserting success.
 fn ggd_stdout(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(args)
-        .stderr(Stdio::null())
-        .output()
-        .expect("run ggd");
-    assert!(out.status.success(), "ggd {args:?} fails");
+    ggd_stdout_with(None, args)
+}
+
+/// [`ggd_stdout`] with `GG_EVAL_DEADLINE_MS` set to `deadline_ms`, or
+/// removed when `None`.
+fn ggd_stdout_with(deadline_ms: Option<&str>, args: &[&str]) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ggd"));
+    match deadline_ms {
+        Some(ms) => cmd.env("GG_EVAL_DEADLINE_MS", ms),
+        None => cmd.env_remove("GG_EVAL_DEADLINE_MS"),
+    };
+    let out = cmd.args(args).output().expect("run ggd");
+    assert!(
+        out.status.success(),
+        "ggd {args:?} fails:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
@@ -305,17 +316,19 @@ fn cli_rejects_unknown_flags_and_prints_help() {
 #[test]
 fn positional_design_is_refused_naming_the_flag() {
     // The removed positional form `ggd analyze TINY` fails and points
-    // at the flag that replaced it.
-    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
-        .args(["analyze", "TINY"])
-        .output()
-        .expect("run ggd analyze TINY");
-    assert!(!out.status.success(), "a stray positional is an error");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--design"),
-        "error names the flag: {stderr}"
-    );
+    // at the flag that replaced it; an unknown design fails naming it.
+    for (args, needle) in [
+        (["analyze", "TINY"].as_slice(), "--design"),
+        (["analyze", "--design", "NO_SUCH"].as_slice(), "NO_SUCH"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
+            .args(args)
+            .output()
+            .expect("run ggd");
+        assert!(!out.status.success(), "ggd {args:?} is an error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "error names {needle}: {stderr}");
+    }
 }
 
 #[test]
@@ -331,6 +344,50 @@ fn one_shot_commands_print_what_the_library_computes() {
     assert_eq!(
         ggd_stdout(&["harden", "--design", "TINY", "--op", "lda"]),
         expected_harden_stdout(&FlowConfig::lda_default())
+    );
+}
+
+/// A per-candidate evaluation budget bounds explore candidates only: a
+/// 1 ms budget leaves analyze and harden output untouched however long
+/// their baseline takes, and a zero budget quarantines every candidate
+/// of a one-shot explore without failing the command.
+#[test]
+fn one_shot_commands_finish_under_a_tiny_eval_deadline() {
+    assert_eq!(
+        ggd_stdout_with(Some("1"), &["analyze", "--design", "TINY"]),
+        expected_analyze_stdout()
+    );
+    assert_eq!(
+        ggd_stdout_with(Some("1"), &["harden", "--design", "TINY"]),
+        expected_harden_stdout(&FlowConfig::cell_shift_default())
+    );
+    let (base, tech) = tiny_baseline();
+    let params = Nsga2Params::builder()
+        .population(POP)
+        .generations(1)
+        .build();
+    let quarantined = explore_with(
+        &base,
+        &tech,
+        &params,
+        &ExploreOptions {
+            deadline: Some(Duration::ZERO),
+            ..ExploreOptions::default()
+        },
+    )
+    .expect("library explore");
+    assert_eq!(
+        quarantined.quarantined.len(),
+        quarantined.points.len(),
+        "a zero budget quarantines every candidate"
+    );
+    let pop = POP.to_string();
+    assert_eq!(
+        ggd_stdout_with(
+            Some("0"),
+            &["explore", "--design", "TINY", "--pop", &pop, "--gens", "1"]
+        ),
+        expected_cli_stdout(&quarantined)
     );
 }
 

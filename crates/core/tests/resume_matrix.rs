@@ -157,3 +157,39 @@ fn resume_without_checkpoint_starts_fresh() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(ggjson::to_string_pretty(&fresh), reference);
 }
+
+/// A population below two still starts from both canonical genomes, so
+/// its generation-0 checkpoint holds two genomes and later ones hold
+/// one. Resuming from each must accept the state the run wrote and
+/// finish bit-identically.
+#[test]
+fn resume_below_two_genomes_is_bit_identical() {
+    let (tech, base) = fixture();
+    let params = Nsga2Params::builder()
+        .population(1)
+        .generations(2)
+        .seed(0x0001_0001)
+        .threads(2)
+        .build();
+    let reference = ggjson::to_string_pretty(&explore(base, tech, &params));
+    for kill_at in 0..params.generations {
+        let dir =
+            std::env::temp_dir().join(format!("gg-resume-pop1-{}-g{kill_at}", std::process::id()));
+        let path = dir.join("checkpoint.ggjson");
+        let opts = |resume, halt_after| ExploreOptions {
+            checkpoint: Some(path.clone()),
+            resume,
+            halt_after,
+            ..ExploreOptions::default()
+        };
+        explore_with(base, tech, &params, &opts(false, Some(kill_at))).expect("interrupted run");
+        let resumed = explore_with(base, tech, &params, &opts(true, None));
+        std::fs::remove_dir_all(&dir).ok();
+        let resumed = resumed.unwrap_or_else(|e| panic!("resume after generation {kill_at}: {e}"));
+        assert_eq!(
+            ggjson::to_string_pretty(&resumed),
+            reference,
+            "resume after killing at generation {kill_at} diverged"
+        );
+    }
+}

@@ -7,7 +7,9 @@
 //! [`Server::step_once`] executes exactly one scheduler step per call.
 
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{JobSpec, JobState, Journal, JournalRecord, Server, ServerConfig};
+use gdsii_guard::serve::{
+    JobSpec, JobState, JobStatus, Journal, JournalRecord, Server, ServerConfig,
+};
 use gdsii_guard::Error;
 use ggjson::ToJson;
 use tech::Technology;
@@ -151,6 +153,35 @@ fn paused_and_resumed_explore_is_bit_identical() -> Result<(), Error> {
     Ok(())
 }
 
+/// Every explore step after the first resumes from the checkpoint the
+/// step before it wrote, so a population-1 job (two genomes at
+/// generation 0, one after) must run through all its steps.
+#[test]
+fn population_one_explore_runs_every_step() -> Result<(), Error> {
+    let tech = Technology::nangate45_like();
+    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech)?;
+    let mut spec = tiny_explore();
+    spec.population = 1;
+    let params = Nsga2Params::builder()
+        .population(spec.population)
+        .generations(spec.generations)
+        .build();
+    let oracle_json = ggjson::to_string_pretty(&explore(&base, &tech, &params).to_json());
+
+    let server = test_server("pop1");
+    let id = server.submit(spec)?;
+    server.run_until_idle();
+    let status = server.status(id)?;
+    assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+    let payload = server.result(id)?;
+    assert_eq!(
+        ggjson::to_string_pretty(payload.get("explore").expect("explore payload")),
+        oracle_json
+    );
+    server.stop();
+    Ok(())
+}
+
 #[test]
 fn cancelled_queued_job_never_runs_while_neighbor_finishes() {
     let server = test_server("cancel");
@@ -225,6 +256,51 @@ fn memory_budget_refuses_submits_as_busy() {
     assert!(server.jobs().is_empty(), "nothing was queued");
     server.stop();
     std::fs::remove_dir_all(&data_dir).ok();
+}
+
+/// Waits for job `id` on a server with runners to reach a terminal
+/// state and returns its status.
+fn wait_terminal(server: &Server, id: u64) -> JobStatus {
+    let mut cursor = 0u64;
+    loop {
+        let (events, terminal) = server.events_since(id, cursor, true).expect("job exists");
+        cursor += events.len() as u64;
+        if terminal {
+            return server.status(id).expect("status");
+        }
+    }
+}
+
+/// The runner watchdog bounds only what the per-candidate budget bounds:
+/// with a 1 ms budget, analyze and harden steps (no candidates) and the
+/// baseline build run as long as they need, and a zero budget, which
+/// quarantines every candidate at its first check, arms no watchdog.
+#[test]
+fn watchdog_spares_work_no_candidate_budget_bounds() {
+    for (budget_ms, spec) in [
+        (1, JobSpec::analyze("TINY")),
+        (1, JobSpec::harden("TINY", "lda")),
+        (0, tiny_explore()),
+    ] {
+        let data_dir = std::env::temp_dir().join(format!(
+            "gg-serve-watchdog-{}-{budget_ms}-{}",
+            std::process::id(),
+            spec.kind.as_str()
+        ));
+        let server = Server::start(ServerConfig {
+            data_dir: Some(data_dir.clone()),
+            runners: 1,
+            eval_deadline: Some(std::time::Duration::from_millis(budget_ms)),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let id = server.submit(spec).expect("submit");
+        let status = wait_terminal(&server, id);
+        assert_eq!(status.state, JobState::Done, "{:?}", status.error);
+        assert_eq!(server.stats().runner_restarts, 0);
+        server.stop();
+        std::fs::remove_dir_all(&data_dir).ok();
+    }
 }
 
 /// A journal written before submit bounded the population can still hold
