@@ -158,6 +158,10 @@ struct SuiteRow {
     baseline_wall_secs: f64,
     explore_wall_secs: f64,
     evals_per_sec: f64,
+    /// Mean Phase-B (rip-up-and-reroute) wall per candidate evaluation
+    /// that ran it, in ms: the explore's `route.phase_b` span time over
+    /// its `rrr.calls` (memo hits run no Phase B).
+    phase_b_ms_per_candidate: f64,
     replay_points: u64,
     replay_full_wall_secs: f64,
     replay_incremental_wall_secs: f64,
@@ -187,6 +191,7 @@ ggjson::json_struct!(SuiteRow {
     baseline_wall_secs,
     explore_wall_secs,
     evals_per_sec,
+    phase_b_ms_per_candidate,
     replay_points,
     replay_full_wall_secs,
     replay_incremental_wall_secs,
@@ -256,6 +261,7 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     let t0 = Instant::now();
     let base = implement_baseline_unchecked(spec, tech);
     let baseline_wall_secs = t0.elapsed().as_secs_f64();
+    let at_baseline = gdsii_guard::obs::snapshot();
 
     let t0 = Instant::now();
     let result = explore(&base, tech, &params);
@@ -264,6 +270,10 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     gdsii_guard::obs::set_enabled(false);
 
     let evaluations = result.points.len() as u64;
+    // The explore's own Phase B, without the baseline's.
+    let phase_b_nanos =
+        telemetry.span_total_nanos("route.phase_b") - at_baseline.span_total_nanos("route.phase_b");
+    let phase_b_runs = telemetry.counter("rrr.calls") - at_baseline.counter("rrr.calls");
 
     // Replay comparison: the same schedule points through a fresh
     // incremental engine and the from-scratch path, telemetry off. Big
@@ -332,6 +342,7 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         baseline_wall_secs,
         explore_wall_secs,
         evals_per_sec: evaluations as f64 / explore_wall_secs.max(1e-9),
+        phase_b_ms_per_candidate: phase_b_nanos as f64 / 1e6 / phase_b_runs.max(1) as f64,
         replay_points: points.len() as u64,
         replay_full_wall_secs,
         replay_incremental_wall_secs,
@@ -361,30 +372,58 @@ fn tiny_gates(tech: &Technology) {
         .threads(4)
         .build();
     const REPS: usize = 3;
+    // The telemetry overhead is the median, over pairs of explores with
+    // telemetry off and on, of the on/off wall ratio. One explore takes
+    // ~8 ms, and single runs on a shared 2-vCPU host swing by ±20 %,
+    // four times the budget, so only many paired runs resolve it. The
+    // timed explores are serial (worker threads on two vCPUs add most of
+    // the swing) and share one baseline; each pair flips the order of
+    // the one before, so warm-up and drift fall on both sides. Pairs run
+    // until each side has explored for `SIDE_SECS`.
+    const SIDE_SECS: f64 = 0.4;
+    const MIN_PAIRS: usize = 15;
 
     let run = || {
         let base = implement_baseline_unchecked(&spec, tech);
         explore(&base, tech, &params)
     };
-    let min_wall = |enabled: bool| {
-        let mut best = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..REPS {
-            gdsii_guard::obs::reset();
-            gdsii_guard::obs::set_enabled(enabled);
-            let t0 = Instant::now();
-            let r = run();
-            best = best.min(t0.elapsed().as_secs_f64());
-            gdsii_guard::obs::set_enabled(false);
-            result = Some(r);
-        }
-        (best, result.expect("REPS >= 1"))
+    let base = implement_baseline_unchecked(&spec, tech);
+    let serial = Nsga2Params {
+        threads: 1,
+        ..params
+    };
+    let timed = |enabled: bool| {
+        gdsii_guard::obs::reset();
+        gdsii_guard::obs::set_enabled(enabled);
+        let t0 = Instant::now();
+        std::hint::black_box(explore(&base, tech, &serial));
+        let wall = t0.elapsed().as_secs_f64();
+        gdsii_guard::obs::set_enabled(false);
+        wall
     };
 
-    let (wall_off, off) = min_wall(false);
-    let (wall_on, on) = min_wall(true);
-    // Registry still holds the last enabled repetition (reset runs at the
-    // top of each rep; disabling only stops recording).
+    // Untimed warm-up, which is also the telemetry-off result.
+    let off = run();
+    let mut ratios = Vec::new();
+    let (mut side_off, mut side_on) = (0.0f64, 0.0f64);
+    while ratios.len() < MIN_PAIRS || side_off.min(side_on) < SIDE_SECS {
+        let (w_off, w_on) = if ratios.len() % 2 == 0 {
+            let w_off = timed(false);
+            (w_off, timed(true))
+        } else {
+            let w_on = timed(true);
+            (timed(false), w_on)
+        };
+        (side_off, side_on) = (side_off + w_off, side_on + w_on);
+        ratios.push(w_on / w_off);
+    }
+    ratios.sort_by(f64::total_cmp);
+    // One instrumented explore: the telemetry-on result, and the registry
+    // the gates below read.
+    gdsii_guard::obs::reset();
+    gdsii_guard::obs::set_enabled(true);
+    let on = run();
+    gdsii_guard::obs::set_enabled(false);
     let telemetry = gdsii_guard::obs::snapshot();
 
     // Telemetry observes; it must never steer. Bit-identical trajectories.
@@ -398,11 +437,12 @@ fn tiny_gates(tech: &Technology) {
         assert_eq!(a.metrics, b.metrics, "metrics diverged on {:?}", a.genome);
     }
 
-    let delta = (wall_on - wall_off) / wall_off;
+    let delta = ratios[ratios.len() / 2] - 1.0;
     println!(
-        "smoke: {} evaluations; wall disabled {wall_off:.3}s vs enabled {wall_on:.3}s \
-         ({:+.2} % telemetry overhead)",
+        "smoke: {} evaluations; {} interleaved serial explore pairs, {side_off:.3}s \
+         disabled vs {side_on:.3}s enabled ({:+.2} % telemetry overhead, median pair)",
         off.points.len(),
+        ratios.len(),
         delta * 100.0,
     );
     assert!(
@@ -450,7 +490,6 @@ fn tiny_gates(tech: &Technology) {
     // disk, and demand the exact trajectory of the uninterrupted run.
     let dir = std::env::temp_dir().join(format!("gg-bench-smoke-{}", std::process::id()));
     let ckpt = dir.join("checkpoint.ggjson");
-    let base = implement_baseline_unchecked(&spec, tech);
     let explore_opts = |resume: bool| ExploreOptions {
         checkpoint: Some(ckpt.clone()),
         resume,

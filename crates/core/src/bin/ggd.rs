@@ -328,8 +328,10 @@ fn print_event(e: &JobEvent) {
 
 /// The job spec the flags describe: a `kind` job over `--design`, with
 /// every given flag overriding the [`JobSpec`] default. An unknown design
-/// fails here, at the CLI, not inside a server.
-fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
+/// fails here, at the CLI, not inside a server. A spec bound for a daemon
+/// (`to_daemon`) carries `--out` and `--checkpoint` resolved against this
+/// process's working directory, because the daemon runs in its own.
+fn job_spec(o: &Opts, kind: &str, to_daemon: bool) -> Result<JobSpec, Error> {
     let design = o.design()?;
     validate_design(&design)?;
     let mut spec = match kind {
@@ -359,8 +361,20 @@ fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
     }
     spec.out = o.out.clone();
     spec.checkpoint = o.checkpoint.clone();
+    if to_daemon {
+        spec.out = spec.out.as_deref().map(absolute).transpose()?;
+        spec.checkpoint = spec.checkpoint.as_deref().map(absolute).transpose()?;
+    }
     spec.resume = o.resume;
     Ok(spec)
+}
+
+/// `path` resolved against this process's working directory.
+fn absolute(path: &str) -> Result<String, Error> {
+    std::path::absolute(path)
+        .ok()
+        .and_then(|p| p.into_os_string().into_string().ok())
+        .ok_or_else(|| Error::InvalidArgs(format!("cannot resolve path {path}")))
 }
 
 /// `ggd analyze|harden|explore`: submits the job the flags describe to
@@ -368,7 +382,7 @@ fn job_spec(o: &Opts, kind: &str) -> Result<JobSpec, Error> {
 /// in-process server. The baseline summary prints when its event
 /// arrives, then the job's result.
 fn cmd_run(o: &Opts, kind: &str) -> Result<(), Error> {
-    let spec = job_spec(o, kind)?;
+    let spec = job_spec(o, kind, o.socket.is_some())?;
     let (status, payload) = match &o.socket {
         Some(socket) => {
             let mut client = Client::connect(socket)?;
@@ -460,7 +474,7 @@ fn cmd_submit(o: &Opts) -> Result<(), Error> {
     let kind = o.positionals.first().map(String::as_str).ok_or_else(|| {
         Error::InvalidArgs("submit needs a job kind (explore|harden|analyze)".into())
     })?;
-    let spec = job_spec(o, kind)?;
+    let spec = job_spec(o, kind, true)?;
     let mut client = Client::connect(&o.socket())?;
     let id = client.submit(&spec)?;
     println!("job {id}");

@@ -31,7 +31,10 @@ impl Daemon {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         let socket = dir.join("ggd.sock");
+        // The daemon runs in its scratch dir, so anything it resolves
+        // against its working directory shows up there.
         let child = Command::new(env!("CARGO_BIN_EXE_ggd"))
+            .current_dir(&dir)
             .args([
                 "serve",
                 "--socket",
@@ -404,16 +407,58 @@ fn harden_out_writes_the_library_gds() {
         "{stdout}"
     );
 
-    let (_, mut hardened, tech) = library_harden(&FlowConfig::cell_shift_default());
-    let layout = std::sync::Arc::make_mut(&mut hardened.layout);
-    layout::insert_fillers(layout.occupancy_mut(), &tech);
-    let expected = gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing));
     assert_eq!(
         std::fs::read(&path).expect("ggd wrote the file"),
-        expected.to_bytes(),
+        library_harden_gds(),
         "ggd harden --out writes the library's filled, hardened layout"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The GDSII bytes `ggd harden --design TINY --out` writes: the library's
+/// Cell Shift harden, filled.
+fn library_harden_gds() -> Vec<u8> {
+    let (_, mut hardened, tech) = library_harden(&FlowConfig::cell_shift_default());
+    let layout = std::sync::Arc::make_mut(&mut hardened.layout);
+    layout::insert_fillers(layout.occupancy_mut(), &tech);
+    gdsii::layout_to_gds(&hardened.layout, &tech, Some(&hardened.routing)).to_bytes()
+}
+
+/// A relative `--out` names a file in the client's directory even when a
+/// daemon in another directory does the work.
+#[test]
+fn relative_out_on_a_daemon_lands_in_the_client_directory() {
+    let daemon = Daemon::start("relative-out");
+    let client_dir = daemon.dir.with_extension("client");
+    let _ = std::fs::remove_dir_all(&client_dir);
+    std::fs::create_dir_all(&client_dir).expect("create client dir");
+    let socket = daemon.socket.to_str().expect("utf-8 path");
+    daemon.client(); // wait for the socket
+    let out = Command::new(env!("CARGO_BIN_EXE_ggd"))
+        .current_dir(&client_dir)
+        .args([
+            "harden", "--design", "TINY", "--out", "rel.gds", "--socket", socket,
+        ])
+        .output()
+        .expect("run ggd");
+    assert!(
+        out.status.success(),
+        "ggd harden --socket fails:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(stdout.ends_with("/rel.gds\n"), "{stdout}");
+    assert_eq!(
+        std::fs::read(client_dir.join("rel.gds")).expect("rel.gds in the client dir"),
+        library_harden_gds(),
+        "the daemon writes the library's layout to the client's rel.gds"
+    );
+    assert!(
+        !daemon.dir.join("rel.gds").exists(),
+        "nothing lands in the daemon's directory"
+    );
+    daemon.shutdown();
+    std::fs::remove_dir_all(&client_dir).ok();
 }
 
 #[test]

@@ -1,3 +1,5 @@
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use geom::GcellPos;
@@ -37,20 +39,21 @@ pub struct NetRc {
 /// Result of routing a layout: per-net segments and parasitics plus the
 /// occupied routing grid.
 ///
-/// Per-net segment lists are `Arc`-shared so cloning a routing state (or
-/// snapshotting the best rip-up-and-reroute round) is a refcount bump per
-/// net, never a deep copy; rerouting a net replaces its `Arc` wholesale.
+/// Per-net segment lists are `Arc`-shared slices (one allocation each),
+/// so cloning a routing state (or snapshotting the best
+/// rip-up-and-reroute round) is a refcount bump per net, never a deep
+/// copy; rerouting a net replaces its `Arc` wholesale.
 #[derive(Debug, Clone)]
 pub struct RoutingState {
     grid: RouteGrid,
-    segs: Vec<Arc<Vec<RouteSeg>>>,
+    segs: Vec<Arc<[RouteSeg]>>,
     rc: Vec<NetRc>,
     wirelength_um: f64,
     /// Sorted, deduplicated ids of every net Phase B ripped up in any
     /// round — a superset of the nets whose final segments differ from
     /// the plan's (best-state restore only ever *discards* reroutes).
     /// Shared by `Arc` so cloning a state stays a refcount bump.
-    touched: Arc<Vec<NetId>>,
+    touched: Arc<[NetId]>,
 }
 
 /// The router's registry-backed observability handles (replacing the old
@@ -67,10 +70,6 @@ struct RouteMetrics {
     rrr_victims: obs::Counter,
     /// Heap pops per maze (Dijkstra) search — the router's unit of work.
     maze_pops: obs::Histogram,
-    /// Entries redistributed between radix-frontier buckets per maze
-    /// search — the bookkeeping overhead Dial's algorithm trades the
-    /// binary heap's `log n` reorders for.
-    maze_bucket_scans: obs::Histogram,
 }
 
 /// Injection point covering Phase-B congestion resolution: checked once per
@@ -85,7 +84,6 @@ fn metrics() -> &'static RouteMetrics {
         rrr_rounds: obs::counter("rrr.rounds"),
         rrr_victims: obs::counter("rrr.victims"),
         maze_pops: obs::histogram("maze.pops"),
-        maze_bucket_scans: obs::histogram("maze.bucket_scans"),
     })
 }
 
@@ -117,15 +115,16 @@ impl DirtySet {
 /// runs the deterministic rip-up-and-reroute refinement plus parasitic
 /// extraction on top.
 ///
-/// Per-net segment and edge lists are `Arc`-shared: cloning a plan (the
-/// hot path of incremental evaluation, which patches a cached base plan
-/// per candidate) bumps one refcount per net instead of copying geometry,
-/// and re-planning a dirty net swaps in a fresh `Arc`.
+/// Per-net segment and edge lists are `Arc`-shared slices, one
+/// allocation each: cloning a plan (the hot path of incremental
+/// evaluation, which patches a cached base plan per candidate) bumps one
+/// refcount per net instead of copying geometry, and re-planning a dirty
+/// net swaps in a fresh `Arc`.
 #[derive(Debug, Clone)]
 pub struct RoutePlan {
     grid: RouteGrid,
-    segs: Vec<Arc<Vec<RouteSeg>>>,
-    edges: Vec<Arc<Vec<(GcellPos, GcellPos)>>>,
+    segs: Vec<Arc<[RouteSeg]>>,
+    edges: Vec<Arc<[(GcellPos, GcellPos)]>>,
 }
 
 impl RoutePlan {
@@ -144,26 +143,23 @@ impl RoutePlan {
     }
 
     /// Approximate resident heap bytes of this plan *not* shared with
-    /// `base`: diverged usage pages plus per-net segment/edge lists
-    /// whose `Arc`s differ from the base plan's (patched nets own their
-    /// lists; untouched nets share the base's). This is roughly what
-    /// evicting this plan frees while `base` stays cached — the eval
-    /// cache's byte-budget unit.
+    /// `base`: diverged usage pages, the plan's own per-net pointer
+    /// tables, and the per-net segment/edge lists whose `Arc`s differ
+    /// from the base plan's (patched nets own their lists; untouched nets
+    /// share the base's). This is roughly what evicting this plan frees
+    /// while `base` stays cached — the eval cache's byte-budget unit.
     pub fn approx_unshared_bytes(&self, base: &RoutePlan) -> u64 {
-        let mut bytes = self.grid.unshared_planes_bytes(&base.grid);
-        for (i, s) in self.segs.iter().enumerate() {
-            let shared = base.segs.get(i).is_some_and(|b| Arc::ptr_eq(s, b));
-            if !shared {
-                bytes += (s.capacity() * size_of::<RouteSeg>()) as u64;
-            }
+        fn lists<T>(own: &[Arc<[T]>], base: &[Arc<[T]>]) -> usize {
+            let owned: usize = own
+                .iter()
+                .enumerate()
+                .filter(|&(i, l)| !base.get(i).is_some_and(|b| Arc::ptr_eq(l, b)))
+                .map(|(_, l)| size_of_val::<[T]>(l))
+                .sum();
+            owned + size_of_val(own)
         }
-        for (i, e) in self.edges.iter().enumerate() {
-            let shared = base.edges.get(i).is_some_and(|b| Arc::ptr_eq(e, b));
-            if !shared {
-                bytes += (e.capacity() * size_of::<(GcellPos, GcellPos)>()) as u64;
-            }
-        }
-        bytes
+        let lists = lists(&self.segs, &base.segs) + lists(&self.edges, &base.edges);
+        self.grid.unshared_planes_bytes(&base.grid) + lists as u64
     }
 }
 
@@ -375,7 +371,7 @@ fn pick_layer(
 
 /// Integer step-cost unit: one thousandth of [`run_cost`]'s unit cost.
 /// Quantizing to milli-units makes maze distances exact integers (no
-/// epsilon in the relaxation test) and keys them for the radix frontier.
+/// epsilon in the relaxation test) that pack into integer frontier keys.
 const MILLI: f64 = 1000.0;
 
 /// Step cost of entering gcell `(x, y)` in direction `dir` — the
@@ -473,6 +469,10 @@ struct StepCosts {
 
 impl StepCosts {
     fn new(grid: &RouteGrid, penalty_mult: f64) -> Self {
+        assert!(
+            (1.0 + OVERFLOW_PENALTY * penalty_mult) * MILLI < MAX_STEP_MILLI as f64,
+            "overflow penalty {penalty_mult} exceeds the maze key bound"
+        );
         let mut consts = [LayerConsts::default(); tech::NUM_METAL_LAYERS];
         for (i, k) in consts.iter_mut().enumerate() {
             *k = LayerConsts::of(grid, i + 1); // layers are 1-based
@@ -522,216 +522,82 @@ impl StepCosts {
 /// Detour margin of the maze search window around an edge's bounding box.
 const MAZE_MARGIN: u32 = 8;
 
-/// A maze frontier entry packed into one `u128` whose natural ascending
-/// order is exactly the old `BinaryHeap<Reverse<(u64, u32, u32, u8)>>`
-/// tie-break order — distance first, then x, then y, then axis:
+/// Turn penalty in milli-units (`0.5` in [`run_cost`]'s unit).
+const TURN_COST_MILLI: u64 = 500;
+
+/// Per-gcell A* heuristic weight for [`maze_search`], in milli-units.
 ///
-/// ```text
-/// bit 33..     | bit 17..32 | bit 1..16 | bit 0
-/// milli dist   | x          | y         | axis
-/// ```
-///
-/// Coordinates get 16 bits each (a gcell grid axis beyond 65 536 cells is
-/// multiple metres of silicon), leaving 95 bits of distance headroom.
+/// Any single step costs at least one full unit (the congestion cost is
+/// `1.0 + <non-negative>` per gcell, i.e. 1000 milli-units), so
+/// Manhattan distance times 1000 would already be admissible and
+/// consistent. The weight is 999, one milli-unit short of that bound, so
+/// every relaxation strictly raises the key's distance field. Equal-cost
+/// paths are chosen by the key's tie-break order, so the weight is part
+/// of every route: the golden route hashes pin it. The pruning loss is at
+/// most 0.1% of the bound.
+const ASTAR_H_MILLI: u64 = 999;
+
+/// Upper bound on any step cost in milli-units, asserted by
+/// [`StepCosts::new`]. The costliest step is an overflowed gcell at
+/// `1 + OVERFLOW_PENALTY · penalty` units, and Phase B's last round
+/// escalates the penalty to `3^5`: `(1 + 12 · 243) · 1000 = 2,917,000`.
+const MAX_STEP_MILLI: u64 = 1 << 22;
+
+/// The four maze moves as `(dx, dy, axis)`, axis 0 horizontal and 1
+/// vertical. A predecessor code is a move's index here, shifted left
+/// once, plus the axis the move left from.
+const MOVES: [(i32, i32, usize); 4] = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)];
+
+/// Predecessor code of a state no move has reached (and of the start).
+const NO_PREV: u8 = u8::MAX;
+
+/// Whether a state at distance `d` is dominated by the same gcell's
+/// other-axis state at distance `other` (see [`maze_search`]).
 #[inline]
-const fn pack_entry(d: u64, x: u32, y: u32, axis: u8) -> u128 {
-    ((d as u128) << 33) | ((x as u128) << 17) | ((y as u128) << 1) | axis as u128
+fn dominated(other: u64, d: u64) -> bool {
+    other.saturating_add(TURN_COST_MILLI) <= d
 }
 
-#[inline]
-const fn unpack_entry(e: u128) -> (u64, u32, u32, u8) {
-    (
-        (e >> 33) as u64,
-        ((e >> 17) & 0xFFFF) as u32,
-        ((e >> 1) & 0xFFFF) as u32,
-        (e & 1) as u8,
-    )
+/// One window cell's search state, indexed by arrival axis.
+#[derive(Clone, Copy)]
+struct MazeCell {
+    /// Best distance in milli-units (`u64::MAX` = unreached).
+    dist: [u64; 2],
+    /// Which generation last wrote this record.
+    stamp: u32,
+    /// How the best distance arrived: a [`MOVES`] predecessor code.
+    prev: [u8; 2],
 }
 
-/// The priority queue driving one maze search, abstracted so the
-/// equivalence proptest can run the identical search body with the
-/// reference binary heap swapped in for the radix frontier.
-trait MazeFrontier {
-    fn fclear(&mut self);
-    fn fpush(&mut self, e: u128);
-    fn fpop(&mut self) -> Option<u128>;
-    /// Entries redistributed between buckets (0 for the reference heap).
-    fn scans(&self) -> u64 {
-        0
-    }
-}
-
-/// Bucket frontier over packed entries — a radix heap, the Dial-family
-/// monotone priority queue. Entry `e` lives in bucket
-/// `position of the highest bit where e differs from the last popped
-/// minimum, plus one` (bucket 0 holds entries equal to the minimum), so a
-/// pop either takes bucket 0 directly or drains the lowest non-empty
-/// bucket, whose members provably re-bucket strictly lower once the new
-/// minimum is fixed. Every push costs O(1); each entry is redistributed
-/// at most 128 times over its lifetime (about 1.9 on an AES_1 explore:
-/// 139.7M redistributions over 72.1M pushes; see the `maze.bucket_scans`
-/// histogram), replacing the binary heap's per-op `log n`
-/// compare-and-swap chains.
-///
-/// Monotonicity — no push below the last popped minimum — holds because
-/// every step costs at least one full milli-quantized unit, so relaxed
-/// keys never drop below the popped key (the A* term shrinks by at most
-/// one step's lower bound per move).
-struct RadixFrontier {
-    /// `1 + 128` buckets: equal-to-minimum plus one per possible highest
-    /// differing bit of a `u128` key.
-    buckets: Vec<Vec<u128>>,
-    /// The minimum most recently popped (all live entries are >= it).
-    last: u128,
-    /// Live entry count across all buckets.
-    len: usize,
-    /// Occupancy bitmask, one bit per bucket (bit `b` of word `b / 64`).
-    /// Pops find the lowest non-empty bucket with a trailing-zeros scan
-    /// over three words instead of walking up to 129 `Vec` lengths, and
-    /// clears touch only buckets that actually held entries — both matter
-    /// because a typical rip-up window search pops a dozen entries, so the
-    /// frontier's fixed costs rival its useful work.
-    mask: [u64; 3],
-    /// Entries redistributed since the last `fclear`.
-    scans: u64,
-}
-
-impl RadixFrontier {
-    const BUCKETS: usize = 129;
-
-    const fn new() -> Self {
-        RadixFrontier {
-            buckets: Vec::new(),
-            last: 0,
-            len: 0,
-            mask: [0; 3],
-            scans: 0,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, e: u128) -> usize {
-        // 0 when e == last (xor has 128 leading zeros), else 1 + the
-        // highest differing bit's position.
-        (128 - (e ^ self.last).leading_zeros()) as usize
-    }
-
-    #[inline]
-    fn lowest_occupied(&self) -> usize {
-        for (w, &word) in self.mask.iter().enumerate() {
-            if word != 0 {
-                return w * 64 + word.trailing_zeros() as usize;
-            }
-        }
-        unreachable!("len > 0 implies an occupied bucket");
-    }
-}
-
-impl MazeFrontier for RadixFrontier {
-    fn fclear(&mut self) {
-        if self.buckets.len() < Self::BUCKETS {
-            self.buckets.resize_with(Self::BUCKETS, Vec::new);
-        }
-        for (w, word) in self.mask.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = w * 64 + bits.trailing_zeros() as usize;
-                self.buckets[b].clear();
-                bits &= bits - 1;
-            }
-            *word = 0;
-        }
-        self.last = 0;
-        self.len = 0;
-        self.scans = 0;
-    }
-
-    #[inline]
-    fn fpush(&mut self, e: u128) {
-        debug_assert!(e >= self.last, "radix frontier requires monotone keys");
-        let b = self.bucket_of(e);
-        self.buckets[b].push(e);
-        self.mask[b / 64] |= 1 << (b % 64);
-        self.len += 1;
-    }
-
-    fn fpop(&mut self) -> Option<u128> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        if self.mask[0] & 1 != 0 {
-            let e = self.buckets[0].pop().expect("occupancy bit 0 set");
-            if self.buckets[0].is_empty() {
-                self.mask[0] &= !1;
-            }
-            return Some(e);
-        }
-        let i = self.lowest_occupied();
-        let mut bucket = std::mem::take(&mut self.buckets[i]);
-        self.mask[i / 64] &= !(1 << (i % 64));
-        let min = *bucket.iter().min().expect("bucket is non-empty");
-        self.last = min;
-        self.scans += bucket.len() as u64 - 1;
-        // Members of bucket `i` agree with the old minimum above bit
-        // `i - 1` and all flip bit `i - 1`, so they agree with `min` on
-        // every bit >= i - 1: each re-buckets strictly below `i`, which
-        // is what lets the lowest-non-empty-bucket scan resume from the
-        // bottom and bounds redistribution per entry.
-        let mut min_taken = false;
-        for e in bucket.drain(..) {
-            if !min_taken && e == min {
-                min_taken = true; // returned to the caller, not re-bucketed
-                continue;
-            }
-            let b = self.bucket_of(e);
-            debug_assert!(b < i);
-            self.buckets[b].push(e);
-            self.mask[b / 64] |= 1 << (b % 64);
-        }
-        self.buckets[i] = bucket;
-        Some(min)
-    }
-
-    fn scans(&self) -> u64 {
-        self.scans
-    }
-}
+const _: () = assert!(size_of::<MazeCell>() == 24);
 
 /// Reusable per-thread maze state. Rip-up-and-reroute issues tens of
 /// thousands of maze calls per evaluation; without reuse, the
-/// window-sized arrays and the frontier are reallocated on every one of
-/// them. Entries are validated per call by a generation stamp, so reuse
-/// never changes a search result — a stale cell reads as untouched.
+/// window-sized records and the frontier are reallocated on every one of
+/// them. Records are validated per call by a generation stamp, so reuse
+/// never changes a search result — a stale record reads as untouched.
 struct MazeScratch {
-    /// Per (cell, incoming axis) best distance in milli-units
-    /// (`u64::MAX` = unreached).
-    dist: Vec<[u64; 2]>,
-    /// Per (cell, incoming axis) predecessor `(x, y, axis)`.
-    prev: Vec<[(u32, u32, u8); 2]>,
-    /// Which generation last wrote each cell's `dist`/`prev` entries.
-    stamp: Vec<u32>,
+    /// One record per window cell, row-major.
+    cells: Vec<MazeCell>,
+    /// The frontier: packed keys (see [`maze_search`]), smallest first.
+    heap: BinaryHeap<Reverse<u64>>,
     /// Reconstructed path of the last search, reused across calls so
     /// reconstruction never allocates on the hot path.
     path: Vec<GcellPos>,
     /// Direction-tagged straight runs of `path`, as inclusive index
-    /// ranges (`path[lo..=hi]`); adjacent runs share their corner cell,
-    /// exactly like the materialized run lists they replace.
+    /// ranges (`path[lo..=hi]`); adjacent runs share their corner cell.
     runs: Vec<(LayerDir, u32, u32)>,
     generation: u32,
-    frontier: RadixFrontier,
 }
 
 impl MazeScratch {
     const fn new() -> Self {
         MazeScratch {
-            dist: Vec::new(),
-            prev: Vec::new(),
-            stamp: Vec::new(),
+            cells: Vec::new(),
+            heap: BinaryHeap::new(),
             path: Vec::new(),
             runs: Vec::new(),
             generation: 0,
-            frontier: RadixFrontier::new(),
         }
     }
 
@@ -739,9 +605,10 @@ impl MazeScratch {
     /// small arrays is cheap, and typical rip-up windows all fit here.
     const SHRINK_FLOOR: usize = 1 << 15;
 
-    /// Prepares the scratch for a window of `cells` cells: grows the
-    /// arrays if needed and invalidates every previous entry in O(1) by
-    /// bumping the generation (O(n) only on the rare counter wrap).
+    /// Prepares the scratch for a window of `cells` cells: empties the
+    /// frontier, grows the records if needed and invalidates every
+    /// previous record in O(1) by bumping the generation (O(n) only on
+    /// the rare counter wrap).
     ///
     /// Grow-only reuse would let one full-chip window (100k+ gcells on
     /// the scaled suite) pin window-sized arrays in every router thread
@@ -750,36 +617,40 @@ impl MazeScratch {
     /// state per-thread memory tracks the windows actually in use
     /// rather than the largest window ever seen.
     fn begin(&mut self, cells: usize) {
-        let retained = self.stamp.len();
+        self.heap.clear();
+        let retained = self.cells.len();
         if retained > Self::SHRINK_FLOOR && retained / 4 > cells {
             let keep = cells.max(Self::SHRINK_FLOOR);
-            self.dist.truncate(keep);
-            self.dist.shrink_to_fit();
-            self.prev.truncate(keep);
-            self.prev.shrink_to_fit();
-            self.stamp.truncate(keep);
-            self.stamp.shrink_to_fit();
+            self.cells.truncate(keep);
+            self.cells.shrink_to_fit();
+            self.heap.shrink_to(keep);
         }
-        if self.stamp.len() < cells {
-            self.dist.resize(cells, [u64::MAX; 2]);
-            self.prev.resize(cells, [(u32::MAX, u32::MAX, 0); 2]);
-            self.stamp.resize(cells, u32::MAX);
+        if self.cells.len() < cells {
+            let pristine = MazeCell {
+                dist: [u64::MAX; 2],
+                stamp: u32::MAX,
+                prev: [NO_PREV; 2],
+            };
+            self.cells.resize(cells, pristine);
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == u32::MAX {
-            self.stamp.fill(0);
+            self.cells.iter_mut().for_each(|c| c.stamp = 0);
             self.generation = 1;
         }
     }
 
-    /// Resets cell `i` to pristine state unless this generation already
+    /// Resets record `i` to pristine state unless this generation already
     /// touched it.
     #[inline]
     fn touch(&mut self, i: usize) {
-        if self.stamp[i] != self.generation {
-            self.stamp[i] = self.generation;
-            self.dist[i] = [u64::MAX; 2];
-            self.prev[i] = [(u32::MAX, u32::MAX, 0); 2];
+        let c = &mut self.cells[i];
+        if c.stamp != self.generation {
+            *c = MazeCell {
+                dist: [u64::MAX; 2],
+                stamp: self.generation,
+                prev: [NO_PREV; 2],
+            };
         }
     }
 }
@@ -789,132 +660,146 @@ thread_local! {
         const { std::cell::RefCell::new(MazeScratch::new()) };
 }
 
-impl Default for RadixFrontier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Turn penalty in milli-units (`0.5` in [`run_cost`]'s unit).
-const TURN_COST_MILLI: u64 = 500;
-
-/// Per-gcell A* heuristic weight for [`maze_search`], in milli-units.
-///
-/// Any single step costs at least one full unit (the congestion cost is
-/// `1.0 + <non-negative>` per gcell, i.e. 1000 milli-units), so
-/// Manhattan distance times 1000 would already be admissible and
-/// consistent. The weight is 999 — one milli-unit short of the true
-/// lower bound — so that every relaxation strictly increases the key's
-/// distance field: with an exact 1000 a toward-target step can leave
-/// `g + h` unchanged, and the packed entry's coordinate tiebreak bits
-/// may then move *backwards*, violating the radix frontier's monotone
-/// full-key invariant. The pruning loss is at most 0.1% of the bound.
-const ASTAR_H_MILLI: u64 = 999;
-
 /// Maze (A*) search between two gcells over one round's [`StepCosts`],
-/// with a small turn penalty. The frontier is ordered by `g + h` with
-/// `h = ASTAR_H_MILLI * manhattan(cell, b)`; `h` is consistent (each
-/// move changes it by less than any step's cost), so keys stay strictly
-/// monotone for the radix frontier and the first pop of `b` is optimal,
-/// while searches across quiet regions expand near-linearly along the
-/// corridor instead of flooding the window. The reconstructed path and
-/// its direction-tagged straight runs are left in `s.path`/`s.runs`
-/// (scratch-resident, so the hot path never allocates).
+/// with a small turn penalty; returns its frontier pops. The
+/// reconstructed path and its direction-tagged straight runs are left in
+/// `s.path`/`s.runs` (scratch-resident, so the hot path never allocates).
+///
+/// States are `(gcell, arrival axis)`, ordered by `f = g + h` with
+/// `h = ASTAR_H_MILLI · manhattan(gcell, b)`. `h` is consistent (each
+/// move changes it by less than any step's cost), so the first pop of `b`
+/// is optimal, and searches across quiet regions expand near-linearly
+/// along the corridor instead of flooding the window.
+///
+/// **Keys.** A frontier key is one `u64`, `f | x | y | axis`, with `x`
+/// and `y` local to the search window and each field just wide enough
+/// for the window. Local coordinates are absolute ones minus a constant,
+/// so keys pop in exactly `(f, x, y, axis)` order, the tie-break every
+/// route is pinned to. A pushed distance is a settled shortest distance
+/// plus one move. A shortest path enters each gcell at most once, save
+/// its last gcell, which a change of axis can bring it back to (a loop
+/// costs two or more 1000-milli steps and saves at most one 500-milli
+/// turn). So a pushed `g` is at most `(cells + 1) · (MAX_STEP_MILLI +
+/// TURN_COST_MILLI)`, and `h` adds under `1000 · (width + height)`.
+/// That bound must fit in the bits the coordinates leave, which holds up
+/// to about a 1000 × 1000-gcell window; larger windows fail an assert.
+///
+/// **Axis dominance.** A state `(g, a)` at distance `d` is dominated when
+/// the other-axis state `(g, 1 - a)` already has `dist + TURN_COST_MILLI
+/// <= d`: every move out of `(g, a)` costs at least as much from there,
+/// since at most one turn separates them. The other-axis state has the
+/// strictly smaller key, so it pops and expands first, and every offer
+/// the dominated state could make is no better than one already made.
+/// A dominated state therefore keeps its `dist`/`prev` (so ties and the
+/// reconstruction read the same records) but is never pushed, and a
+/// state dominated by the time it pops is not expanded. Every kept state
+/// sees the same relaxations in the same order, so paths are unchanged;
+/// only pops drop.
 ///
 /// The search always reaches `b`: its window is a connected rectangle
 /// holding both endpoints, and every step cost is finite.
-fn maze_search(
-    s: &mut MazeScratch,
-    fr: &mut impl MazeFrontier,
-    costs: &StepCosts,
-    a: GcellPos,
-    b: GcellPos,
-) {
-    debug_assert!(
-        costs.nx <= 1 << 16 && costs.ny <= 1 << 16,
-        "packed frontier entries carry 16-bit coordinates"
-    );
+fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos) -> u64 {
     // Search window: the edge's bounding box plus the detour margin. Full-
     // grid Dijkstra would dominate rip-up-and-reroute on large designs.
     let wx0 = a.x.min(b.x).saturating_sub(MAZE_MARGIN);
     let wy0 = a.y.min(b.y).saturating_sub(MAZE_MARGIN);
-    let wx1 = (a.x.max(b.x) + MAZE_MARGIN).min(costs.nx - 1);
-    let wy1 = (a.y.max(b.y) + MAZE_MARGIN).min(costs.ny - 1);
-    let wnx = (wx1 - wx0 + 1) as usize;
-    let wny = (wy1 - wy0 + 1) as usize;
-    let idx = |g: GcellPos| (g.y - wy0) as usize * wnx + (g.x - wx0) as usize;
+    let wnx = (a.x.max(b.x) + MAZE_MARGIN).min(costs.nx - 1) - wx0 + 1;
+    let wny = (a.y.max(b.y) + MAZE_MARGIN).min(costs.ny - 1) - wy0 + 1;
+    let ybits = u32::BITS - (wny - 1).leading_zeros();
+    let xshift = 1 + ybits;
+    let fshift = xshift + u32::BITS - (wnx - 1).leading_zeros();
+    let cells = wnx as u64 * wny as u64;
+    let f_bound =
+        (cells + 1) * (MAX_STEP_MILLI + TURN_COST_MILLI) + ASTAR_H_MILLI * (wnx + wny) as u64;
+    assert!(
+        f_bound >> (64 - fshift) == 0,
+        "a {wnx} x {wny}-gcell maze window is too large for 64-bit frontier keys"
+    );
+    let key = |f: u64, x: u32, y: u32, axis: usize| {
+        (f << fshift) | ((x as u64) << xshift) | ((y as u64) << 1) | axis as u64
+    };
+    let (bx, by) = (b.x - wx0, b.y - wy0);
+    let h = |x: u32, y: u32| (x.abs_diff(bx) + y.abs_diff(by)) as u64 * ASTAR_H_MILLI;
     // Window-local search state lives in the per-thread scratch; step
     // costs are read straight from the round's grid-wide planes.
-    s.begin(wnx * wny);
-    fr.fclear();
-    let h = |x: u32, y: u32| (x.abs_diff(b.x) as u64 + y.abs_diff(b.y) as u64) * ASTAR_H_MILLI;
-    s.touch(idx(a));
-    s.dist[idx(a)] = [0, 0];
-    fr.fpush(pack_entry(h(a.x, a.y), a.x, a.y, 0));
-    fr.fpush(pack_entry(h(a.x, a.y), a.x, a.y, 1));
+    let w = wnx as usize;
+    let gw = costs.nx as usize;
+    let (ax, ay) = (a.x - wx0, a.y - wy0);
+    let (ai, bi) = (ay as usize * w + ax as usize, by as usize * w + bx as usize);
+    s.begin(w * wny as usize);
+    s.touch(ai);
+    s.cells[ai].dist = [0, 0];
+    s.heap.push(Reverse(key(h(ax, ay), ax, ay, 0)));
+    s.heap.push(Reverse(key(h(ax, ay), ax, ay, 1)));
     let mut pops: u64 = 0;
-    while let Some(e) = fr.fpop() {
-        let (f, x, y, axis) = unpack_entry(e);
-        let d = f - h(x, y);
+    while let Some(Reverse(k)) = s.heap.pop() {
         pops += 1;
         if pops & 0x3FF == 0 {
             ROUTE_OVERFLOW.check();
         }
-        let g = GcellPos::new(x, y);
+        let axis = (k & 1) as usize;
+        let y = (k >> 1) as u32 & ((1 << ybits) - 1);
+        let x = (k >> xshift) as u32 & ((1 << (fshift - xshift)) - 1);
+        let d = (k >> fshift) - h(x, y);
+        let i = y as usize * w + x as usize;
+        let here = s.cells[i];
         // Integer distances are exact, so any entry above the recorded
         // best is stale (superseded by a later relaxation).
-        if d > s.dist[idx(g)][axis as usize] {
+        if d > here.dist[axis] {
             continue;
         }
-        if g == b {
+        if i == bi {
             break;
         }
-        let moves: [(i64, i64, u8); 4] = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)];
-        for (mx, my, maxis) in moves {
-            let (tx, ty) = (x as i64 + mx, y as i64 + my);
-            if tx < wx0 as i64 || ty < wy0 as i64 || tx > wx1 as i64 || ty > wy1 as i64 {
+        if dominated(here.dist[1 - axis], d) {
+            continue; // dominated since its push: expanding it is a no-op
+        }
+        let gi = (y + wy0) as usize * gw + (x + wx0) as usize;
+        for (m, &(dx, dy, maxis)) in MOVES.iter().enumerate() {
+            let (tx, ty) = (x.wrapping_add_signed(dx), y.wrapping_add_signed(dy));
+            if tx >= wnx || ty >= wny {
                 continue;
             }
-            let t = GcellPos::new(tx as u32, ty as u32);
-            let ti = idx(t);
-            s.touch(ti);
-            let ma = maxis as usize;
-            let gi = (t.y * costs.nx + t.x) as usize;
-            let step = if maxis == 0 { costs.h[gi] } else { costs.v[gi] } as u64;
-            let mut nd = d + step;
+            let ti = i.wrapping_add_signed((dx + dy * wnx as i32) as isize);
+            let tgi = gi.wrapping_add_signed((dx + dy * costs.nx as i32) as isize);
+            let plane = if maxis == 0 { &costs.h } else { &costs.v };
+            let mut nd = d + plane[tgi] as u64;
             if maxis != axis {
                 nd += TURN_COST_MILLI;
             }
-            if nd < s.dist[ti][ma] {
-                s.dist[ti][ma] = nd;
-                s.prev[ti][ma] = (x, y, axis);
-                fr.fpush(pack_entry(nd + h(t.x, t.y), t.x, t.y, maxis));
+            s.touch(ti);
+            let t = &mut s.cells[ti];
+            if nd < t.dist[maxis] {
+                t.dist[maxis] = nd;
+                t.prev[maxis] = ((m as u8) << 1) | axis as u8;
+                if !dominated(t.dist[1 - maxis], nd) {
+                    s.heap.push(Reverse(key(nd + h(tx, ty), tx, ty, maxis)));
+                }
             }
         }
     }
-    metrics().maze_pops.record(pops);
-    metrics().maze_bucket_scans.record(fr.scans());
     // Reconstruct from the cheaper arrival state at b.
-    s.touch(idx(b));
-    let mut axis = if s.dist[idx(b)][0] <= s.dist[idx(b)][1] {
-        0u8
-    } else {
-        1u8
-    };
+    s.touch(bi);
+    let mut axis = usize::from(s.cells[bi].dist[0] > s.cells[bi].dist[1]);
     assert!(
-        s.dist[idx(b)][axis as usize] != u64::MAX,
+        s.cells[bi].dist[axis] != u64::MAX,
         "the maze window connects both endpoints"
     );
     s.path.clear();
     s.path.push(b);
-    let mut cur = b;
-    while cur != a {
-        let (px, py, paxis) = s.prev[idx(cur)][axis as usize];
-        if px == u32::MAX {
+    let (mut i, mut cur) = (bi, b);
+    while i != ai {
+        let code = s.cells[i].prev[axis];
+        if code == NO_PREV {
             break;
         }
-        cur = GcellPos::new(px, py);
-        axis = paxis;
+        let (dx, dy, _) = MOVES[(code >> 1) as usize];
+        i = i.wrapping_add_signed(-(dx + dy * wnx as i32) as isize);
+        cur = GcellPos::new(
+            cur.x.wrapping_add_signed(-dx),
+            cur.y.wrapping_add_signed(-dy),
+        );
+        axis = (code & 1) as usize;
         s.path.push(cur);
     }
     s.path.reverse();
@@ -931,6 +816,7 @@ fn maze_search(
             _ => s.runs.push((dir, i as u32 - 1, i as u32)),
         }
     }
+    pops
 }
 
 /// Routes one MST edge through the maze router over `costs` and commits
@@ -947,11 +833,7 @@ fn route_edge_maze(
     }
     MAZE_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        // The frontier steps out of the scratch for the duration of the
-        // search so the search body can borrow both mutably.
-        let mut fr = std::mem::take(&mut s.frontier);
-        maze_search(s, &mut fr, costs, a, b);
-        s.frontier = fr;
+        metrics().maze_pops.record(maze_search(s, costs, a, b));
         for &(dir, lo, hi) in &s.runs {
             let cells = &s.path[lo as usize..=hi as usize];
             let len = cells.len() as u32 - 1;
@@ -1075,8 +957,8 @@ fn plan_net(plan: &mut RoutePlan, layout: &Layout, tech: &Technology, nid: NetId
     for &(a, b) in &net_edges {
         pattern_route_edge(&mut plan.grid, a, b, &mut net_segs);
     }
-    plan.segs[nid.0 as usize] = Arc::new(net_segs);
-    plan.edges[nid.0 as usize] = Arc::new(net_edges);
+    plan.segs[nid.0 as usize] = Arc::from(net_segs);
+    plan.edges[nid.0 as usize] = Arc::from(net_edges);
 }
 
 /// Phase A: builds the pattern-route plan of the whole layout. The clock
@@ -1092,8 +974,8 @@ pub fn plan_route(layout: &Layout, tech: &Technology) -> RoutePlan {
         #[allow(clippy::rc_clone_in_vec_init)]
         let mut plan = RoutePlan {
             grid: RouteGrid::new(layout.floorplan(), tech, layout.route_rule()),
-            segs: vec![Arc::new(Vec::new()); n_nets],
-            edges: vec![Arc::new(Vec::new()); n_nets],
+            segs: vec![Arc::from([]); n_nets],
+            edges: vec![Arc::from([]); n_nets],
         };
         for (nid, _net) in design.nets_iter() {
             if Some(nid) == design.clock {
@@ -1210,7 +1092,7 @@ fn seg_crosses_overflow(oset: &OverflowSet, grid: &RouteGrid, s: &RouteSeg) -> b
 
 /// Ids of the nets with a segment crossing an overflowed `(layer, gcell)`
 /// pair of the round's census, in ascending order.
-fn overflow_victims(oset: &OverflowSet, grid: &RouteGrid, segs: &[Arc<Vec<RouteSeg>>]) -> Vec<u32> {
+fn overflow_victims(oset: &OverflowSet, grid: &RouteGrid, segs: &[Arc<[RouteSeg]>]) -> Vec<u32> {
     (0..segs.len() as u32)
         .filter(|&i| {
             segs[i as usize]
@@ -1226,7 +1108,7 @@ fn overflow_victims(oset: &OverflowSet, grid: &RouteGrid, segs: &[Arc<Vec<RouteS
 fn reroute_victim(
     grid: &mut RouteGrid,
     costs: &mut StepCosts,
-    segs: &mut [Arc<Vec<RouteSeg>>],
+    segs: &mut [Arc<[RouteSeg]>],
     edges: &[(GcellPos, GcellPos)],
     i: usize,
 ) {
@@ -1237,7 +1119,7 @@ fn reroute_victim(
     for &(a, b) in edges {
         route_edge_maze(grid, costs, a, b, &mut net_segs);
     }
-    segs[i] = Arc::new(net_segs);
+    segs[i] = Arc::from(net_segs);
 }
 
 /// Phase B plus extraction: refines a pattern plan with deterministic
@@ -1266,7 +1148,7 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
     // per plane and per net, never a deep copy. The rounds loop (not the
     // extraction below) is Phase B proper, hence the span boundary.
     let (grid, segs, ripped) = obs::span("route.phase_b", move |_| {
-        type BestState = (f64, RouteGrid, Vec<Arc<Vec<RouteSeg>>>);
+        type BestState = (f64, RouteGrid, Vec<Arc<[RouteSeg]>>);
         let mut best: Option<BestState> = None;
         // Union of all rounds' victims. Restoring the best state only
         // discards reroutes, so any net whose final segments differ from
@@ -1322,7 +1204,7 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
         }
         (grid, segs, ripped)
     });
-    let touched: Vec<NetId> = ripped
+    let touched: Arc<[NetId]> = ripped
         .iter()
         .enumerate()
         .filter_map(|(i, &r)| r.then_some(NetId(i as u32)))
@@ -1364,15 +1246,12 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
         segs,
         rc,
         wirelength_um: wl_um,
-        touched: Arc::new(touched),
+        touched,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     use super::*;
     use layout::{Floorplan, Layout};
     use netlist::bench;
@@ -1396,53 +1275,146 @@ mod tests {
         (tech, layout, routing)
     }
 
-    /// The reference frontier the radix frontier replaced: `Reverse<u128>`
-    /// pops in ascending packed order, which is the tuple order the heap
-    /// popped in before entries were packed.
-    impl MazeFrontier for BinaryHeap<Reverse<u128>> {
-        fn fclear(&mut self) {
-            self.clear();
-        }
+    /// What [`reference_search`] found and how hard it worked.
+    struct Reference {
+        path: Vec<GcellPos>,
+        runs: Vec<(LayerDir, u32, u32)>,
+        pops: u64,
+        /// Pops of entries the axis-dominance rule never pushes.
+        unpushed_pops: u64,
+    }
 
-        fn fpush(&mut self, e: u128) {
-            self.push(Reverse(e));
+    /// The maze search before axis-dominance pruning, kept as the pruned
+    /// kernel's oracle: absolute coordinates packed into `u128` keys
+    /// (`distance | x | y | axis`) on a binary heap, separate `dist` and
+    /// `prev` arrays, and every improved state pushed and expanded. It
+    /// also counts the pops of entries that [`maze_search`]'s dominance
+    /// rule keeps off the frontier: the pops an exact prune saves.
+    fn reference_search(costs: &StepCosts, a: GcellPos, b: GcellPos) -> Reference {
+        let pack = |d: u64, x: u32, y: u32, axis: u8| {
+            ((d as u128) << 33) | ((x as u128) << 17) | ((y as u128) << 1) | axis as u128
+        };
+        let wx0 = a.x.min(b.x).saturating_sub(MAZE_MARGIN);
+        let wy0 = a.y.min(b.y).saturating_sub(MAZE_MARGIN);
+        let wx1 = (a.x.max(b.x) + MAZE_MARGIN).min(costs.nx - 1);
+        let wy1 = (a.y.max(b.y) + MAZE_MARGIN).min(costs.ny - 1);
+        let wnx = (wx1 - wx0 + 1) as usize;
+        let idx = |g: GcellPos| (g.y - wy0) as usize * wnx + (g.x - wx0) as usize;
+        let cells = wnx * (wy1 - wy0 + 1) as usize;
+        let mut dist = vec![[u64::MAX; 2]; cells];
+        let mut prev = vec![[(u32::MAX, u32::MAX, 0u8); 2]; cells];
+        let mut heap = BinaryHeap::new();
+        let mut unpushed = std::collections::HashSet::new();
+        let h = |x: u32, y: u32| (x.abs_diff(b.x) as u64 + y.abs_diff(b.y) as u64) * ASTAR_H_MILLI;
+        dist[idx(a)] = [0, 0];
+        heap.push(Reverse(pack(h(a.x, a.y), a.x, a.y, 0)));
+        heap.push(Reverse(pack(h(a.x, a.y), a.x, a.y, 1)));
+        let (mut pops, mut unpushed_pops) = (0, 0);
+        while let Some(Reverse(e)) = heap.pop() {
+            pops += 1;
+            unpushed_pops += u64::from(unpushed.contains(&e));
+            let (f, x, y) = (
+                (e >> 33) as u64,
+                (e >> 17) as u32 & 0xFFFF,
+                (e >> 1) as u32 & 0xFFFF,
+            );
+            let axis = (e & 1) as u8;
+            let d = f - h(x, y);
+            let g = GcellPos::new(x, y);
+            if d > dist[idx(g)][axis as usize] {
+                continue;
+            }
+            if g == b {
+                break;
+            }
+            for (mx, my, maxis) in [(1i64, 0i64, 0u8), (-1, 0, 0), (0, 1, 1), (0, -1, 1)] {
+                let (tx, ty) = (x as i64 + mx, y as i64 + my);
+                if tx < wx0 as i64 || ty < wy0 as i64 || tx > wx1 as i64 || ty > wy1 as i64 {
+                    continue;
+                }
+                let t = GcellPos::new(tx as u32, ty as u32);
+                let (ti, ma) = (idx(t), maxis as usize);
+                let gi = (t.y * costs.nx + t.x) as usize;
+                let step = if maxis == 0 { costs.h[gi] } else { costs.v[gi] } as u64;
+                let nd = d + step + if maxis != axis { TURN_COST_MILLI } else { 0 };
+                if nd < dist[ti][ma] {
+                    dist[ti][ma] = nd;
+                    prev[ti][ma] = (x, y, axis);
+                    let e = pack(nd + h(t.x, t.y), t.x, t.y, maxis);
+                    if dist[ti][1 - ma].saturating_add(TURN_COST_MILLI) <= nd {
+                        unpushed.insert(e);
+                    }
+                    heap.push(Reverse(e));
+                }
+            }
         }
-
-        fn fpop(&mut self) -> Option<u128> {
-            self.pop().map(|r| r.0)
+        let mut axis = if dist[idx(b)][0] <= dist[idx(b)][1] {
+            0
+        } else {
+            1
+        };
+        let mut path = vec![b];
+        let mut cur = b;
+        while cur != a {
+            let (px, py, paxis) = prev[idx(cur)][axis];
+            if px == u32::MAX {
+                break;
+            }
+            cur = GcellPos::new(px, py);
+            axis = paxis as usize;
+            path.push(cur);
+        }
+        path.reverse();
+        let mut runs: Vec<(LayerDir, u32, u32)> = Vec::new();
+        for i in 1..path.len() {
+            let dir = if path[i - 1].y == path[i].y {
+                LayerDir::Horizontal
+            } else {
+                LayerDir::Vertical
+            };
+            match runs.last_mut() {
+                Some((d, _, hi)) if *d == dir => *hi = i as u32,
+                _ => runs.push((dir, i as u32 - 1, i as u32)),
+            }
+        }
+        Reference {
+            path,
+            runs,
+            pops,
+            unpushed_pops,
         }
     }
 
-    /// One maze search on a fresh scratch: its path and its runs.
-    #[allow(clippy::type_complexity)] // (path, direction-tagged runs)
-    fn search(
-        fr: &mut impl MazeFrontier,
-        costs: &StepCosts,
-        a: GcellPos,
-        b: GcellPos,
-    ) -> (Vec<GcellPos>, Vec<(LayerDir, u32, u32)>) {
+    /// Searches `a -> b` and then `b -> a` on one scratch (so a stale
+    /// record would show) and checks each against [`reference_search`]:
+    /// the identical path and runs, and exactly the reference's pops
+    /// minus those the dominance rule saves (so never more).
+    fn check_against_reference(costs: &StepCosts, a: GcellPos, b: GcellPos) {
         let mut s = MazeScratch::new();
-        maze_search(&mut s, fr, costs, a, b);
-        (s.path, s.runs)
+        for (from, to) in [(a, b), (b, a)] {
+            let pops = maze_search(&mut s, costs, from, to);
+            let r = reference_search(costs, from, to);
+            assert_eq!(s.path, r.path, "{from:?} -> {to:?}");
+            assert_eq!(s.runs, r.runs, "{from:?} -> {to:?}");
+            assert_eq!(pops, r.pops - r.unpushed_pops, "reference pops {}", r.pops);
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Pins the radix frontier to the reference binary heap: on random
-        /// grids, congestion blobs, windows and penalty escalations, both
-        /// drive the shared search body to the identical path. The packed
-        /// entry order is the heap's tie-break order, so any divergence
-        /// is a frontier bug, not a tie.
+        /// Pins the pruned kernel to the unpruned reference on random
+        /// grids, congestion blobs, endpoints, both rules and every
+        /// penalty rip-up-and-reroute escalates through.
         #[test]
-        fn bucket_frontier_matches_binary_heap(
+        fn pruned_search_matches_the_unpruned_reference(
             dims in (2u32..40, 2u32..24),
             blobs in proptest::collection::vec(
                 (any::<u32>(), any::<u32>(), 2usize..=10, 1i64..4000),
                 0..40,
             ),
             ends in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-            round in 0i32..5,
+            round in 0i32..RRR_ROUNDS as i32,
             wide in any::<bool>(),
         ) {
             let tech = Technology::nangate45_like();
@@ -1460,9 +1432,34 @@ mod tests {
             let b = GcellPos::new(ends.2 % grid.nx(), ends.3 % grid.ny());
             // The penalty schedule rip-up-and-reroute actually escalates with.
             let costs = StepCosts::new(&grid, 3.0f64.powi(round + 1));
-            let dial = search(&mut RadixFrontier::new(), &costs, a, b);
-            let heap = search(&mut BinaryHeap::new(), &costs, a, b);
-            prop_assert_eq!(dial, heap, "{:?} -> {:?} round {}", a, b, round);
+            check_against_reference(&costs, a, b);
+        }
+
+        /// The same on hand-made planes whose step costs are multiples of
+        /// the turn cost, so equal keys and dominance at exact equality
+        /// (`dist + TURN_COST_MILLI == d`) are common; congestion-derived
+        /// costs rarely tie.
+        #[test]
+        fn pruned_search_matches_the_reference_on_tied_costs(
+            dims in (2u32..30, 2u32..20),
+            // Step picks for both planes of the largest grid drawn.
+            picks in proptest::collection::vec(0usize..4, 1200..1201),
+            ends in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        ) {
+            let (nx, ny) = dims;
+            let n = (nx * ny) as usize;
+            let step = |&k: &usize| [1000, 1500, 2000, 3000][k];
+            let costs = StepCosts {
+                nx,
+                ny,
+                penalty_mult: 1.0,
+                consts: [LayerConsts::default(); tech::NUM_METAL_LAYERS],
+                h: picks[..n].iter().map(step).collect(),
+                v: picks[600..600 + n].iter().map(step).collect(),
+            };
+            let a = GcellPos::new(ends.0 % nx, ends.1 % ny);
+            let b = GcellPos::new(ends.2 % nx, ends.3 % ny);
+            check_against_reference(&costs, a, b);
         }
     }
 
