@@ -372,31 +372,25 @@ fn tiny_gates(tech: &Technology) {
         .threads(4)
         .build();
     const REPS: usize = 3;
-    // The telemetry overhead is the median, over pairs of explores with
-    // telemetry off and on, of the on/off wall ratio. One explore takes
-    // ~8 ms, and single runs on a shared 2-vCPU host swing by ±20 %,
-    // four times the budget, so only many paired runs resolve it. The
-    // timed explores are serial (worker threads on two vCPUs add most of
-    // the swing) and share one baseline; each pair flips the order of
-    // the one before, so warm-up and drift fall on both sides. Pairs run
-    // until each side has explored for `SIDE_SECS`.
-    const SIDE_SECS: f64 = 0.4;
+    // The telemetry overhead is the median, over pairs of runs with
+    // telemetry off and on, of the on/off wall ratio. A run is a fresh
+    // baseline plus the 4-thread explore, 4-10 ms, and single runs on a
+    // shared 2-vCPU host swing by ±20 %, four times the budget, so only
+    // many paired runs resolve it. Each pair flips the order of the one
+    // before, so warm-up and drift fall on both sides. Pairs run until
+    // each side has run for `SIDE_SECS`.
+    const SIDE_SECS: f64 = 1.0;
     const MIN_PAIRS: usize = 15;
 
     let run = || {
         let base = implement_baseline_unchecked(&spec, tech);
         explore(&base, tech, &params)
     };
-    let base = implement_baseline_unchecked(&spec, tech);
-    let serial = Nsga2Params {
-        threads: 1,
-        ..params
-    };
     let timed = |enabled: bool| {
         gdsii_guard::obs::reset();
         gdsii_guard::obs::set_enabled(enabled);
         let t0 = Instant::now();
-        std::hint::black_box(explore(&base, tech, &serial));
+        std::hint::black_box(run());
         let wall = t0.elapsed().as_secs_f64();
         gdsii_guard::obs::set_enabled(false);
         wall
@@ -437,13 +431,17 @@ fn tiny_gates(tech: &Technology) {
         assert_eq!(a.metrics, b.metrics, "metrics diverged on {:?}", a.genome);
     }
 
-    let delta = ratios[ratios.len() / 2] - 1.0;
+    let quartile = |q: usize| ratios[ratios.len() * q / 4] - 1.0;
+    let delta = quartile(2);
     println!(
-        "smoke: {} evaluations; {} interleaved serial explore pairs, {side_off:.3}s \
-         disabled vs {side_on:.3}s enabled ({:+.2} % telemetry overhead, median pair)",
+        "smoke: {} evaluations; {} interleaved run pairs, {side_off:.3}s disabled vs \
+         {side_on:.3}s enabled ({:+.2} % telemetry overhead, median pair; quartiles \
+         {:+.1} / {:+.1} %)",
         off.points.len(),
         ratios.len(),
         delta * 100.0,
+        quartile(1) * 100.0,
+        quartile(3) * 100.0,
     );
     assert!(
         delta < 0.05,
@@ -490,6 +488,7 @@ fn tiny_gates(tech: &Technology) {
     // disk, and demand the exact trajectory of the uninterrupted run.
     let dir = std::env::temp_dir().join(format!("gg-bench-smoke-{}", std::process::id()));
     let ckpt = dir.join("checkpoint.ggjson");
+    let base = implement_baseline_unchecked(&spec, tech);
     let explore_opts = |resume: bool| ExploreOptions {
         checkpoint: Some(ckpt.clone()),
         resume,
@@ -510,7 +509,7 @@ fn tiny_gates(tech: &Technology) {
     // Journal overhead drill: the same explore through an in-process job
     // server with the durable WAL on; the cumulative append wall
     // (`journal.write_secs`) must stay under 2 % of the explore wall.
-    // Best of REPS like the telemetry gate.
+    // Best of REPS.
     let mut best_frac = f64::INFINITY;
     let mut best_line = String::new();
     for rep in 0..REPS {

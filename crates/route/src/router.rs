@@ -543,6 +543,18 @@ const ASTAR_H_MILLI: u64 = 999;
 /// escalates the penalty to `3^5`: `(1 + 12 · 243) · 1000 = 2,917,000`.
 const MAX_STEP_MILLI: u64 = 1 << 22;
 
+/// Largest maze window side in gcells: a frontier key gives each
+/// window-local coordinate 10 bits (see [`maze_search`]).
+const MAX_WINDOW_SIDE: u32 = 1 << 10;
+
+// The largest `f` a frontier key can carry (see [`maze_search`]) fits in
+// the 43 bits above the coordinates and the axis: ~4.4e12 < 2^43.
+const _: () = {
+    let side = MAX_WINDOW_SIDE as u64;
+    let f_bound = (side * side + 1) * (MAX_STEP_MILLI + TURN_COST_MILLI) + ASTAR_H_MILLI * 2 * side;
+    assert!(f_bound < 1 << 43);
+};
+
 /// The four maze moves as `(dx, dy, axis)`, axis 0 horizontal and 1
 /// vertical. A predecessor code is a move's index here, shifted left
 /// once, plus the axis the move left from.
@@ -661,9 +673,10 @@ thread_local! {
 }
 
 /// Maze (A*) search between two gcells over one round's [`StepCosts`],
-/// with a small turn penalty; returns its frontier pops. The
-/// reconstructed path and its direction-tagged straight runs are left in
-/// `s.path`/`s.runs` (scratch-resident, so the hot path never allocates).
+/// with a small turn penalty; returns its frontier pops and how many of
+/// them it expanded. The reconstructed path and its direction-tagged
+/// straight runs are left in `s.path`/`s.runs` (scratch-resident, so the
+/// hot path never allocates).
 ///
 /// States are `(gcell, arrival axis)`, ordered by `f = g + h` with
 /// `h = ASTAR_H_MILLI · manhattan(gcell, b)`. `h` is consistent (each
@@ -671,18 +684,18 @@ thread_local! {
 /// is optimal, and searches across quiet regions expand near-linearly
 /// along the corridor instead of flooding the window.
 ///
-/// **Keys.** A frontier key is one `u64`, `f | x | y | axis`, with `x`
-/// and `y` local to the search window and each field just wide enough
-/// for the window. Local coordinates are absolute ones minus a constant,
-/// so keys pop in exactly `(f, x, y, axis)` order, the tie-break every
-/// route is pinned to. A pushed distance is a settled shortest distance
-/// plus one move. A shortest path enters each gcell at most once, save
-/// its last gcell, which a change of axis can bring it back to (a loop
-/// costs two or more 1000-milli steps and saves at most one 500-milli
-/// turn). So a pushed `g` is at most `(cells + 1) · (MAX_STEP_MILLI +
-/// TURN_COST_MILLI)`, and `h` adds under `1000 · (width + height)`.
-/// That bound must fit in the bits the coordinates leave, which holds up
-/// to about a 1000 × 1000-gcell window; larger windows fail an assert.
+/// **Keys.** A frontier key is one `u64`, `f << 21 | x << 11 | y << 1 |
+/// axis`, with `x` and `y` local to the search window. Local coordinates
+/// are absolute ones minus a constant, so keys pop in exactly `(f, x, y,
+/// axis)` order, the tie-break every route is pinned to. A pushed
+/// distance is a settled shortest distance plus one move. A shortest
+/// path enters each gcell at most once, save its last gcell, which a
+/// change of axis can bring it back to (a loop costs two or more
+/// 1000-milli steps and saves at most one 500-milli turn). So a pushed
+/// `g` is at most `(cells + 1) · (MAX_STEP_MILLI + TURN_COST_MILLI)`, and
+/// `h` adds under `1000 · (width + height)`; a const assert checks that
+/// this fits `f`'s 43 bits for a [`MAX_WINDOW_SIDE`]-square window.
+/// Larger windows fail an assert.
 ///
 /// **Axis dominance.** A state `(g, a)` at distance `d` is dominated when
 /// the other-axis state `(g, 1 - a)` already has `dist + TURN_COST_MILLI
@@ -698,25 +711,19 @@ thread_local! {
 ///
 /// The search always reaches `b`: its window is a connected rectangle
 /// holding both endpoints, and every step cost is finite.
-fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos) -> u64 {
+fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos) -> (u64, u64) {
     // Search window: the edge's bounding box plus the detour margin. Full-
     // grid Dijkstra would dominate rip-up-and-reroute on large designs.
     let wx0 = a.x.min(b.x).saturating_sub(MAZE_MARGIN);
     let wy0 = a.y.min(b.y).saturating_sub(MAZE_MARGIN);
     let wnx = (a.x.max(b.x) + MAZE_MARGIN).min(costs.nx - 1) - wx0 + 1;
     let wny = (a.y.max(b.y) + MAZE_MARGIN).min(costs.ny - 1) - wy0 + 1;
-    let ybits = u32::BITS - (wny - 1).leading_zeros();
-    let xshift = 1 + ybits;
-    let fshift = xshift + u32::BITS - (wnx - 1).leading_zeros();
-    let cells = wnx as u64 * wny as u64;
-    let f_bound =
-        (cells + 1) * (MAX_STEP_MILLI + TURN_COST_MILLI) + ASTAR_H_MILLI * (wnx + wny) as u64;
     assert!(
-        f_bound >> (64 - fshift) == 0,
+        wnx <= MAX_WINDOW_SIDE && wny <= MAX_WINDOW_SIDE,
         "a {wnx} x {wny}-gcell maze window is too large for 64-bit frontier keys"
     );
     let key = |f: u64, x: u32, y: u32, axis: usize| {
-        (f << fshift) | ((x as u64) << xshift) | ((y as u64) << 1) | axis as u64
+        (f << 21) | ((x as u64) << 11) | ((y as u64) << 1) | axis as u64
     };
     let (bx, by) = (b.x - wx0, b.y - wy0);
     let h = |x: u32, y: u32| (x.abs_diff(bx) + y.abs_diff(by)) as u64 * ASTAR_H_MILLI;
@@ -731,16 +738,16 @@ fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos)
     s.cells[ai].dist = [0, 0];
     s.heap.push(Reverse(key(h(ax, ay), ax, ay, 0)));
     s.heap.push(Reverse(key(h(ax, ay), ax, ay, 1)));
-    let mut pops: u64 = 0;
+    let (mut pops, mut expanded) = (0u64, 0u64);
     while let Some(Reverse(k)) = s.heap.pop() {
         pops += 1;
         if pops & 0x3FF == 0 {
             ROUTE_OVERFLOW.check();
         }
         let axis = (k & 1) as usize;
-        let y = (k >> 1) as u32 & ((1 << ybits) - 1);
-        let x = (k >> xshift) as u32 & ((1 << (fshift - xshift)) - 1);
-        let d = (k >> fshift) - h(x, y);
+        let y = (k >> 1) as u32 & (MAX_WINDOW_SIDE - 1);
+        let x = (k >> 11) as u32 & (MAX_WINDOW_SIDE - 1);
+        let d = (k >> 21) - h(x, y);
         let i = y as usize * w + x as usize;
         let here = s.cells[i];
         // Integer distances are exact, so any entry above the recorded
@@ -754,6 +761,7 @@ fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos)
         if dominated(here.dist[1 - axis], d) {
             continue; // dominated since its push: expanding it is a no-op
         }
+        expanded += 1;
         let gi = (y + wy0) as usize * gw + (x + wx0) as usize;
         for (m, &(dx, dy, maxis)) in MOVES.iter().enumerate() {
             let (tx, ty) = (x.wrapping_add_signed(dx), y.wrapping_add_signed(dy));
@@ -816,7 +824,7 @@ fn maze_search(s: &mut MazeScratch, costs: &StepCosts, a: GcellPos, b: GcellPos)
             _ => s.runs.push((dir, i as u32 - 1, i as u32)),
         }
     }
-    pops
+    (pops, expanded)
 }
 
 /// Routes one MST edge through the maze router over `costs` and commits
@@ -833,7 +841,8 @@ fn route_edge_maze(
     }
     MAZE_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        metrics().maze_pops.record(maze_search(s, costs, a, b));
+        let (pops, _) = maze_search(s, costs, a, b);
+        metrics().maze_pops.record(pops);
         for &(dir, lo, hi) in &s.runs {
             let cells = &s.path[lo as usize..=hi as usize];
             let len = cells.len() as u32 - 1;
@@ -1282,6 +1291,9 @@ mod tests {
         pops: u64,
         /// Pops of entries the axis-dominance rule never pushes.
         unpushed_pops: u64,
+        expanded: u64,
+        /// Expansions of entries dominated by the time they pop.
+        dominated_expanded: u64,
     }
 
     /// The maze search before axis-dominance pruning, kept as the pruned
@@ -1289,7 +1301,9 @@ mod tests {
     /// (`distance | x | y | axis`) on a binary heap, separate `dist` and
     /// `prev` arrays, and every improved state pushed and expanded. It
     /// also counts the pops of entries that [`maze_search`]'s dominance
-    /// rule keeps off the frontier: the pops an exact prune saves.
+    /// rule keeps off the frontier and the expansions of entries that are
+    /// dominated when they pop: the pops and expansions an exact prune
+    /// saves.
     fn reference_search(costs: &StepCosts, a: GcellPos, b: GcellPos) -> Reference {
         let pack = |d: u64, x: u32, y: u32, axis: u8| {
             ((d as u128) << 33) | ((x as u128) << 17) | ((y as u128) << 1) | axis as u128
@@ -1309,7 +1323,7 @@ mod tests {
         dist[idx(a)] = [0, 0];
         heap.push(Reverse(pack(h(a.x, a.y), a.x, a.y, 0)));
         heap.push(Reverse(pack(h(a.x, a.y), a.x, a.y, 1)));
-        let (mut pops, mut unpushed_pops) = (0, 0);
+        let (mut pops, mut unpushed_pops, mut expanded, mut dominated_expanded) = (0, 0, 0, 0);
         while let Some(Reverse(e)) = heap.pop() {
             pops += 1;
             unpushed_pops += u64::from(unpushed.contains(&e));
@@ -1327,6 +1341,9 @@ mod tests {
             if g == b {
                 break;
             }
+            expanded += 1;
+            dominated_expanded +=
+                u64::from(dist[idx(g)][1 - axis as usize].saturating_add(TURN_COST_MILLI) <= d);
             for (mx, my, maxis) in [(1i64, 0i64, 0u8), (-1, 0, 0), (0, 1, 1), (0, -1, 1)] {
                 let (tx, ty) = (x as i64 + mx, y as i64 + my);
                 if tx < wx0 as i64 || ty < wy0 as i64 || tx > wx1 as i64 || ty > wy1 as i64 {
@@ -1382,21 +1399,29 @@ mod tests {
             runs,
             pops,
             unpushed_pops,
+            expanded,
+            dominated_expanded,
         }
     }
 
     /// Searches `a -> b` and then `b -> a` on one scratch (so a stale
     /// record would show) and checks each against [`reference_search`]:
-    /// the identical path and runs, and exactly the reference's pops
-    /// minus those the dominance rule saves (so never more).
+    /// the identical path and runs, and exactly the reference's pops and
+    /// expansions minus those the dominance rule saves (so never more).
     fn check_against_reference(costs: &StepCosts, a: GcellPos, b: GcellPos) {
         let mut s = MazeScratch::new();
         for (from, to) in [(a, b), (b, a)] {
-            let pops = maze_search(&mut s, costs, from, to);
+            let (pops, expanded) = maze_search(&mut s, costs, from, to);
             let r = reference_search(costs, from, to);
             assert_eq!(s.path, r.path, "{from:?} -> {to:?}");
             assert_eq!(s.runs, r.runs, "{from:?} -> {to:?}");
             assert_eq!(pops, r.pops - r.unpushed_pops, "reference pops {}", r.pops);
+            assert_eq!(
+                expanded,
+                r.expanded - r.dominated_expanded,
+                "reference expansions {}",
+                r.expanded
+            );
         }
     }
 
