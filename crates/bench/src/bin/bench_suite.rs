@@ -483,25 +483,30 @@ fn tiny_gates(tech: &Technology) {
         "eco.phase2 wall {eco_phase2_secs:.4}s exceeds the {ECO_PHASE2_BUDGET_SECS}s smoke budget"
     );
 
-    // Kill/resume drill: halt right after generation 1's checkpoint lands
-    // (the state a SIGKILL between generations leaves behind), resume from
+    // Kill/resume drill: save the run after generation 1 and drop it (the
+    // state a SIGKILL between generations leaves behind), resume from
     // disk, and demand the exact trajectory of the uninterrupted run.
     let dir = std::env::temp_dir().join(format!("gg-bench-smoke-{}", std::process::id()));
     let ckpt = dir.join("checkpoint.ggjson");
     let base = implement_baseline_unchecked(&spec, tech);
-    let explore_opts = |resume: bool| ExploreOptions {
-        checkpoint: Some(ckpt.clone()),
-        resume,
-        halt_after: (!resume).then_some(1),
-        ..ExploreOptions::default()
-    };
-    explore_with(&base, tech, &params, &explore_opts(false)).expect("interrupted smoke run");
-    let resumed =
-        explore_with(&base, tech, &params, &explore_opts(true)).expect("resumed smoke run");
+    let policy = ExploreOptions::default();
+    let engine = EvalEngine::new(&base, tech);
+    let mut run = Exploration::start(&engine, tech, &params, &policy);
+    run.step(&engine, tech, &policy);
+    run.checkpoint(&base)
+        .save(&ckpt)
+        .expect("checkpoint the interrupted smoke run");
+    drop((run, engine));
+    let cp = Checkpoint::load(&ckpt).expect("load the smoke checkpoint");
     std::fs::remove_dir_all(&dir).ok();
+    let mut run = Exploration::resume(&cp, &base, &params).expect("resumed smoke run");
+    let engine = EvalEngine::new(&base, tech);
+    while run.generation() < params.generations {
+        run.step(&engine, tech, &policy);
+    }
     assert_eq!(
         ggjson::to_string_pretty(&off),
-        ggjson::to_string_pretty(&resumed),
+        ggjson::to_string_pretty(&run.result(&base)),
         "kill/resume cycle diverged from the uninterrupted run"
     );
     println!("smoke: kill/resume cycle bit-identical");

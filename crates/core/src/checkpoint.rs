@@ -1,9 +1,11 @@
 //! Generation-level checkpoint/resume for the NSGA-II exploration.
 //!
-//! After every completed generation, [`crate::nsga2::explore_with`] persists
-//! the full loop state — population, evaluation archive (every point with
-//! its metrics), RNG stream, and quarantine ledger — so a killed run resumes
-//! *bit-identically* to an uninterrupted one.
+//! A [`Checkpoint`] is the full state of an [`crate::nsga2::Exploration`]
+//! between generations — population, evaluation archive (every point with
+//! its metrics), RNG stream, and quarantine ledger — so a run saved after
+//! any generation resumes *bit-identically* to an uninterrupted one. The
+//! `ggd serve` explore step ([`crate::serve`]) saves one after every step
+//! that evaluates.
 //!
 //! # Atomicity and integrity
 //!

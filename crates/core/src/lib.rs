@@ -71,7 +71,7 @@ pub use checkpoint::Checkpoint;
 pub use error::Error;
 pub use flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
 pub use nsga2::{
-    explore, explore_with, explore_with_engine, EvalPoint, ExploreOptions, ExploreResult, Genome,
+    explore, explore_with_engine, EvalPoint, Exploration, ExploreOptions, ExploreResult, Genome,
     Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
 };
 pub use pipeline::{CowSnapshot, EvalEngine, Snapshot};
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
     pub use crate::nsga2::{
-        explore, explore_with, explore_with_engine, EvalPoint, ExploreOptions, ExploreResult,
+        explore, explore_with_engine, EvalPoint, Exploration, ExploreOptions, ExploreResult,
         Genome, Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
     };
     pub use crate::pipeline::{

@@ -8,12 +8,15 @@
 //! crowding-distance diversity. Evaluations are cached per chromosome and
 //! run in parallel across worker threads, mirroring the paper's
 //! process-level parallelism.
+//!
+//! The loop is the [`Exploration`] state machine, advanced one generation
+//! per [`Exploration::step`]; its state between generations is exactly a
+//! [`Checkpoint`], which is how the `ggd serve` explore step pauses,
+//! persists and resumes a run.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,12 +185,11 @@ impl Nsga2Params {
     }
 }
 
+/// The [`Nsga2Params::builder`] defaults, threads on auto: a checkpoint
+/// written under them resumes on a host with any core count.
 impl Default for Nsga2Params {
     fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            ..Nsga2Params::builder().build()
-        }
+        Nsga2Params::builder().build()
     }
 }
 
@@ -461,108 +463,6 @@ fn crowding_distance(front: &[usize], metrics: &[FlowMetrics]) -> HashMap<usize,
     dist
 }
 
-/// Evaluates genomes against the cache, running misses in parallel, each
-/// inside the evaluation sandbox (see [`crate::sandbox`]).
-///
-/// Work distribution is a shared atomic-index queue rather than static
-/// chunks: each worker repeatedly claims the next un-evaluated genome, so a
-/// handful of slow candidates (deep rip-up-and-reroute, many LDA
-/// iterations) cannot idle the rest of the pool. A worker that panics no
-/// longer poisons the join: the sandbox catches the unwind, attaches the
-/// offending genome, and walks the degrade chain, so the scope always exits
-/// cleanly and `cache` gains an entry for every requested genome.
-///
-/// Candidate indices for the fault-trigger context are positions in the
-/// sorted-deduplicated miss list — deterministic at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_all(
-    genomes: &[Genome],
-    engine: &EvalEngine,
-    tech: &Technology,
-    cache: &mut HashMap<Genome, FlowMetrics>,
-    threads: usize,
-    generation: usize,
-    policy: &SandboxPolicy,
-    ledger: &mut Vec<QuarantineEntry>,
-) {
-    let mut missing: Vec<Genome> = genomes
-        .iter()
-        .copied()
-        .filter(|g| !cache.contains_key(g))
-        .collect();
-    missing.sort_by_key(Genome::sort_key);
-    missing.dedup();
-    ga_metrics()
-        .genome_cache_hits
-        .add((genomes.len() - missing.len()) as u64);
-    if missing.is_empty() {
-        return;
-    }
-    ga_metrics().evaluations.add(missing.len() as u64);
-    let threads = threads.max(1).min(missing.len());
-    obs::span("nsga2.evaluate", |_| {
-        let next = AtomicUsize::new(0);
-        type Outcome = (usize, Genome, FlowMetrics, EvalStatus);
-        let done: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(missing.len()));
-        let missing = &missing;
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(g) = missing.get(i) else { break };
-            let (m, status) = evaluate_candidate(engine, tech, g, generation, i, policy);
-            // Sandboxed workers cannot panic while holding this
-            // lock, but recover from poison anyway: the data is a
-            // plain Vec push, valid at every intermediate state.
-            done.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push((i, *g, m, status));
-        };
-        if threads == 1 {
-            // Single-worker generations run on the calling thread: the
-            // maze and STA scratch areas are thread-locals, so spawning a
-            // fresh scope thread per generation would start every
-            // generation with cold scratch (and abandon the warm one) —
-            // measured at ~10% of the serial evaluation wall.
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(worker);
-                }
-            });
-        }
-        let mut results = done.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Candidate order, so the quarantine ledger (and therefore the
-        // checkpoint bytes) never depend on thread scheduling.
-        results.sort_by_key(|(i, ..)| *i);
-        for (_, g, m, status) in results {
-            match status {
-                EvalStatus::Ok => {}
-                EvalStatus::Degraded(failure) => {
-                    sandbox_metrics().degraded.incr();
-                    obs::diagln!(
-                        "nsga2: candidate {g:?} (gen {generation}) degraded to full re-eval: \
-                         {failure}"
-                    );
-                }
-                EvalStatus::Quarantined { incremental, full } => {
-                    sandbox_metrics().quarantined.incr();
-                    obs::diagln!(
-                        "nsga2: candidate {g:?} (gen {generation}) quarantined: \
-                         incremental eval {incremental}; full re-eval {full}"
-                    );
-                    ledger.push(QuarantineEntry {
-                        genome: g,
-                        generation,
-                        incremental: incremental.to_string(),
-                        full: full.to_string(),
-                    });
-                }
-            }
-            cache.insert(g, m);
-        }
-    });
-}
-
 /// Registry handles for the exploration loop, resolved once.
 struct GaMetrics {
     evaluations: obs::Counter,
@@ -609,340 +509,355 @@ fn tournament(
     pop[better]
 }
 
-/// Where and how [`explore_with`] persists and resumes its state.
-#[derive(Debug, Clone, Default)]
-pub struct ExploreOptions {
-    /// Checkpoint file path; `None` disables checkpointing entirely.
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from `checkpoint` when it exists (a missing file starts a
-    /// fresh run; a present-but-incompatible one is a typed error).
-    pub resume: bool,
-    /// Stop after checkpointing this completed generation (0 = the initial
-    /// population) and return the partial result: the kill-simulation hook
-    /// the resume-matrix test and CI drill use to interrupt a run at an
-    /// exact, deterministic point.
-    pub halt_after: Option<usize>,
-    /// Cooperative per-candidate wall-clock budget (see
-    /// [`crate::sandbox::SandboxPolicy`]).
-    pub deadline: Option<Duration>,
-}
+/// The options of [`explore_with_engine`]: the sandbox policy every
+/// candidate evaluation runs under.
+pub type ExploreOptions = SandboxPolicy;
 
 /// Runs the NSGA-II exploration over the flow parameter space.
 ///
 /// Returns every evaluated point; use [`ExploreResult::pareto_front`] for
-/// the final trade-off set. Equivalent to [`explore_with`] with default
-/// [`ExploreOptions`] (no checkpointing, no deadline), which cannot fail.
+/// the final trade-off set. Equivalent to [`explore_with_engine`] on a
+/// fresh [`EvalEngine`] with no candidate deadline.
 pub fn explore(base: &Snapshot, tech: &Technology, params: &Nsga2Params) -> ExploreResult {
-    explore_with(base, tech, params, &ExploreOptions::default())
-        .expect("explore without checkpointing has no error path")
-}
-
-/// [`explore`] with checkpoint/resume and sandbox policy control.
-///
-/// With a checkpoint configured, the full loop state is atomically
-/// persisted after every completed generation; a later call with
-/// `resume: true` continues from the last completed generation and
-/// produces a result bit-identical to an uninterrupted run (quarantine
-/// decisions are keyed on `(genome, seed)`, so this holds under armed
-/// fault specs too — but not under wall-clock `deadline`s).
-pub fn explore_with(
-    base: &Snapshot,
-    tech: &Technology,
-    params: &Nsga2Params,
-    opts: &ExploreOptions,
-) -> Result<ExploreResult, Error> {
     // One incremental-evaluation engine, shared read-only by all workers:
     // the baseline route plan, levelized timing graph, and power model are
     // built once here instead of once per candidate.
     let engine = EvalEngine::new(base, tech);
-    explore_with_engine(&engine, tech, params, opts)
+    explore_with_engine(&engine, tech, params, &ExploreOptions::default())
+        .expect("explore has no error path")
 }
 
-/// [`explore_with`] against a caller-owned [`EvalEngine`].
+/// [`explore`] against a caller-owned [`EvalEngine`], each candidate under
+/// `policy`: [`Exploration::start`], then [`Exploration::step`] until the
+/// last generation, then [`Exploration::result`].
 ///
-/// The scheduling hook of the `ggd serve` job daemon
-/// ([`crate::serve`]): a long-lived server keeps one engine per design and
-/// drives many (possibly interleaved, generation-stepped) explorations
-/// through it, so the baseline build is paid once per design and the
-/// engine's `(operator, seed)` edit and metrics memos are shared *across
-/// jobs*. Sharing is safe for bit-identity: a memo hit returns the
-/// provably identical result of recomputing (pinned by the
-/// incremental-equivalence suite), so results never depend on which jobs
-/// warmed the cache. The baseline snapshot is [`EvalEngine::base`].
+/// Reusing one engine across runs shares its `(operator, seed)` edit and
+/// metrics memos between them. That is safe for bit-identity: a memo hit
+/// returns the provably identical result of recomputing (pinned by the
+/// incremental-equivalence suite), so results never depend on which runs
+/// warmed the cache. The baseline snapshot is [`EvalEngine::base`]. Never
+/// returns `Err`: a failing candidate is quarantined, not propagated (see
+/// [`crate::sandbox`]).
 pub fn explore_with_engine(
     engine: &EvalEngine,
     tech: &Technology,
     params: &Nsga2Params,
-    opts: &ExploreOptions,
+    policy: &ExploreOptions,
 ) -> Result<ExploreResult, Error> {
-    faults::ensure_init();
-    let base = engine.base();
-    let policy = SandboxPolicy {
-        deadline: opts.deadline,
-    };
-    let threads = params.resolved_threads();
+    let mut run = Exploration::start(engine, tech, params, policy);
+    while run.generation() < params.generations {
+        run.step(engine, tech, policy);
+    }
+    Ok(run.result(engine.base()))
+}
 
-    let mut rng;
-    let mut cache: HashMap<Genome, FlowMetrics> = HashMap::new();
-    let mut order: Vec<(Genome, usize)> = Vec::new();
-    let mut ledger: Vec<QuarantineEntry> = Vec::new();
-    let mut pop: Vec<Genome>;
-    let start_gen;
-    // Adaptive checkpoint cadence: a generation is persisted only while
-    // the cumulative write wall (plus the projected cost of the next
-    // write, estimated from the previous one) stays within `CKPT_BUDGET`
-    // of the explore wall so far. Skipping a write never affects results
-    // — resuming from an older checkpoint deterministically re-runs the
-    // missing generations — so only `halt_after` (the kill switch the
-    // resume matrix exercises) forces a write past the budget.
-    const CKPT_BUDGET: f64 = 0.02;
-    let explore_start = Instant::now();
-    let mut ckpt_spent = 0.0f64;
-    let mut ckpt_cost = 0.0f64;
-    // Entries in the eval cache at the last write: the write cost is
-    // dominated by rendering the cache, so the projected cost of the next
-    // write is the last cost scaled by how much the cache has grown.
-    let mut ckpt_entries = 1usize;
+/// One NSGA-II run as a state machine, advanced one generation at a time.
+///
+/// [`Exploration::start`] evaluates the initial population (generation
+/// 0) and every [`Exploration::step`] runs one more generation. The state
+/// between generations is exactly what a [`Checkpoint`] holds, so
+/// [`Exploration::checkpoint`] and [`Exploration::resume`] carry a run
+/// across processes: a resumed run continues bit-identically to an
+/// uninterrupted one (quarantine decisions are keyed on `(genome, seed)`,
+/// so this holds under armed fault specs too, but not under wall-clock
+/// deadlines). Persisting is the caller's business; the `ggd serve`
+/// explore step ([`crate::serve`]) is the code that does it.
+#[derive(Debug)]
+pub struct Exploration {
+    params: Nsga2Params,
+    /// Completed generations (0 = the initial population is evaluated).
+    generation: usize,
+    rng: StdRng,
+    /// Current population, in population order.
+    pop: Vec<Genome>,
+    /// Metrics of every evaluated genome.
+    cache: HashMap<Genome, FlowMetrics>,
+    /// Every unique evaluated genome with its first-seen generation, in
+    /// evaluation order: the archive [`ExploreResult::points`] lists.
+    order: Vec<(Genome, usize)>,
+    /// Candidates that exhausted the degrade chain.
+    ledger: Vec<QuarantineEntry>,
+}
 
-    let resumed: Option<Checkpoint> = match (&opts.checkpoint, opts.resume) {
-        (Some(path), true) if path.exists() || crate::checkpoint::prev_path(path).exists() => {
-            // A corrupt primary degrades to the `.prev` last-good
-            // envelope instead of erroring the run (the skipped
-            // generation re-runs deterministically).
-            let (cp, _recovered) = Checkpoint::load_with_fallback(path)?;
-            cp.verify(base, params)?;
-            Some(cp)
+impl Exploration {
+    /// Seeds the initial population, the two canonical operators plus
+    /// random samples, and evaluates it as generation 0.
+    pub fn start(
+        engine: &EvalEngine,
+        tech: &Technology,
+        params: &Nsga2Params,
+        policy: &SandboxPolicy,
+    ) -> Self {
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut pop = Vec::with_capacity(params.population);
+        pop.push(Genome {
+            op: 0,
+            n_idx: 0,
+            iter_idx: 0,
+            scale_idx: [0; NUM_METAL_LAYERS],
+        });
+        pop.push(Genome {
+            op: 1,
+            n_idx: 2,
+            iter_idx: 0,
+            scale_idx: [0; NUM_METAL_LAYERS],
+        });
+        while pop.len() < params.population {
+            pop.push(Genome::random(&mut rng));
         }
-        _ => None,
-    };
-    match resumed {
-        Some(cp) => {
-            rng = StdRng::from_state(cp.rng_state()?);
-            cache.extend(cp.cache.iter().copied());
-            order = cp.order.clone();
-            ledger = cp.quarantine.clone();
-            pop = cp.pop.clone();
-            start_gen = cp.generation + 1;
-            obs::diagln!(
-                "nsga2: resumed from checkpoint at generation {} ({} evaluated, {} quarantined)",
-                cp.generation,
-                order.len(),
-                ledger.len()
-            );
-        }
-        None => {
-            rng = StdRng::seed_from_u64(params.seed);
-            // Initial population: the two canonical operators plus random
-            // samples.
-            pop = Vec::with_capacity(params.population);
-            pop.push(Genome {
-                op: 0,
-                n_idx: 0,
-                iter_idx: 0,
-                scale_idx: [0; NUM_METAL_LAYERS],
-            });
-            pop.push(Genome {
-                op: 1,
-                n_idx: 2,
-                iter_idx: 0,
-                scale_idx: [0; NUM_METAL_LAYERS],
-            });
-            while pop.len() < params.population {
-                pop.push(Genome::random(&mut rng));
-            }
-            obs::span("nsga2.generation", |_| {
-                evaluate_all(
-                    &pop,
-                    engine,
-                    tech,
-                    &mut cache,
-                    threads,
-                    0,
-                    &policy,
-                    &mut ledger,
-                );
-            });
-            ga_metrics().generations.incr();
-            for g in &pop {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, 0));
-                }
-            }
-            start_gen = 1;
-            if let Some(path) = &opts.checkpoint {
-                let t = Instant::now();
-                save_checkpoint(path, base, params, 0, &rng, &pop, &order, &cache, &ledger)?;
-                ckpt_cost = t.elapsed().as_secs_f64();
-                ckpt_spent += ckpt_cost;
-                ckpt_entries = cache.len().max(1);
-            }
-        }
+        let mut run = Self {
+            params: *params,
+            generation: 0,
+            rng,
+            pop: Vec::new(),
+            cache: HashMap::new(),
+            order: Vec::new(),
+            ledger: Vec::new(),
+        };
+        obs::span("nsga2.generation", |_| {
+            run.evaluate(&pop, engine, tech, policy);
+        });
+        ga_metrics().generations.incr();
+        run.pop = pop;
+        run
     }
 
-    if opts.halt_after.is_some_and(|h| h < start_gen) {
-        return Ok(build_result(base, order, &cache, ledger));
+    /// Restores the run `cp` holds, after [`Checkpoint::verify`] checks
+    /// that it belongs to `base` and `params` and holds state this loop
+    /// could have written.
+    pub fn resume(cp: &Checkpoint, base: &Snapshot, params: &Nsga2Params) -> Result<Self, Error> {
+        cp.verify(base, params)?;
+        Ok(Self {
+            params: *params,
+            generation: cp.generation,
+            rng: StdRng::from_state(cp.rng_state()?),
+            pop: cp.pop.clone(),
+            cache: cp.cache.iter().copied().collect(),
+            order: cp.order.clone(),
+            ledger: cp.quarantine.clone(),
+        })
     }
 
-    for generation in start_gen..=params.generations {
+    /// Completed generations (0 = the initial population is evaluated).
+    pub fn generation(&self) -> usize {
+        self.generation
+    }
+
+    /// Runs generation [`Self::generation`]` + 1`: tournament selection,
+    /// crossover and mutation breed the offspring, then constrained
+    /// non-dominated sorting with crowding distance selects the next
+    /// population from parents and offspring. Callers stop at
+    /// `params.generations`; a checkpoint of a later generation does not
+    /// resume.
+    pub fn step(&mut self, engine: &EvalEngine, tech: &Technology, policy: &SandboxPolicy) {
+        let base = engine.base();
+        let population = self.params.population;
+        self.generation += 1;
         obs::span("nsga2.generation", |_| {
             // Parent selection state.
-            let metrics: Vec<FlowMetrics> = pop.iter().map(|g| cache[g]).collect();
+            let metrics: Vec<FlowMetrics> = self.pop.iter().map(|g| self.cache[g]).collect();
             let rank = non_dominated_sort(&metrics, base.power_mw(), base.drc);
-            let all: Vec<usize> = (0..pop.len()).collect();
+            let all: Vec<usize> = (0..self.pop.len()).collect();
             let crowd = crowding_distance(&all, &metrics);
 
             // Offspring.
-            let mut offspring: Vec<Genome> = Vec::with_capacity(params.population);
-            while offspring.len() < params.population {
-                let p1 = tournament(&mut rng, &pop, &rank, &crowd);
-                let p2 = tournament(&mut rng, &pop, &rank, &crowd);
-                let mut child = if rng.gen_bool(params.crossover_p) {
-                    Genome::crossover(&p1, &p2, &mut rng)
+            let mut offspring: Vec<Genome> = Vec::with_capacity(population);
+            while offspring.len() < population {
+                let p1 = tournament(&mut self.rng, &self.pop, &rank, &crowd);
+                let p2 = tournament(&mut self.rng, &self.pop, &rank, &crowd);
+                let mut child = if self.rng.gen_bool(self.params.crossover_p) {
+                    Genome::crossover(&p1, &p2, &mut self.rng)
                 } else {
                     p1
                 };
-                child.mutate(&mut rng, params.mutation_p);
+                child.mutate(&mut self.rng, self.params.mutation_p);
                 offspring.push(child);
             }
-            evaluate_all(
-                &offspring,
-                engine,
-                tech,
-                &mut cache,
-                threads,
-                generation,
-                &policy,
-                &mut ledger,
-            );
-            for g in &offspring {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, generation));
-                }
-            }
+            self.evaluate(&offspring, engine, tech, policy);
 
             // Environmental selection over the union.
-            let mut union: Vec<Genome> = pop.iter().chain(offspring.iter()).copied().collect();
+            let mut union: Vec<Genome> = self.pop.iter().chain(&offspring).copied().collect();
             union.sort_by_key(Genome::sort_key);
             union.dedup();
-            let union_metrics: Vec<FlowMetrics> = union.iter().map(|g| cache[g]).collect();
+            let union_metrics: Vec<FlowMetrics> = union.iter().map(|g| self.cache[g]).collect();
             let union_rank = non_dominated_sort(&union_metrics, base.power_mw(), base.drc);
             let max_rank = union_rank.iter().copied().max().unwrap_or(0);
-            let mut next: Vec<Genome> = Vec::with_capacity(params.population);
+            let mut next: Vec<Genome> = Vec::with_capacity(population);
             for r in 0..=max_rank {
                 let front: Vec<usize> = (0..union.len()).filter(|&i| union_rank[i] == r).collect();
-                if next.len() + front.len() <= params.population {
+                if next.len() + front.len() <= population {
                     next.extend(front.iter().map(|&i| union[i]));
                 } else {
                     let crowd = crowding_distance(&front, &union_metrics);
                     let mut by_crowd = front.clone();
                     by_crowd.sort_by(|a, b| crowd[b].total_cmp(&crowd[a]));
-                    for &i in by_crowd.iter().take(params.population - next.len()) {
+                    for &i in by_crowd.iter().take(population - next.len()) {
                         next.push(union[i]);
                     }
                     break;
                 }
-                if next.len() == params.population {
+                if next.len() == population {
                     break;
                 }
             }
             // Top up if deduplication shrank the union below the population.
-            while next.len() < params.population {
-                next.push(Genome::random(&mut rng));
+            while next.len() < population {
+                next.push(Genome::random(&mut self.rng));
             }
-            evaluate_all(
-                &next,
-                engine,
-                tech,
-                &mut cache,
-                threads,
-                generation,
-                &policy,
-                &mut ledger,
-            );
-            for g in &next {
-                if !order.iter().any(|(og, _)| og == g) {
-                    order.push((*g, generation));
-                }
-            }
-            pop = next;
+            self.evaluate(&next, engine, tech, policy);
+            self.pop = next;
         });
         ga_metrics().generations.incr();
-        if let Some(path) = &opts.checkpoint {
-            let force = opts.halt_after == Some(generation);
-            let projected = ckpt_cost * cache.len() as f64 / ckpt_entries as f64;
-            let within_budget =
-                ckpt_spent + projected <= CKPT_BUDGET * explore_start.elapsed().as_secs_f64();
-            if force || within_budget {
-                let t = Instant::now();
-                save_checkpoint(
-                    path, base, params, generation, &rng, &pop, &order, &cache, &ledger,
-                )?;
-                ckpt_cost = t.elapsed().as_secs_f64();
-                ckpt_spent += ckpt_cost;
-                ckpt_entries = cache.len().max(1);
+    }
+
+    /// The run's state as a [`Checkpoint`] of `base`, ready to
+    /// [`Checkpoint::save`].
+    pub fn checkpoint(&self, base: &Snapshot) -> Checkpoint {
+        let mut cache: Vec<(Genome, FlowMetrics)> =
+            self.cache.iter().map(|(g, m)| (*g, *m)).collect();
+        // HashMap iteration order is nondeterministic; sort so the checkpoint
+        // bytes are a pure function of the run state.
+        cache.sort_by_key(|(g, _)| g.sort_key());
+        Checkpoint {
+            base_fingerprint: fingerprint(base),
+            params: self.params,
+            generation: self.generation,
+            rng: self.rng.state().iter().map(|&w| hex64(w)).collect(),
+            pop: self.pop.clone(),
+            order: self.order.clone(),
+            cache,
+            quarantine: self.ledger.clone(),
+        }
+    }
+
+    /// The evaluation archive so far, judged against `base`.
+    pub fn result(&self, base: &Snapshot) -> ExploreResult {
+        let points = self
+            .order
+            .iter()
+            .map(|&(genome, generation)| EvalPoint {
+                genome,
+                config: genome.to_config(),
+                metrics: self.cache[&genome],
+                generation,
+            })
+            .collect();
+        ExploreResult {
+            points,
+            base_power_mw: base.power_mw(),
+            base_drc: base.drc,
+            base_tns_ps: base.tns_ps(),
+            quarantined: self.ledger.clone(),
+        }
+    }
+
+    /// Archives the genomes not seen before under the current generation,
+    /// then evaluates `genomes` against the cache, running misses in
+    /// parallel, each inside the evaluation sandbox (see
+    /// [`crate::sandbox`]).
+    ///
+    /// Work distribution is a shared atomic-index queue rather than static
+    /// chunks: each worker repeatedly claims the next un-evaluated genome,
+    /// so a handful of slow candidates (deep rip-up-and-reroute, many LDA
+    /// iterations) cannot idle the rest of the pool. A worker that panics
+    /// does not poison the join: the sandbox catches the unwind, attaches
+    /// the offending genome, and walks the degrade chain, so the scope
+    /// always exits cleanly and the cache gains an entry for every
+    /// requested genome.
+    ///
+    /// Candidate indices for the fault-trigger context are positions in
+    /// the sorted-deduplicated miss list — deterministic at any thread
+    /// count.
+    fn evaluate(
+        &mut self,
+        genomes: &[Genome],
+        engine: &EvalEngine,
+        tech: &Technology,
+        policy: &SandboxPolicy,
+    ) {
+        let generation = self.generation;
+        for g in genomes {
+            if !self.order.iter().any(|(og, _)| og == g) {
+                self.order.push((*g, generation));
             }
         }
-        if opts.halt_after == Some(generation) {
-            break;
+        let mut missing: Vec<Genome> = genomes
+            .iter()
+            .copied()
+            .filter(|g| !self.cache.contains_key(g))
+            .collect();
+        missing.sort_by_key(Genome::sort_key);
+        missing.dedup();
+        ga_metrics()
+            .genome_cache_hits
+            .add((genomes.len() - missing.len()) as u64);
+        if missing.is_empty() {
+            return;
         }
+        ga_metrics().evaluations.add(missing.len() as u64);
+        let threads = self.params.resolved_threads().min(missing.len());
+        obs::span("nsga2.evaluate", |_| {
+            let next = AtomicUsize::new(0);
+            type Outcome = (usize, Genome, FlowMetrics, EvalStatus);
+            let done: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(missing.len()));
+            let missing = &missing;
+            let worker = || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(g) = missing.get(i) else { break };
+                let (m, status) = evaluate_candidate(engine, tech, g, generation, i, policy);
+                // Sandboxed workers cannot panic while holding this
+                // lock, but recover from poison anyway: the data is a
+                // plain Vec push, valid at every intermediate state.
+                done.lock()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .push((i, *g, m, status));
+            };
+            if threads == 1 {
+                // Single-worker generations run on the calling thread: the
+                // maze and STA scratch areas are thread-locals, so spawning a
+                // fresh scope thread per generation would start every
+                // generation with cold scratch (and abandon the warm one) —
+                // measured at ~10% of the serial evaluation wall.
+                worker();
+            } else {
+                std::thread::scope(|scope| {
+                    for _ in 0..threads {
+                        scope.spawn(worker);
+                    }
+                });
+            }
+            let mut results = done.into_inner().unwrap_or_else(|p| p.into_inner());
+            // Candidate order, so the quarantine ledger (and therefore the
+            // checkpoint bytes) never depend on thread scheduling.
+            results.sort_by_key(|(i, ..)| *i);
+            for (_, g, m, status) in results {
+                match status {
+                    EvalStatus::Ok => {}
+                    EvalStatus::Degraded(failure) => {
+                        sandbox_metrics().degraded.incr();
+                        obs::diagln!(
+                            "nsga2: candidate {g:?} (gen {generation}) degraded to full re-eval: \
+                             {failure}"
+                        );
+                    }
+                    EvalStatus::Quarantined { incremental, full } => {
+                        sandbox_metrics().quarantined.incr();
+                        obs::diagln!(
+                            "nsga2: candidate {g:?} (gen {generation}) quarantined: \
+                             incremental eval {incremental}; full re-eval {full}"
+                        );
+                        self.ledger.push(QuarantineEntry {
+                            genome: g,
+                            generation,
+                            incremental: incremental.to_string(),
+                            full: full.to_string(),
+                        });
+                    }
+                }
+                self.cache.insert(g, m);
+            }
+        });
     }
-
-    Ok(build_result(base, order, &cache, ledger))
-}
-
-/// Assembles the result from the evaluation archive.
-fn build_result(
-    base: &Snapshot,
-    order: Vec<(Genome, usize)>,
-    cache: &HashMap<Genome, FlowMetrics>,
-    ledger: Vec<QuarantineEntry>,
-) -> ExploreResult {
-    let points = order
-        .into_iter()
-        .map(|(genome, generation)| EvalPoint {
-            genome,
-            config: genome.to_config(),
-            metrics: cache[&genome],
-            generation,
-        })
-        .collect();
-    ExploreResult {
-        points,
-        base_power_mw: base.power_mw(),
-        base_drc: base.drc,
-        base_tns_ps: base.tns_ps(),
-        quarantined: ledger,
-    }
-}
-
-/// Persists the loop state after `generation` completed generations.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    path: &std::path::Path,
-    base: &Snapshot,
-    params: &Nsga2Params,
-    generation: usize,
-    rng: &StdRng,
-    pop: &[Genome],
-    order: &[(Genome, usize)],
-    cache: &HashMap<Genome, FlowMetrics>,
-    ledger: &[QuarantineEntry],
-) -> Result<(), Error> {
-    let mut cache_vec: Vec<(Genome, FlowMetrics)> = cache.iter().map(|(g, m)| (*g, *m)).collect();
-    // HashMap iteration order is nondeterministic; sort so the checkpoint
-    // bytes are a pure function of the run state.
-    cache_vec.sort_by_key(|(g, _)| g.sort_key());
-    Checkpoint {
-        base_fingerprint: fingerprint(base),
-        params: *params,
-        generation,
-        rng: rng.state().iter().map(|&w| hex64(w)).collect(),
-        pop: pop.to_vec(),
-        order: order.to_vec(),
-        cache: cache_vec,
-        quarantine: ledger.to_vec(),
-    }
-    .save(path)
 }
 
 #[cfg(test)]
@@ -1044,11 +959,7 @@ mod tests {
         assert_eq!(P.population, 24);
         assert_eq!(P.threads, 0, "builder leaves threads on auto");
         assert!(P.resolved_threads() >= 1);
-        let d = Nsga2Params::default();
-        assert_eq!(d.generations, P.generations);
-        assert_eq!(d.crossover_p, P.crossover_p);
-        assert_eq!(d.mutation_p, P.mutation_p);
-        assert_eq!(d.seed, P.seed);
+        assert_eq!(Nsga2Params::default(), Nsga2Params::builder().build());
     }
 
     #[test]

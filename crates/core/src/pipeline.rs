@@ -409,20 +409,6 @@ impl EvalEngine {
         self.publish_cache_bytes();
     }
 
-    /// Drops every memoized evaluation result while keeping the heavier
-    /// structural caches (operator edits, Phase-A plan, timing graph).
-    ///
-    /// Measurement harnesses call this between repetitions so a repeated
-    /// schedule is re-evaluated honestly instead of served from the memo.
-    pub fn reset_metrics_memo(&self) {
-        if let Ok(mut memo) = self.metrics_memo.write() {
-            memo.clear();
-            self.memo_bytes_now
-                .store(0, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.publish_cache_bytes();
-    }
-
     /// Looks up the memoized [`CowSnapshot`] of an operator edit, or
     /// computes it with `make` and stores it. `seed` must be the exact
     /// seed the operator consumes (callers normalize it away for seedless

@@ -6,10 +6,9 @@
 //! checksummed newline-delimited `ggjson` record **before** the
 //! transition is published to watchers, so a `kill -9` at any instant
 //! loses at most the in-flight step — which the per-job checkpoint
-//! envelope re-runs bit-identically on recovery (`halt_after` forces a
-//! checkpoint at every scheduler step, and re-running an
-//! already-checkpointed step returns the archived result instead of
-//! recomputing).
+//! envelope re-runs bit-identically on recovery (every explore step that
+//! evaluates saves the checkpoint, and re-running an already-checkpointed
+//! step returns the archived result instead of recomputing).
 //!
 //! # Format
 //!

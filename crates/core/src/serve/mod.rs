@@ -21,9 +21,9 @@
 //!   (spec + baseline snapshot + headline summary, and the evaluation
 //!   engine once an explore needs it).
 //! - [`server`] — runner threads and the socket front end. Explore jobs
-//!   are **generation-stepped**: each scheduler step runs exactly one
-//!   NSGA-II generation via [`crate::nsga2::explore_with_engine`] with
-//!   `halt_after`, persisting the standard checkpoint envelope, so
+//!   are **generation-stepped**: each scheduler step resumes the job's
+//!   [`crate::nsga2::Exploration`] from its checkpoint envelope, runs
+//!   exactly one NSGA-II generation and saves the envelope again, so
 //!   pause/resume/cancel reuse [`crate::checkpoint`] verbatim and a
 //!   paused-and-resumed job is bit-identical to an uninterrupted one.
 //! - [`journal`] — the durable job journal: a checksummed write-ahead

@@ -40,8 +40,8 @@ pub(crate) struct Job {
     pub state: JobState,
     /// Submit-order tiebreaker inside a priority class.
     pub seq: u64,
-    /// Next scheduler step to run (for explore: the generation index
-    /// handed to `halt_after`).
+    /// Next scheduler step to run (for explore: the generation the step
+    /// runs the job's exploration up to).
     pub next_step: u64,
     /// Total scheduler steps this job runs.
     pub total_steps: u64,
@@ -374,9 +374,9 @@ impl Registry {
                 } else {
                     None
                 };
-                // The generation record lands *after* explore_with_engine
-                // persisted the step's checkpoint, so the journal never
-                // claims progress the checkpoint cannot replay.
+                // The generation record lands *after* the explore step
+                // persisted its checkpoint, so the journal never claims
+                // progress the checkpoint cannot replay.
                 let rec = JournalRecord::generation(id, generation);
                 self.commit(
                     &mut inner,

@@ -3,12 +3,14 @@
 //!
 //! A [`Server`] owns one job registry and one [`BaselineCache`]. Runner
 //! threads pull *scheduler steps* from the registry — one NSGA-II
-//! generation of an explore job (via [`crate::nsga2::explore_with_engine`]
-//! with `halt_after`), or the whole of an analyze/harden job — so
-//! priorities take effect at generation boundaries and a pause/cancel
-//! request lands exactly where a checkpoint was just written. Explore
-//! jobs are therefore bit-identical across any pause/resume pattern, by
-//! the same checkpoint-resume property the kill-matrix test pins.
+//! generation of an explore job, or the whole of an analyze/harden job —
+//! so priorities take effect at generation boundaries and a pause/cancel
+//! request lands exactly where a checkpoint was just written. An explore
+//! step resumes the job's [`Exploration`] from its checkpoint, runs it up
+//! to the step's generation and saves it again: this is the one place
+//! that persists an exploration. Explore jobs are therefore bit-identical
+//! across any pause/resume pattern, by the same checkpoint-resume
+//! property the resume-matrix test pins.
 //!
 //! With `runners: 0` nothing runs until [`Server::step_once`] /
 //! [`Server::run_until_idle`] — the deterministic mode the scheduler
@@ -37,9 +39,11 @@ use std::time::{Duration, Instant};
 use ggjson::Json;
 use tech::Technology;
 
+use crate::checkpoint::{prev_path, Checkpoint};
 use crate::error::Error;
 use crate::flow::{FlowConfig, FlowMetrics, FlowRun};
-use crate::nsga2::{explore_with_engine, ExploreOptions, ExploreResult, Nsga2Params};
+use crate::nsga2::{Exploration, ExploreResult, Nsga2Params};
+use crate::sandbox::SandboxPolicy;
 use crate::serve::baseline::{BaselineCache, DesignContext};
 use crate::serve::job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobStatus};
 use crate::serve::journal::Journal;
@@ -752,6 +756,12 @@ fn step_watchdog(deadline: Option<Duration>, params: &Nsga2Params) -> Option<Dur
     Some(budget.saturating_mul(u32::try_from(8 * turns).unwrap_or(u32::MAX)))
 }
 
+/// Runs explore step `step`: generation `step` of the job's run, resumed
+/// from its checkpoint when the job has one (a later step, or a `resume`
+/// spec) and started afresh otherwise. The run is saved back only if this
+/// step evaluated something, so a step the checkpoint already holds (one
+/// a crash re-queued after its checkpoint landed) is answered from the
+/// archive without a write.
 fn run_explore_step(
     shared: &Shared,
     id: u64,
@@ -769,28 +779,55 @@ fn run_explore_step(
         .build();
     let tech = shared.baselines.tech();
     let engine = ctx.engine(tech);
+    let base = engine.base();
     // The watchdog bounds the candidate evaluations the deadline bounds,
     // so its clock starts only now that the baseline and engine exist.
     if let (Some(flight), Some(limit)) = (flight, step_watchdog(shared.eval_deadline, &params)) {
         flight.arm(limit);
     }
-    let opts = ExploreOptions {
-        checkpoint: Some(ckpt.to_path_buf()),
-        resume: step > 0 || spec.resume,
-        halt_after: Some(step as usize),
-        // Cooperative per-candidate budget: a wedged evaluation trips
-        // its own deadline long before the supervisor's watchdog has to
-        // declare the whole runner stuck.
+    // Cooperative per-candidate budget: a wedged evaluation trips its own
+    // deadline long before the supervisor's watchdog has to declare the
+    // whole runner stuck.
+    let policy = SandboxPolicy {
         deadline: shared.eval_deadline,
     };
-    let result = match explore_with_engine(engine, tech, &params, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            return StepOutcome::Failed {
-                error: e.to_string(),
-            }
-        }
+    let failed = |e: Error| StepOutcome::Failed {
+        error: e.to_string(),
     };
+    let saved = ckpt.exists() || prev_path(ckpt).exists();
+    let (mut run, mut evaluated) = if (step > 0 || spec.resume) && saved {
+        // A corrupt primary degrades to the `.prev` last-good envelope;
+        // the generation it lacks re-runs deterministically below.
+        let resumed = Checkpoint::load_with_fallback(ckpt).and_then(|(cp, _)| {
+            let run = Exploration::resume(&cp, base, &params)?;
+            if step == 0 {
+                obs::diagln!(
+                    "nsga2: resumed from checkpoint at generation {} ({} evaluated, {} \
+                     quarantined)",
+                    cp.generation,
+                    cp.order.len(),
+                    cp.quarantine.len()
+                );
+            }
+            Ok(run)
+        });
+        match resumed {
+            Ok(run) => (run, false),
+            Err(e) => return failed(e),
+        }
+    } else {
+        (Exploration::start(engine, tech, &params, &policy), true)
+    };
+    while (run.generation() as u64) < step {
+        run.step(engine, tech, &policy);
+        evaluated = true;
+    }
+    if evaluated {
+        if let Err(e) = run.checkpoint(base).save(ckpt) {
+            return failed(e);
+        }
+    }
+    let result = run.result(base);
     let data = progress_data(shared, id, &result);
     if step < spec.generations as u64 {
         return StepOutcome::Progress {

@@ -2,10 +2,10 @@
 //!
 //! Two layers: a proptest that arbitrary checkpoint states survive the
 //! save → load cycle bit-identically (hex-encoded RNG words, genomes,
-//! metrics, quarantine ledger), and end-to-end runs showing that a
-//! checkpointed-but-uninterrupted exploration produces exactly the same
-//! result as a plain [`explore`] call for multiple fixed seeds — i.e.
-//! checkpointing is observation-only.
+//! metrics, quarantine ledger), and end-to-end runs showing that an
+//! exploration checkpointed after every generation but never interrupted
+//! produces exactly the same result as a plain [`explore`] call for
+//! multiple fixed seeds — i.e. checkpointing is observation-only.
 
 use std::sync::OnceLock;
 
@@ -136,6 +136,7 @@ proptest! {
 #[test]
 fn checkpointing_is_observation_only_across_seeds() {
     let (tech, base) = fixture();
+    let policy = ExploreOptions::default();
     for seed in [0x5EED_0001u64, 0xBADC_AB1E] {
         let params = Nsga2Params::builder()
             .population(5)
@@ -145,17 +146,19 @@ fn checkpointing_is_observation_only_across_seeds() {
             .build();
         let plain = explore(base, tech, &params);
 
-        let dir = scratch(&format!("obs-{seed:x}"));
-        let opts = ExploreOptions {
-            checkpoint: Some(dir.join("checkpoint.ggjson")),
-            ..ExploreOptions::default()
-        };
-        let tracked = explore_with(base, tech, &params, &opts).expect("checkpointed run");
-        std::fs::remove_dir_all(&dir).ok();
+        let path = scratch(&format!("obs-{seed:x}")).join("checkpoint.ggjson");
+        let engine = EvalEngine::new(base, tech);
+        let mut run = Exploration::start(&engine, tech, &params, &policy);
+        run.checkpoint(base).save(&path).expect("save generation 0");
+        while run.generation() < params.generations {
+            run.step(&engine, tech, &policy);
+            run.checkpoint(base).save(&path).expect("save");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
 
         assert_eq!(
             ggjson::to_string_pretty(&plain),
-            ggjson::to_string_pretty(&tracked),
+            ggjson::to_string_pretty(&run.result(base)),
             "checkpointing perturbed the trajectory for seed {seed:#x}"
         );
     }
@@ -172,25 +175,23 @@ fn resume_after_completion_is_identity() {
         .seed(0x1DEA)
         .threads(2)
         .build();
-    let dir = scratch("done");
-    let opts = ExploreOptions {
-        checkpoint: Some(dir.join("checkpoint.ggjson")),
-        ..ExploreOptions::default()
-    };
-    let full = explore_with(base, tech, &params, &opts).expect("full run");
-    let resumed = explore_with(
-        base,
-        tech,
-        &params,
-        &ExploreOptions {
-            resume: true,
-            ..opts
-        },
-    )
-    .expect("resume of a completed run");
-    std::fs::remove_dir_all(&dir).ok();
+    let full = explore(base, tech, &params);
+    let path = scratch("done").join("checkpoint.ggjson");
+    let engine = EvalEngine::new(base, tech);
+    let policy = ExploreOptions::default();
+    let mut run = Exploration::start(&engine, tech, &params, &policy);
+    while run.generation() < params.generations {
+        run.step(&engine, tech, &policy);
+    }
+    run.checkpoint(base)
+        .save(&path)
+        .expect("save the finished run");
+    let cp = Checkpoint::load(&path).expect("load");
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    let resumed = Exploration::resume(&cp, base, &params).expect("resume of a completed run");
+    assert_eq!(resumed.generation(), params.generations);
     assert_eq!(
         ggjson::to_string_pretty(&full),
-        ggjson::to_string_pretty(&resumed),
+        ggjson::to_string_pretty(&resumed.result(base)),
     );
 }

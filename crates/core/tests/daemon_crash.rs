@@ -76,6 +76,17 @@ impl Daemon {
     }
 }
 
+/// A test that fails before `shutdown` must not leave `ggd serve` running
+/// after the test binary exits.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 fn tiny_explore() -> JobSpec {
     let mut spec = JobSpec::explore("TINY");
     spec.population = POP;

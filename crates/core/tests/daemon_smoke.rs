@@ -69,6 +69,17 @@ impl Daemon {
     }
 }
 
+/// A test that fails before `shutdown` must not leave `ggd serve` running
+/// after the test binary exits.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 fn tiny_explore() -> JobSpec {
     let mut spec = JobSpec::explore("TINY");
     spec.population = POP;
@@ -369,13 +380,12 @@ fn one_shot_commands_finish_under_a_tiny_eval_deadline() {
         .population(POP)
         .generations(1)
         .build();
-    let quarantined = explore_with(
-        &base,
+    let quarantined = explore_with_engine(
+        &EvalEngine::new(&base, &tech),
         &tech,
         &params,
         &ExploreOptions {
             deadline: Some(Duration::ZERO),
-            ..ExploreOptions::default()
         },
     )
     .expect("library explore");

@@ -171,13 +171,12 @@ fn zero_deadline_quarantines_every_candidate() {
     faults::clear();
     let (tech, base) = fixture();
 
-    let run = explore_with(
-        base,
+    let run = explore_with_engine(
+        &EvalEngine::new(base, tech),
         tech,
         &params(),
         &ExploreOptions {
             deadline: Some(Duration::ZERO),
-            ..ExploreOptions::default()
         },
     )
     .expect("deadline run must complete, not abort");

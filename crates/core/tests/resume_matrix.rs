@@ -4,10 +4,9 @@
 //! that interrupting an exploration after *any* completed generation and
 //! resuming from disk yields a result byte-identical to the uninterrupted
 //! run — same genome schedule, same metrics, same archive order, same
-//! quarantine ledger. `ExploreOptions::halt_after` is the deterministic
-//! kill switch: it stops right after the checkpoint for that generation
-//! is durably installed, exactly the state a SIGKILL between generations
-//! would leave behind.
+//! quarantine ledger. Each kill saves the [`Exploration`] after generation
+//! k and drops it, exactly the state a SIGKILL between generations would
+//! leave behind, then resumes a fresh one from the file on a fresh engine.
 
 use std::sync::OnceLock;
 
@@ -33,78 +32,68 @@ fn params() -> Nsga2Params {
         .build()
 }
 
+/// Runs `params` to generation `kill_at`, saves the run and drops it, then
+/// resumes from the file and finishes; returns the final result's JSON.
+fn kill_and_resume(params: &Nsga2Params, kill_at: usize, tag: &str) -> String {
+    let (tech, base) = fixture();
+    let policy = ExploreOptions::default();
+    let dir =
+        std::env::temp_dir().join(format!("gg-resume-{tag}-{}-g{kill_at}", std::process::id()));
+    let path = dir.join("checkpoint.ggjson");
+
+    let engine = EvalEngine::new(base, tech);
+    let mut run = Exploration::start(&engine, tech, params, &policy);
+    while run.generation() < kill_at {
+        run.step(&engine, tech, &policy);
+    }
+    run.checkpoint(base).save(&path).expect("save checkpoint");
+    // The partial result must be a strict prefix of the full archive.
+    assert!(
+        run.result(base)
+            .points
+            .iter()
+            .all(|p| p.generation <= kill_at),
+        "the run at generation {kill_at} holds later-generation evaluations"
+    );
+    drop((run, engine));
+
+    let cp = Checkpoint::load(&path).expect("load checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut run = Exploration::resume(&cp, base, params)
+        .unwrap_or_else(|e| panic!("resume after generation {kill_at}: {e}"));
+    assert_eq!(run.generation(), kill_at);
+    let engine = EvalEngine::new(base, tech);
+    while run.generation() < params.generations {
+        run.step(&engine, tech, &policy);
+    }
+    ggjson::to_string_pretty(&run.result(base))
+}
+
 #[test]
 fn resume_at_every_generation_is_bit_identical() {
     let (tech, base) = fixture();
     let params = params();
-
     let reference = ggjson::to_string_pretty(&explore(base, tech, &params));
-
-    // Kill after generation 0 (initial population), 1, and 2 — every
-    // checkpoint a run of 3 generations can be interrupted at.
-    for kill_at in 0..params.generations {
-        let dir = std::env::temp_dir().join(format!("gg-resume-{}-g{kill_at}", std::process::id()));
-        let path = dir.join("checkpoint.ggjson");
-
-        let partial = explore_with(
-            base,
-            tech,
-            &params,
-            &ExploreOptions {
-                checkpoint: Some(path.clone()),
-                halt_after: Some(kill_at),
-                ..ExploreOptions::default()
-            },
-        )
-        .expect("interrupted run");
-        assert!(path.exists(), "checkpoint missing after halt at {kill_at}");
-        // The partial result must be a strict prefix of the full archive.
-        assert!(
-            partial.points.iter().all(|p| p.generation <= kill_at),
-            "halt_after leaked later-generation evaluations"
-        );
-
-        let resumed = explore_with(
-            base,
-            tech,
-            &params,
-            &ExploreOptions {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..ExploreOptions::default()
-            },
-        )
-        .expect("resumed run");
-        std::fs::remove_dir_all(&dir).ok();
-
+    // Kill after generation 0 (initial population), 1, 2 and 3 — every
+    // checkpoint a run of 3 generations can be interrupted at, the last
+    // (a finished run) included.
+    for kill_at in 0..=params.generations {
         assert_eq!(
-            ggjson::to_string_pretty(&resumed),
+            kill_and_resume(&params, kill_at, "pop5"),
             reference,
             "resume after killing at generation {kill_at} diverged"
         );
     }
 }
 
-/// Resuming against a different base snapshot or different parameters is
-/// refused with a typed checkpoint error instead of silently producing a
-/// chimera run.
+/// Resuming against different parameters is refused with a typed
+/// checkpoint error instead of silently producing a chimera run.
 #[test]
 fn resume_refuses_mismatched_runs() {
     let (tech, base) = fixture();
-    let params = params();
-    let dir = std::env::temp_dir().join(format!("gg-resume-mm-{}", std::process::id()));
-    let path = dir.join("checkpoint.ggjson");
-    explore_with(
-        base,
-        tech,
-        &params,
-        &ExploreOptions {
-            checkpoint: Some(path.clone()),
-            halt_after: Some(0),
-            ..ExploreOptions::default()
-        },
-    )
-    .expect("seed run");
+    let policy = ExploreOptions::default();
+    let engine = EvalEngine::new(base, tech);
+    let cp = Exploration::start(&engine, tech, &params(), &policy).checkpoint(base);
 
     let other_params = Nsga2Params::builder()
         .population(5)
@@ -112,50 +101,12 @@ fn resume_refuses_mismatched_runs() {
         .seed(0xD1FF)
         .threads(2)
         .build();
-    match explore_with(
-        base,
-        tech,
-        &other_params,
-        &ExploreOptions {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..ExploreOptions::default()
-        },
-    ) {
+    match Exploration::resume(&cp, base, &other_params) {
         Err(Error::Checkpoint(why)) => {
             assert!(why.contains("parameters"), "unexpected reason: {why}")
         }
         other => panic!("expected a checkpoint error, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `resume: true` with no file on disk starts a fresh run (first boot and
-/// crash-before-first-checkpoint both land here).
-#[test]
-fn resume_without_checkpoint_starts_fresh() {
-    let (tech, base) = fixture();
-    let params = Nsga2Params::builder()
-        .population(4)
-        .generations(1)
-        .seed(0xF0E5)
-        .threads(2)
-        .build();
-    let reference = ggjson::to_string_pretty(&explore(base, tech, &params));
-    let dir = std::env::temp_dir().join(format!("gg-resume-fresh-{}", std::process::id()));
-    let fresh = explore_with(
-        base,
-        tech,
-        &params,
-        &ExploreOptions {
-            checkpoint: Some(dir.join("checkpoint.ggjson")),
-            resume: true,
-            ..ExploreOptions::default()
-        },
-    )
-    .expect("fresh run under resume flag");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(ggjson::to_string_pretty(&fresh), reference);
 }
 
 /// A population below two still starts from both canonical genomes, so
@@ -172,22 +123,9 @@ fn resume_below_two_genomes_is_bit_identical() {
         .threads(2)
         .build();
     let reference = ggjson::to_string_pretty(&explore(base, tech, &params));
-    for kill_at in 0..params.generations {
-        let dir =
-            std::env::temp_dir().join(format!("gg-resume-pop1-{}-g{kill_at}", std::process::id()));
-        let path = dir.join("checkpoint.ggjson");
-        let opts = |resume, halt_after| ExploreOptions {
-            checkpoint: Some(path.clone()),
-            resume,
-            halt_after,
-            ..ExploreOptions::default()
-        };
-        explore_with(base, tech, &params, &opts(false, Some(kill_at))).expect("interrupted run");
-        let resumed = explore_with(base, tech, &params, &opts(true, None));
-        std::fs::remove_dir_all(&dir).ok();
-        let resumed = resumed.unwrap_or_else(|e| panic!("resume after generation {kill_at}: {e}"));
+    for kill_at in 0..=params.generations {
         assert_eq!(
-            ggjson::to_string_pretty(&resumed),
+            kill_and_resume(&params, kill_at, "pop1"),
             reference,
             "resume after killing at generation {kill_at} diverged"
         );

@@ -6,6 +6,9 @@
 //! Everything runs with `runners: 0`, so the test owns the clock:
 //! [`Server::step_once`] executes exactly one scheduler step per call.
 
+use std::path::{Path, PathBuf};
+
+use gdsii_guard::checkpoint::prev_path;
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::{
     JobSpec, JobState, JobStatus, Journal, JournalRecord, Server, ServerConfig,
@@ -14,17 +17,48 @@ use gdsii_guard::Error;
 use ggjson::ToJson;
 use tech::Technology;
 
-fn test_server(tag: &str) -> Server {
-    let data_dir =
-        std::env::temp_dir().join(format!("gg-serve-scheduler-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_dir);
-    Server::start(ServerConfig {
+/// A test's scratch directory, removed when the test ends, pass or fail.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("gg-serve-scheduler-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A server with no runners and no journal over a fresh data dir, which
+/// the returned guard removes.
+fn test_server(tag: &str) -> (Server, Scratch) {
+    let dir = Scratch::new(tag);
+    let server = Server::start(ServerConfig {
         socket: None,
-        data_dir: Some(data_dir),
+        data_dir: Some(dir.0.clone()),
         runners: 0,
         ..ServerConfig::default()
     })
-    .expect("server starts")
+    .expect("server starts");
+    (server, dir)
+}
+
+/// The config of a server with no runners that keeps its journal and its
+/// data dir under `dir`.
+fn journaled_config(dir: &Path) -> ServerConfig {
+    ServerConfig {
+        socket: None,
+        data_dir: Some(dir.join("data")),
+        journal_dir: Some(dir.join("journal")),
+        runners: 0,
+        ..ServerConfig::default()
+    }
 }
 
 fn tiny_explore() -> JobSpec {
@@ -41,7 +75,7 @@ fn event_tick(server: &Server, id: u64, kind: &str) -> Option<u64> {
 
 #[test]
 fn higher_priority_jobs_run_first_across_kinds() {
-    let server = test_server("priority");
+    let (server, _dir) = test_server("priority");
     let explore = server.submit(tiny_explore()).expect("submit");
     let urgent = server
         .submit(JobSpec {
@@ -69,7 +103,7 @@ fn higher_priority_jobs_run_first_across_kinds() {
 
 #[test]
 fn concurrent_jobs_share_one_baseline_build() {
-    let server = test_server("cache");
+    let (server, _dir) = test_server("cache");
     let a = server.submit(tiny_explore()).expect("submit");
     let b = server.submit(JobSpec::analyze("TINY")).expect("submit");
     server.run_until_idle();
@@ -107,7 +141,7 @@ fn paused_and_resumed_explore_is_bit_identical() -> Result<(), Error> {
     let oracle = explore(&base, &tech, &params);
     let oracle_json = ggjson::to_string_pretty(&oracle.to_json());
 
-    let server = test_server("pause-resume");
+    let (server, _dir) = test_server("pause-resume");
 
     // An uninterrupted server job first: submit-and-run matches one-shot.
     let plain = server.submit(spec.clone())?;
@@ -168,7 +202,7 @@ fn population_one_explore_runs_every_step() -> Result<(), Error> {
         .build();
     let oracle_json = ggjson::to_string_pretty(&explore(&base, &tech, &params).to_json());
 
-    let server = test_server("pop1");
+    let (server, _dir) = test_server("pop1");
     let id = server.submit(spec)?;
     server.run_until_idle();
     let status = server.status(id)?;
@@ -184,7 +218,7 @@ fn population_one_explore_runs_every_step() -> Result<(), Error> {
 
 #[test]
 fn cancelled_queued_job_never_runs_while_neighbor_finishes() {
-    let server = test_server("cancel");
+    let (server, _dir) = test_server("cancel");
     let keep = server.submit(JobSpec::analyze("TINY")).expect("submit");
     let drop_it = server.submit(tiny_explore()).expect("submit");
     server.cancel(drop_it).expect("cancel queued job");
@@ -199,7 +233,7 @@ fn cancelled_queued_job_never_runs_while_neighbor_finishes() {
 
 #[test]
 fn bad_specs_and_unknown_designs_fail_cleanly() {
-    let server = test_server("failures");
+    let (server, _dir) = test_server("failures");
     // Version mismatch is refused at submit.
     let mut wrong = JobSpec::analyze("TINY");
     wrong.version = 99;
@@ -221,7 +255,7 @@ fn bad_specs_and_unknown_designs_fail_cleanly() {
 
 #[test]
 fn oversized_population_is_refused_at_submit() {
-    let server = test_server("oversized");
+    let (server, _dir) = test_server("oversized");
     let mut huge = tiny_explore();
     huge.population = 1_000_000_000_000;
     let err = huge
@@ -317,14 +351,7 @@ fn journaled_oversized_spec_fails_its_job_not_the_daemon() {
     assert!(journal.append(&JournalRecord::submitted(1, &huge, 0, &ckpt)));
     drop(journal);
 
-    let server = Server::start(ServerConfig {
-        socket: None,
-        data_dir: Some(dir.join("data")),
-        journal_dir: Some(dir.join("journal")),
-        runners: 0,
-        ..ServerConfig::default()
-    })
-    .expect("server recovers the journal");
+    let server = Server::start(journaled_config(&dir)).expect("server recovers the journal");
     assert!(server.step_once(), "the recovered job is runnable");
     let status = server.status(1).expect("recovered job exists");
     assert_eq!(status.state, JobState::Failed);
@@ -336,20 +363,37 @@ fn journaled_oversized_spec_fails_its_job_not_the_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Asserts that explore job `id` finished with the result of a library
+/// explore of `spec` on a fresh engine.
+fn assert_matches_library(server: &Server, id: u64, spec: &JobSpec) -> Result<(), Error> {
+    let status = server.status(id)?;
+    assert_eq!(status.state, JobState::Done, "job {id}: {:?}", status.error);
+    let tech = Technology::nangate45_like();
+    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech)?;
+    let params = Nsga2Params::builder()
+        .population(spec.population)
+        .generations(spec.generations)
+        .seed(spec.seed)
+        .build();
+    let engine = EvalEngine::new(&base, &tech);
+    let oracle = explore_with_engine(&engine, &tech, &params, &ExploreOptions::default())?;
+    let payload = server.result(id)?;
+    assert_eq!(
+        ggjson::to_string_pretty(payload.get("explore").expect("explore payload")),
+        ggjson::to_string_pretty(&oracle.to_json()),
+        "job {id} must match a one-shot explore at seed {}",
+        spec.seed
+    );
+    Ok(())
+}
+
 /// Default checkpoint paths are named after job ids, which the journal
 /// keeps unique across restarts: a job submitted after a restart must not
 /// overwrite a recovered job's checkpoint.
 #[test]
 fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
-    let dir = std::env::temp_dir().join(format!("gg-serve-ckpt-ids-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = ServerConfig {
-        socket: None,
-        data_dir: Some(dir.join("data")),
-        journal_dir: Some(dir.join("journal")),
-        runners: 0,
-        ..ServerConfig::default()
-    };
+    let dir = Scratch::new("ckpt-ids");
+    let config = journaled_config(&dir.0);
     let explore_seeded = |seed: u64, priority: u8| JobSpec {
         seed,
         priority,
@@ -367,28 +411,121 @@ fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
     let second = Server::start(config)?;
     let b = second.submit(spec_b.clone())?;
     second.run_until_idle();
-
-    let tech = Technology::nangate45_like();
-    let base = implement_baseline(&netlist::bench::tiny_spec(), &tech)?;
-    for (id, spec) in [(a, spec_a), (b, spec_b)] {
-        let status = second.status(id)?;
-        assert_eq!(status.state, JobState::Done, "job {id}: {:?}", status.error);
-        let params = Nsga2Params::builder()
-            .population(spec.population)
-            .generations(spec.generations)
-            .seed(spec.seed)
-            .build();
-        let engine = EvalEngine::new(&base, &tech);
-        let oracle = explore_with_engine(&engine, &tech, &params, &ExploreOptions::default())?;
-        let payload = second.result(id)?;
-        assert_eq!(
-            ggjson::to_string_pretty(payload.get("explore").expect("explore payload")),
-            ggjson::to_string_pretty(&oracle.to_json()),
-            "job {id} must match a one-shot explore at seed {}",
-            spec.seed
-        );
-    }
+    assert_matches_library(&second, a, &spec_a)?;
+    assert_matches_library(&second, b, &spec_b)?;
     second.stop();
-    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+/// A `resume` job whose checkpoint is not on disk yet starts a fresh run
+/// (first boot and a crash before the first checkpoint both land here).
+#[test]
+fn resume_without_checkpoint_starts_fresh() -> Result<(), Error> {
+    let (server, _dir) = test_server("resume-fresh");
+    let spec = JobSpec {
+        resume: true,
+        ..tiny_explore()
+    };
+    let id = server.submit(spec.clone())?;
+    server.run_until_idle();
+    assert_matches_library(&server, id, &spec)?;
+    server.stop();
+    Ok(())
+}
+
+/// A crash can lose the journal's last `generation` record after the
+/// step's checkpoint landed. Recovery then re-queues a step the
+/// checkpoint already holds: it must evaluate and write nothing, leaving
+/// the checkpoint and its `.prev` byte-identical, and the job must still
+/// finish equal to the library run.
+#[test]
+fn step_the_checkpoint_holds_is_answered_without_a_write() -> Result<(), Error> {
+    let dir = Scratch::new("lost-record");
+    let config = journaled_config(&dir.0);
+    let spec = tiny_explore();
+    let first = Server::start(config.clone())?;
+    let id = first.submit(spec.clone())?;
+    assert!(first.step_once(), "generation 0 runs");
+    assert!(first.step_once(), "generation 1 runs");
+    first.stop();
+
+    let journal_dir = dir.0.join("journal");
+    let mut records = Journal::replay(&journal_dir)?;
+    let last = records
+        .iter()
+        .rposition(|r| r.kind == "generation")
+        .expect("a generation record");
+    assert_eq!(records[last].generation, Some(1));
+    records.remove(last);
+    std::fs::remove_dir_all(&journal_dir).expect("remove the journal");
+    let journal = Journal::open(&journal_dir)?;
+    for r in &records {
+        assert!(journal.append(r), "rewrite {r:?}");
+    }
+    drop(journal);
+
+    let ckpt = dir.0.join("data").join(format!("job{id}.ckpt"));
+    let envelopes = || {
+        [ckpt.clone(), prev_path(&ckpt)].map(|p| std::fs::read(&p).expect("checkpoint envelope"))
+    };
+    let before = envelopes();
+    let second = Server::start(config)?;
+    assert_eq!(
+        second.status(id)?.steps_done,
+        1,
+        "recovery re-queues step 1"
+    );
+    assert!(second.step_once(), "the recovered step runs");
+    assert_eq!(second.status(id)?.steps_done, 2);
+    assert!(
+        envelopes() == before,
+        "a step the checkpoint holds must not rewrite it"
+    );
+    second.run_until_idle();
+    assert_matches_library(&second, id, &spec)?;
+    second.stop();
+    Ok(())
+}
+
+/// A primary checkpoint torn between steps degrades to its `.prev`
+/// last-good envelope: the next step resumes from generation 0, re-runs
+/// generation 1 before its own, and the job finishes equal to the library
+/// run.
+#[test]
+fn torn_primary_checkpoint_resumes_from_prev() -> Result<(), Error> {
+    let dir = Scratch::new("torn-primary");
+    let server = Server::start(journaled_config(&dir.0))?;
+    let spec = tiny_explore();
+    let id = server.submit(spec.clone())?;
+    assert!(server.step_once(), "generation 0 runs");
+    assert!(server.step_once(), "generation 1 runs");
+
+    let ckpt = dir.0.join("data").join(format!("job{id}.ckpt"));
+    let mut bytes = std::fs::read(&ckpt).expect("primary checkpoint");
+    let payload = bytes
+        .windows(12)
+        .position(|w| w == b"\"payload\": {")
+        .expect("payload key");
+    let digit = payload
+        + bytes[payload..]
+            .iter()
+            .position(u8::is_ascii_digit)
+            .expect("a digit in the payload");
+    bytes[digit] = if bytes[digit] == b'9' {
+        b'8'
+    } else {
+        bytes[digit] + 1
+    };
+    std::fs::write(&ckpt, &bytes).expect("tear the primary");
+    assert!(
+        Checkpoint::load(&ckpt).is_err(),
+        "the flip fails the checksum"
+    );
+    assert_eq!(Checkpoint::load(&prev_path(&ckpt))?.generation, 0);
+
+    assert!(server.step_once(), "the last step runs");
+    assert_eq!(Checkpoint::load(&ckpt)?.generation, spec.generations);
+    assert_matches_library(&server, id, &spec)?;
+    server.stop();
     Ok(())
 }

@@ -37,7 +37,7 @@
 //! * `genN` — fires for candidate 0 of generation `N` (generation 0 is the
 //!   initial population).
 //! * `gNcM` — fires for candidate `M` of generation `N` (candidate indices
-//!   follow the deterministic sorted order of `nsga2::evaluate_all`).
+//!   follow the deterministic sorted order of `nsga2::Exploration::evaluate`).
 //!
 //! A trailing `!` (e.g. `always!`, `g2c5!`) makes the trigger *persistent*:
 //! it is re-evaluated on every degrade-chain stage, so the full re-eval

@@ -342,14 +342,15 @@ fn resume_from(tag: &str, cp: &Checkpoint, generations: usize) -> Result<Explore
     let dir = scratch(tag);
     let path = dir.join("c.ckpt");
     cp.save(&path).expect("save checkpoint");
-    let opts = ExploreOptions {
-        checkpoint: Some(path),
-        resume: true,
-        ..ExploreOptions::default()
-    };
-    let outcome = explore_with(&base, &tech, &params, &opts);
+    let loaded = Checkpoint::load(&path).expect("the checksum holds");
     std::fs::remove_dir_all(&dir).ok();
-    outcome
+    let mut run = Exploration::resume(&loaded, &base, &params)?;
+    let engine = EvalEngine::new(&base, &tech);
+    let policy = ExploreOptions::default();
+    while run.generation() < params.generations {
+        run.step(&engine, &tech, &policy);
+    }
+    Ok(run.result(&base))
 }
 
 /// A checkpoint of four distinct genomes, every one evaluated.
