@@ -33,10 +33,7 @@ fn bench_sta_incremental(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sta_incremental");
     for (name, cfg) in [("cell_shift", &shift), ("rule_change", &widened)] {
-        let snap = FlowRun::new(&base, &tech, cfg)
-            .seed(7)
-            .unchecked()
-            .snapshot();
+        let snap = FlowRun::new(&base, &tech, cfg).seed(7).snapshot().unwrap();
         group.bench_function(name, |b| {
             b.iter(|| {
                 std::hint::black_box(sta::analyze_incremental(

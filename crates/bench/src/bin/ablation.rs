@@ -23,8 +23,8 @@ fn main() {
         let spec = netlist::bench::spec_by_name(name).expect("known");
         let base = implement_baseline(&spec, &tech).unwrap();
         let cs = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         let lda = FlowRun::new(
             &base,
             &tech,
@@ -33,8 +33,8 @@ fn main() {
                 scales: [1.0; 10],
             },
         )
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
         let timing = if spec.period_factor > 1.0 {
             "loose"
         } else {
@@ -55,11 +55,11 @@ fn main() {
     let spec = netlist::bench::spec_by_name("MISTY").expect("known");
     let base = implement_baseline(&spec, &tech).unwrap();
     let plain = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
     let mut cfg = FlowConfig::cell_shift_default();
     cfg.scales = [1.0, 1.5, 1.5, 1.5, 1.5, 1.5, 1.2, 1.2, 1.2, 1.2];
-    let rws = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+    let rws = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
     println!(
         "RWS off: sites {:>6} tracks {:>8.0} tns {:>7.0}",
         plain.er_sites, plain.er_tracks, plain.tns_ps
@@ -91,8 +91,8 @@ fn main() {
         let g = Genome::random(&mut rng);
         let m = FlowRun::new(&base, &tech, &g.to_config())
             .seed(7)
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         if m.feasible(base.power_mw(), base.drc) {
             random_feasible += 1;
             random_best = random_best.min(m.security);

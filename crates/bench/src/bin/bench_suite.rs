@@ -292,14 +292,14 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         FlowRun::new(engine.base(), tech, &p.config)
             .engine(&engine)
             .seed(p.genome.flow_seed())
-            .unchecked()
             .metrics()
+            .unwrap()
     });
     let (replay_full_wall_secs, full) = replay(&points, |p| {
         FlowRun::new(&base, tech, &p.config)
             .seed(p.genome.flow_seed())
-            .unchecked()
             .metrics()
+            .unwrap()
     });
     for ((p, inc), full) in points.iter().zip(&incremental).zip(&full) {
         assert_eq!(

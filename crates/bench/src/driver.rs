@@ -105,8 +105,8 @@ fn select_pareto_point(
         .map(|p| p.config.clone())
         .unwrap_or_else(gdsii_guard::FlowConfig::cell_shift_default);
     let snap = gdsii_guard::flow::FlowRun::new(base, tech, &chosen)
-        .unchecked()
-        .snapshot();
+        .snapshot()
+        .unwrap();
     (snap, chosen)
 }
 

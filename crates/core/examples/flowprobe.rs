@@ -11,8 +11,8 @@ fn main() {
     for spec in bench::all_specs() {
         let base = implement_baseline(&spec, &tech).unwrap();
         let cs = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         let lda = FlowRun::new(
             &base,
             &tech,
@@ -21,8 +21,8 @@ fn main() {
                 scales: [1.0; 10],
             },
         )
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
         println!(
             "{:<14} {:>8} | {:>10.3} {:>8.0} | {:>10.3} {:>8.0}",
             spec.name, base.security.er_sites, cs.security, cs.tns_ps, lda.security, lda.tns_ps

@@ -3,11 +3,8 @@
 //! The crate used to panic at its two fallible seams — a layout that fails
 //! [`layout::Layout::check_consistency`] and a poisoned operator-edit
 //! cache. Both now surface as [`Error`] from the validating entry points
-//! ([`crate::pipeline::evaluate`], [`crate::pipeline::implement_baseline`],
-//! the checked [`crate::flow::FlowRun`] terminals); the
-//! [`crate::flow::FlowRun::unchecked`] path keeps the old infallible
-//! behaviour for callers that construct layouts themselves and have
-//! already validated them.
+//! ([`crate::pipeline::evaluate`], [`crate::pipeline::implement_baseline`])
+//! and the [`crate::flow::FlowRun`] terminals.
 
 use std::fmt;
 
@@ -22,11 +19,6 @@ pub enum Error {
     /// A worker thread panicked while holding the operator-edit cache
     /// lock, so memoized edits can no longer be trusted.
     EditCachePoisoned,
-    /// A sandboxed candidate evaluation failed (panic, injected fault, or
-    /// deadline overrun) and exhausted its degrade chain; the payload is
-    /// the rendered [`crate::sandbox::EvalFailure`] with the offending
-    /// genome attached.
-    EvalFailed(String),
     /// A checkpoint could not be written, read, or trusted (I/O error,
     /// checksum/version mismatch, or a base snapshot that differs from the
     /// one the checkpoint was taken against).
@@ -58,9 +50,6 @@ impl fmt::Display for Error {
             }
             Error::EditCachePoisoned => {
                 write!(f, "operator-edit cache poisoned by a panicked worker")
-            }
-            Error::EvalFailed(why) => {
-                write!(f, "candidate evaluation failed: {why}")
             }
             Error::Checkpoint(why) => {
                 write!(f, "checkpoint error: {why}")

@@ -259,9 +259,7 @@ fn engine_metrics(
 /// via [`FlowRun::engine`]), tune the run with [`seed`](FlowRun::seed),
 /// and finish with a terminal — [`snapshot`](FlowRun::snapshot) for the
 /// full evaluated layout or [`metrics`](FlowRun::metrics) for the fitness
-/// vector. Callers that treat a poisoned operator-edit cache as a bug
-/// rather than a recoverable condition opt into the panicking contract
-/// with [`unchecked`](FlowRun::unchecked).
+/// vector.
 ///
 /// ```no_run
 /// use gdsii_guard::prelude::*;
@@ -326,13 +324,6 @@ impl<'a> FlowRun<'a> {
         self
     }
 
-    /// Switches the terminals to a panicking contract: a poisoned
-    /// operator-edit cache panics instead of surfacing
-    /// [`Error::EditCachePoisoned`]. Validation is unchanged.
-    pub fn unchecked(self) -> FlowRunUnchecked<'a> {
-        FlowRunUnchecked(self)
-    }
-
     /// Runs the flow and returns the fully evaluated [`Snapshot`].
     ///
     /// # Errors
@@ -364,31 +355,6 @@ impl<'a> FlowRun<'a> {
     }
 }
 
-/// A [`FlowRun`] whose terminals panic on a poisoned operator-edit cache
-/// (see [`FlowRun::unchecked`]).
-#[must_use = "a FlowRun does nothing until `.snapshot()` or `.metrics()` runs it"]
-pub struct FlowRunUnchecked<'a>(FlowRun<'a>);
-
-impl FlowRunUnchecked<'_> {
-    /// Runs the flow and returns the fully evaluated [`Snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker poisoned the engine's operator-edit cache.
-    pub fn snapshot(self) -> Snapshot {
-        self.0.snapshot().expect("operator-edit cache poisoned")
-    }
-
-    /// Runs the flow and returns its [`FlowMetrics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker poisoned the engine's operator-edit cache.
-    pub fn metrics(self) -> FlowMetrics {
-        self.0.metrics().expect("operator-edit cache poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,8 +371,8 @@ mod tests {
     fn cell_shift_flow_improves_security() {
         let (tech, base) = base();
         let m = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert!(
             m.security < 0.5,
             "cell shift should cut exploitable space sharply, got {}",
@@ -435,8 +401,8 @@ mod tests {
         )
         .unwrap();
         let m = FlowRun::new(&base, &tech, &FlowConfig::lda_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert!(
             m.security < 1.0,
             "LDA should reduce exploitable space, got {}",
@@ -448,9 +414,9 @@ mod tests {
     fn width_scaling_cuts_tracks_beyond_sites() {
         let (tech, base) = base();
         let mut cfg = FlowConfig::cell_shift_default();
-        let plain = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+        let plain = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
         cfg.scales = [1.0, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5];
-        let scaled = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+        let scaled = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
         // Same placement operator; the track metric must drop further
         // relative to sites when wires widen (or both are already zero).
         let plain_ratio = if plain.er_sites > 0 {
@@ -504,10 +470,7 @@ mod tests {
             FlowConfig::lda_default(),
             scaled,
         ] {
-            let full = FlowRun::new(&base, &tech, &cfg)
-                .seed(7)
-                .unchecked()
-                .metrics();
+            let full = FlowRun::new(&base, &tech, &cfg).seed(7).metrics().unwrap();
             let inc = FlowRun::new(&base, &tech, &cfg)
                 .seed(7)
                 .engine(&engine)
@@ -522,8 +485,8 @@ mod tests {
         let (tech, base) = base();
         let before = base.security.er_sites;
         let _ = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-            .unchecked()
-            .metrics();
+            .metrics()
+            .unwrap();
         assert_eq!(base.security.er_sites, before);
         base.layout.check_consistency(&tech).unwrap();
     }

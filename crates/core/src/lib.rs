@@ -69,12 +69,12 @@ pub mod serve;
 
 pub use checkpoint::Checkpoint;
 pub use error::Error;
-pub use flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
+pub use flow::{FlowConfig, FlowMetrics, FlowRun, OpSelect};
 pub use nsga2::{
     explore, explore_with_engine, EvalPoint, Exploration, ExploreOptions, ExploreResult, Genome,
     Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
 };
-pub use pipeline::{CowSnapshot, EvalEngine, Snapshot};
+pub use pipeline::{EvalEngine, Snapshot};
 pub use sandbox::{EvalFailure, EvalStatus};
 
 /// The workspace-wide telemetry subsystem (spans, counters, histograms).
@@ -90,14 +90,14 @@ pub use obs;
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;
     pub use crate::error::Error;
-    pub use crate::flow::{FlowConfig, FlowMetrics, FlowRun, FlowRunUnchecked, OpSelect};
+    pub use crate::flow::{FlowConfig, FlowMetrics, FlowRun, OpSelect};
     pub use crate::nsga2::{
         explore, explore_with_engine, EvalPoint, Exploration, ExploreOptions, ExploreResult,
         Genome, Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
     };
     pub use crate::pipeline::{
-        evaluate, evaluate_unchecked, implement_baseline, implement_baseline_unchecked,
-        CowSnapshot, EvalEngine, Snapshot,
+        evaluate, evaluate_unchecked, implement_baseline, implement_baseline_unchecked, EvalEngine,
+        Snapshot,
     };
     pub use crate::sandbox::{EvalFailure, EvalStatus};
     pub use crate::serve;

@@ -332,10 +332,18 @@ impl ExploreResult {
     /// The feasible, non-dominated subset of all evaluated points
     /// (the explored Pareto front of Fig. 5).
     pub fn pareto_front(&self) -> Vec<&EvalPoint> {
+        self.front_through(usize::MAX)
+    }
+
+    /// The Pareto front of the points first evaluated at or before
+    /// `generation`: the front as the run stood after that generation.
+    pub(crate) fn front_through(&self, generation: usize) -> Vec<&EvalPoint> {
         let feasible: Vec<&EvalPoint> = self
             .points
             .iter()
-            .filter(|p| p.metrics.feasible(self.base_power_mw, self.base_drc))
+            .filter(|p| {
+                p.generation <= generation && p.metrics.feasible(self.base_power_mw, self.base_drc)
+            })
             .collect();
         feasible
             .iter()

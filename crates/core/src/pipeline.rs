@@ -193,7 +193,7 @@ const METRICS_MEMO_CAP: usize = 65_536;
 /// diverge — when it installs a different route rule via
 /// [`CowSnapshot::into_parts`].
 #[derive(Debug, Clone)]
-pub struct CowSnapshot {
+pub(crate) struct CowSnapshot {
     layout: Arc<Layout>,
     plan: Arc<route::RoutePlan>,
     /// Sorted net ids the Phase-A patch re-planned for this edit (the
@@ -203,21 +203,11 @@ pub struct CowSnapshot {
 }
 
 impl CowSnapshot {
-    /// The shared post-operator layout, at the baseline's route rule.
-    pub fn layout(&self) -> &Arc<Layout> {
-        &self.layout
-    }
-
     /// The sorted net ids the Phase-A patch re-planned for this edit.
     /// Feeds the incremental-STA dirty handoff in
     /// [`EvalEngine::evaluate_with_plan`].
     pub(crate) fn phase_a_dirty(&self) -> Arc<Vec<NetId>> {
         Arc::clone(&self.dirty)
-    }
-
-    /// The shared patched Phase-A plan, at the baseline's route rule.
-    pub fn plan(&self) -> &route::RoutePlan {
-        &self.plan
     }
 
     /// Materializes the `(layout, plan)` pair under `rule`.
@@ -228,7 +218,7 @@ impl CowSnapshot {
     /// plane. When the rule differs, the layout is copied once to install
     /// it and the plan re-derives capacities — stored usage is unscaled
     /// quanta, so the patched plan stays exact under the new rule.
-    pub fn into_parts(
+    pub(crate) fn into_parts(
         self,
         tech: &Technology,
         rule: &tech::RouteRule,
@@ -342,24 +332,6 @@ impl EvalEngine {
         engine
     }
 
-    /// Publishes this engine's memory-footprint gauges: the baseline
-    /// occupancy's resident bytes, the usage-plane pages held by the
-    /// baseline routing plus the Phase-A plan, and the accounted bytes
-    /// of the two candidate caches.
-    pub fn publish_memory_gauges(&self) {
-        use std::sync::atomic::Ordering;
-        let m = mem_metrics();
-        m.occupancy
-            .set(self.base.layout.occupancy().occupancy_bytes() as f64);
-        m.route_planes.set(
-            (self.base.routing.grid().planes_bytes() + self.plan.grid().planes_bytes()) as f64,
-        );
-        cache_metrics().bytes.set(
-            (self.edit_bytes_now.load(Ordering::Relaxed)
-                + self.memo_bytes_now.load(Ordering::Relaxed)) as f64,
-        );
-    }
-
     /// The engine's current byte footprint, read directly from the
     /// structures — unlike the gauges, this works with telemetry
     /// disabled, so `ggd stats` can always report it.
@@ -374,13 +346,18 @@ impl EvalEngine {
         }
     }
 
-    /// Republishes `eval.cache_bytes` from the two byte mirrors.
-    fn publish_cache_bytes(&self) {
-        use std::sync::atomic::Ordering;
-        cache_metrics().bytes.set(
-            (self.edit_bytes_now.load(Ordering::Relaxed)
-                + self.memo_bytes_now.load(Ordering::Relaxed)) as f64,
-        );
+    /// Publishes [`EvalEngine::memory_footprint`] as the
+    /// `mem.occupancy_bytes`, `mem.route_planes_bytes` and
+    /// `eval.cache_bytes` gauges; free while telemetry is off.
+    fn publish_memory_gauges(&self) {
+        if !obs::enabled() {
+            return;
+        }
+        let mem = self.memory_footprint();
+        let m = mem_metrics();
+        m.occupancy.set(mem.occupancy_bytes as f64);
+        m.route_planes.set(mem.route_planes_bytes as f64);
+        cache_metrics().bytes.set(mem.cache_bytes as f64);
     }
 
     /// Looks up the memoized metrics of a semantically identical earlier
@@ -406,7 +383,7 @@ impl EvalEngine {
                 );
             }
         }
-        self.publish_cache_bytes();
+        self.publish_memory_gauges();
     }
 
     /// Looks up the memoized [`CowSnapshot`] of an operator edit, or
@@ -502,7 +479,7 @@ impl EvalEngine {
         }
         self.edit_bytes_now.store(cache.bytes, Ordering::Relaxed);
         drop(cache);
-        self.publish_cache_bytes();
+        self.publish_memory_gauges();
         Ok(entry)
     }
 
@@ -716,12 +693,12 @@ mod tests {
         let second = engine
             .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
             .unwrap();
-        assert!(Arc::ptr_eq(first.layout(), second.layout()));
+        assert!(Arc::ptr_eq(&first.layout, &second.layout));
 
         // Rule-identical materialization keeps the layout shared.
-        let base_rule = first.layout().route_rule().clone();
+        let base_rule = first.layout.route_rule().clone();
         let (same, _plan) = second.into_parts(&tech, &base_rule);
-        assert!(Arc::ptr_eq(first.layout(), &same));
+        assert!(Arc::ptr_eq(&first.layout, &same));
 
         // A diverging rule copies privately and leaves the cache intact.
         let wide = tech::RouteRule::uniform(1.2);
@@ -729,9 +706,9 @@ mod tests {
             .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
             .unwrap();
         let (copied, _plan) = third.clone().into_parts(&tech, &wide);
-        assert!(!Arc::ptr_eq(first.layout(), &copied));
+        assert!(!Arc::ptr_eq(&first.layout, &copied));
         assert_eq!(copied.route_rule(), &wide);
-        assert!(Arc::ptr_eq(first.layout(), third.layout()));
+        assert!(Arc::ptr_eq(&first.layout, &third.layout));
 
         // No leak: dropping every handle leaves the cache entry plus the
         // one probe below as the only owners.
@@ -740,7 +717,7 @@ mod tests {
             .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
             .unwrap();
         drop(first);
-        assert_eq!(Arc::strong_count(probe.layout()), 2);
+        assert_eq!(Arc::strong_count(&probe.layout), 2);
         assert_eq!(Arc::strong_count(&probe.plan), 2);
     }
 
@@ -777,9 +754,9 @@ mod tests {
         // Determinism: the recomputation reproduces the same edit even
         // though the cache forgot it; the old handle stays valid.
         assert_eq!(
-            a.layout().occupancy().occupied_sites(),
-            a2.layout().occupancy().occupied_sites()
+            a.layout.occupancy().occupied_sites(),
+            a2.layout.occupancy().occupied_sites()
         );
-        assert!(!Arc::ptr_eq(a.layout(), a2.layout()));
+        assert!(!Arc::ptr_eq(&a.layout, &a2.layout));
     }
 }

@@ -69,12 +69,6 @@ impl std::fmt::Display for EvalFailure {
     }
 }
 
-impl From<EvalFailure> for Error {
-    fn from(f: EvalFailure) -> Self {
-        Error::EvalFailed(f.to_string())
-    }
-}
-
 /// How a candidate came out of the degrade chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalStatus {
@@ -101,7 +95,7 @@ pub struct SandboxPolicy {
 }
 
 /// Classifies a caught unwind payload.
-fn classify(payload: Box<dyn std::any::Any + Send>) -> EvalFailure {
+pub(crate) fn classify(payload: Box<dyn std::any::Any + Send>) -> EvalFailure {
     if let Some(fault) = faults::payload_of(&*payload) {
         return match fault {
             faults::FaultPayload::Injected { point } => EvalFailure::Injected {
@@ -311,13 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn eval_failure_renders_and_converts() {
+    fn eval_failure_renders() {
         let f = EvalFailure::Injected {
             point: "route.overflow".into(),
         };
         assert!(f.to_string().contains("route.overflow"));
-        let e: Error = f.into();
-        assert!(matches!(e, Error::EvalFailed(ref s) if s.contains("route.overflow")));
         let d = EvalFailure::DeadlineExceeded { budget_ms: 250 };
         assert!(d.to_string().contains("250"));
     }

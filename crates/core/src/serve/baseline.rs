@@ -21,12 +21,10 @@ use crate::error::Error;
 use crate::pipeline::{implement_baseline, EvalEngine, MemoryFootprint, Snapshot};
 use crate::serve::job::BaselineSummary;
 
-/// An implemented design shared by every job targeting it: the spec it
-/// was built from, the baseline snapshot, its pre-rendered headline
-/// summary, and the evaluation engine once an explore has asked for it.
+/// An implemented design shared by every job targeting it: the baseline
+/// snapshot, its pre-rendered headline summary, and the evaluation engine
+/// once an explore has asked for it.
 pub struct DesignContext {
-    /// The benchmark spec the baseline was implemented from.
-    pub spec: DesignSpec,
     /// Headline metrics of the baseline, attached to `baseline` events.
     pub summary: BaselineSummary,
     base: Snapshot,
@@ -147,7 +145,6 @@ impl BaselineCache {
             .ok_or_else(|| Error::Serve(format!("unknown design '{design}'")))?;
         let base = implement_baseline(&spec, &self.tech)?;
         Ok(Arc::new(DesignContext {
-            spec,
             summary: BaselineSummary::from_snapshot(&base),
             base,
             engine: OnceLock::new(),

@@ -320,46 +320,41 @@ impl Client {
     ) -> Result<JobStatus, Error> {
         let mut cursor = from;
         let mut failures = 0u32;
-        'resubscribe: loop {
-            if let Err(e) = self.send(&Request::Watch {
-                job: id,
-                from: cursor,
-            }) {
-                self.conn = None;
-                failures += 1;
-                if failures >= self.policy.attempts.max(1) {
-                    return Err(e);
+        loop {
+            // One subscription; a transport failure anywhere in it ends it.
+            let transport = 'subscription: {
+                let watch = Request::Watch {
+                    job: id,
+                    from: cursor,
+                };
+                if let Err(e) = self.send(&watch) {
+                    break 'subscription e;
                 }
-                metrics().retries.incr();
-                std::thread::sleep(self.policy.backoff(failures, self.salt));
-                continue 'resubscribe;
-            }
-            loop {
-                match self.recv() {
-                    Ok(Response::Event(e)) => {
-                        cursor = e.seq + 1;
-                        failures = 0;
-                        on_event(&e);
-                    }
-                    Ok(Response::Ok(payload)) => {
-                        return JobStatus::from_json(&payload).ok_or_else(|| {
-                            Error::Serve("malformed final status from watch".into())
-                        })
-                    }
-                    Ok(Response::Err(why)) => return Err(Error::Serve(why)),
-                    Ok(Response::Busy(why)) => return Err(Error::Busy(why)),
-                    Err(transport) => {
-                        self.conn = None;
-                        failures += 1;
-                        if failures >= self.policy.attempts.max(1) {
-                            return Err(transport);
+                loop {
+                    match self.recv() {
+                        Ok(Response::Event(e)) => {
+                            cursor = e.seq + 1;
+                            failures = 0;
+                            on_event(&e);
                         }
-                        metrics().retries.incr();
-                        std::thread::sleep(self.policy.backoff(failures, self.salt));
-                        continue 'resubscribe;
+                        Ok(Response::Ok(payload)) => {
+                            return JobStatus::from_json(&payload).ok_or_else(|| {
+                                Error::Serve("malformed final status from watch".into())
+                            })
+                        }
+                        Ok(Response::Err(why)) => return Err(Error::Serve(why)),
+                        Ok(Response::Busy(why)) => return Err(Error::Busy(why)),
+                        Err(e) => break 'subscription e,
                     }
                 }
+            };
+            self.conn = None;
+            failures += 1;
+            if failures >= self.policy.attempts.max(1) {
+                return Err(transport);
             }
+            metrics().retries.incr();
+            std::thread::sleep(self.policy.backoff(failures, self.salt));
         }
     }
 }

@@ -282,11 +282,6 @@ impl Journal {
         })
     }
 
-    /// The journal's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Appends one record: encode, write, flush — and `fsync` only for
     /// `submitted` records. A SIGKILL'd process loses nothing it has
     /// written (the page cache survives the process); `fsync` guards

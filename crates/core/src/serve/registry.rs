@@ -54,9 +54,6 @@ pub(crate) struct Job {
     pub error: Option<String>,
     /// Checkpoint envelope backing pause/resume for this job.
     pub checkpoint: PathBuf,
-    /// Pareto-front member keys as of the last generation, for computing
-    /// streamed front deltas.
-    pub front_keys: Vec<String>,
 }
 
 impl Job {
@@ -80,7 +77,6 @@ impl Job {
             result: None,
             error: None,
             checkpoint,
-            front_keys: Vec::new(),
         }
     }
 }
@@ -614,17 +610,6 @@ impl Registry {
             .map(|j| (j.spec.clone(), j.next_step, j.checkpoint.clone()))
     }
 
-    /// Installs the job's current Pareto-front member keys and returns
-    /// the previous set, so runners can stream front deltas.
-    pub fn replace_front(&self, id: u64, front: Vec<String>) -> Vec<String> {
-        let mut inner = self.lock();
-        inner
-            .jobs
-            .get_mut(&id)
-            .map(|j| std::mem::replace(&mut j.front_keys, front))
-            .unwrap_or_default()
-    }
-
     /// Appends an auxiliary event (e.g. `baseline`) to a job's stream.
     pub fn emit(&self, id: u64, kind: &str, generation: Option<u64>, data: Json) {
         let mut inner = self.lock();
@@ -643,14 +628,6 @@ impl Registry {
     /// Whether shutdown has begun.
     pub fn is_shutdown(&self) -> bool {
         self.lock().shutdown
-    }
-
-    /// Whether any job is queued or running.
-    pub fn has_live_work(&self) -> bool {
-        self.lock()
-            .jobs
-            .values()
-            .any(|j| matches!(j.state, JobState::Queued | JobState::Running))
     }
 }
 

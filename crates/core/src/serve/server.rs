@@ -43,7 +43,7 @@ use crate::checkpoint::{prev_path, Checkpoint};
 use crate::error::Error;
 use crate::flow::{FlowConfig, FlowMetrics, FlowRun};
 use crate::nsga2::{Exploration, ExploreResult, Nsga2Params};
-use crate::sandbox::SandboxPolicy;
+use crate::sandbox::{classify, SandboxPolicy};
 use crate::serve::baseline::{BaselineCache, DesignContext};
 use crate::serve::job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobStatus};
 use crate::serve::journal::Journal;
@@ -175,13 +175,10 @@ fn collect_stats(shared: &Shared) -> ServerStats {
 struct Shared {
     registry: Registry,
     baselines: BaselineCache,
+    /// The configuration the server started with.
+    config: ServerConfig,
+    /// `config.data_dir`, or its default when unset.
     data_dir: PathBuf,
-    socket_path: Option<PathBuf>,
-    /// Admission limits (0 = unlimited).
-    max_queued: usize,
-    mem_budget_bytes: u64,
-    /// Per-candidate budget of explore steps.
-    eval_deadline: Option<Duration>,
     busy_rejects: AtomicU64,
     runner_restarts: AtomicU64,
     /// Non-terminal jobs re-queued from the journal at startup.
@@ -238,22 +235,19 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
         busy_metric().incr();
         Err(why)
     };
-    if shared.max_queued > 0 {
+    let (max_queued, budget) = (shared.config.max_queued, shared.config.mem_budget_bytes);
+    if max_queued > 0 {
         let queued = shared.registry.queued_count();
-        if queued >= shared.max_queued {
-            return refuse(format!(
-                "{queued} jobs queued (limit {})",
-                shared.max_queued
-            ));
+        if queued >= max_queued {
+            return refuse(format!("{queued} jobs queued (limit {max_queued})"));
         }
     }
-    if shared.mem_budget_bytes > 0 {
+    if budget > 0 {
         let rss = peak_rss_bytes();
         let cache = shared.baselines.memory_footprint().cache_bytes;
-        if rss > shared.mem_budget_bytes || cache > shared.mem_budget_bytes {
+        if rss > budget || cache > budget {
             return refuse(format!(
-                "memory budget exceeded (peak RSS {rss} B, eval cache {cache} B, budget {} B)",
-                shared.mem_budget_bytes
+                "memory budget exceeded (peak RSS {rss} B, eval cache {cache} B, budget {budget} B)"
             ));
         }
     }
@@ -296,7 +290,7 @@ impl Server {
         // service-level points (`journal.write`, `serve.runner_panic`)
         // fire long before any evaluation sandbox would arm them.
         faults::ensure_init();
-        let data_dir = cfg.data_dir.unwrap_or_else(|| {
+        let data_dir = cfg.data_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!("ggd-serve-{}", std::process::id()))
         });
         std::fs::create_dir_all(&data_dir)
@@ -334,24 +328,22 @@ impl Server {
             }
             None => (Registry::new(), 0),
         };
+        let runners = cfg.runners;
         let shared = Arc::new(Shared {
             registry,
             baselines: BaselineCache::new(Technology::nangate45_like()),
+            config: cfg,
             data_dir,
-            socket_path: cfg.socket,
-            max_queued: cfg.max_queued,
-            mem_budget_bytes: cfg.mem_budget_bytes,
-            eval_deadline: cfg.eval_deadline,
             busy_rejects: AtomicU64::new(0),
             runner_restarts: AtomicU64::new(0),
             recovered_jobs,
         });
         let mut threads = Vec::new();
-        if cfg.runners > 0 {
+        if runners > 0 {
             // Runners live under the supervisor, which replaces any that
             // die or wedge; only the supervisor handle is joined on stop.
             let mut slots = Vec::new();
-            for i in 0..cfg.runners {
+            for i in 0..runners {
                 slots.push(spawn_runner(&shared, i)?);
             }
             let sh = Arc::clone(&shared);
@@ -452,16 +444,11 @@ impl Server {
         while self.step_once() {}
     }
 
-    /// Whether any job is queued or running.
-    pub fn has_live_work(&self) -> bool {
-        self.shared.registry.has_live_work()
-    }
-
     /// Begins shutdown without waiting: runners exit at their next
     /// claim, watchers drain, the acceptor unblocks.
     pub fn begin_shutdown(&self) {
         self.shared.registry.shutdown();
-        if let Some(path) = &self.shared.socket_path {
+        if let Some(path) = &self.shared.config.socket {
             // Unblock the acceptor's blocking `accept`.
             let _ = UnixStream::connect(path);
         }
@@ -474,7 +461,7 @@ impl Server {
         for t in self.threads {
             let _ = t.join();
         }
-        if let Some(path) = &self.shared.socket_path {
+        if let Some(path) = &self.shared.config.socket {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -620,25 +607,9 @@ fn execute_step(shared: &Shared, id: u64, flight: Option<&Flight>) -> StepOutcom
     })) {
         Ok(outcome) => outcome,
         Err(panic) => StepOutcome::Failed {
-            error: format!("step panicked: {}", panic_message(&panic)),
+            error: format!("step failed: {}", classify(panic)),
         },
     }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(fp) = faults::payload_of(panic) {
-        return match fp {
-            faults::FaultPayload::Injected { point } => format!("injected fault at {point}"),
-            faults::FaultPayload::DeadlineExceeded { budget_ms } => {
-                format!("deadline exceeded ({budget_ms} ms budget)")
-            }
-        };
-    }
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
 fn run_step(
@@ -670,7 +641,7 @@ fn run_step(
     match spec.kind {
         JobKind::Analyze => run_analyze(&ctx, shared.baselines.tech()),
         JobKind::Harden => run_harden(&ctx, shared.baselines.tech(), spec),
-        JobKind::Explore => run_explore_step(shared, id, &ctx, spec, step, ckpt, flight),
+        JobKind::Explore => run_explore_step(shared, &ctx, spec, step, ckpt, flight),
     }
 }
 
@@ -764,7 +735,6 @@ fn step_watchdog(deadline: Option<Duration>, params: &Nsga2Params) -> Option<Dur
 /// archive without a write.
 fn run_explore_step(
     shared: &Shared,
-    id: u64,
     ctx: &DesignContext,
     spec: &JobSpec,
     step: u64,
@@ -782,14 +752,16 @@ fn run_explore_step(
     let base = engine.base();
     // The watchdog bounds the candidate evaluations the deadline bounds,
     // so its clock starts only now that the baseline and engine exist.
-    if let (Some(flight), Some(limit)) = (flight, step_watchdog(shared.eval_deadline, &params)) {
+    if let (Some(flight), Some(limit)) =
+        (flight, step_watchdog(shared.config.eval_deadline, &params))
+    {
         flight.arm(limit);
     }
     // Cooperative per-candidate budget: a wedged evaluation trips its own
     // deadline long before the supervisor's watchdog has to declare the
     // whole runner stuck.
     let policy = SandboxPolicy {
-        deadline: shared.eval_deadline,
+        deadline: shared.config.eval_deadline,
     };
     let failed = |e: Error| StepOutcome::Failed {
         error: e.to_string(),
@@ -797,8 +769,14 @@ fn run_explore_step(
     let saved = ckpt.exists() || prev_path(ckpt).exists();
     let (mut run, mut evaluated) = if (step > 0 || spec.resume) && saved {
         // A corrupt primary degrades to the `.prev` last-good envelope;
-        // the generation it lacks re-runs deterministically below.
-        let resumed = Checkpoint::load_with_fallback(ckpt).and_then(|(cp, _)| {
+        // the generation it lacks re-runs deterministically below. The
+        // unreadable primary goes (a crash inside `save` may already have
+        // removed it), so the next save keeps the good envelope as `.prev`
+        // instead of renaming the torn one onto it.
+        let resumed = Checkpoint::load_with_fallback(ckpt).and_then(|(cp, fell_back)| {
+            if fell_back {
+                let _ = std::fs::remove_file(ckpt);
+            }
             let run = Exploration::resume(&cp, base, &params)?;
             if step == 0 {
                 obs::diagln!(
@@ -828,7 +806,7 @@ fn run_explore_step(
         }
     }
     let result = run.result(base);
-    let data = progress_data(shared, id, &result);
+    let data = progress_data(&result, step);
     if step < spec.generations as u64 {
         return StepOutcome::Progress {
             generation: step,
@@ -857,31 +835,84 @@ fn run_explore_step(
     }
 }
 
-/// Builds one `generation` event payload: evaluated-point count, front
-/// size, front-membership deltas against the previous generation, and —
-/// when telemetry is on — the cumulative obs snapshot.
-fn progress_data(shared: &Shared, id: u64, result: &ExploreResult) -> Json {
-    let front = result.pareto_front();
-    let keys: Vec<String> = front
-        .iter()
-        .map(|p| ggjson::to_string_compact(&p.genome))
-        .collect();
-    let prev = shared.registry.replace_front(id, keys.clone());
+/// Builds the `generation` (or `done`) event payload of explore step
+/// `step` from the run's archive alone, so a restarted job, or one whose
+/// checkpoint is ahead of its step, reports what the uninterrupted run
+/// did: the points first evaluated at or before generation `step`, the
+/// size of their Pareto front, the front's members added and removed
+/// since generation `step - 1` and, when telemetry is on, the cumulative
+/// obs snapshot.
+fn progress_data(result: &ExploreResult, step: u64) -> Json {
+    let front_keys = |generation: usize| -> Vec<String> {
+        result
+            .front_through(generation)
+            .iter()
+            .map(|p| ggjson::to_string_compact(&p.genome))
+            .collect()
+    };
+    let step = usize::try_from(step).unwrap_or(usize::MAX);
+    let keys = front_keys(step);
+    let prev = step.checked_sub(1).map(front_keys).unwrap_or_default();
     let added: Vec<String> = keys.iter().filter(|k| !prev.contains(k)).cloned().collect();
     let removed: Vec<String> = prev.iter().filter(|k| !keys.contains(k)).cloned().collect();
+    let points = result
+        .points
+        .iter()
+        .filter(|p| p.generation <= step)
+        .count();
     let mut members = vec![
-        ("points".to_owned(), Json::Num(result.points.len() as f64)),
-        ("front_size".to_owned(), Json::Num(front.len() as f64)),
+        ("points".to_owned(), Json::Num(points as f64)),
+        ("front_size".to_owned(), Json::Num(keys.len() as f64)),
         ("added".to_owned(), ggjson::ToJson::to_json(&added)),
         ("removed".to_owned(), ggjson::ToJson::to_json(&removed)),
     ];
     let snap = obs::snapshot();
     if !snap.is_empty() {
-        if let Some(obs_json) = ggjson::from_str::<Json>(&snap.to_json()) {
-            members.push(("obs".to_owned(), obs_json));
-        }
+        members.push(("obs".to_owned(), obs_json(&snap)));
     }
     Json::Obj(members)
+}
+
+/// An event's `obs` member: each section of `snap` as an object keyed by
+/// metric name or span path. Numbers are JSON numbers (`f64`, like every
+/// number on the wire) and a non-finite gauge reads 0.
+fn obs_json(snap: &obs::MetricsSnapshot) -> Json {
+    fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect(),
+        )
+    }
+    let num = |v: u64| Json::Num(v as f64);
+    let counters = obj(snap.counters.iter().map(|(n, v)| (n.as_str(), num(*v))));
+    let gauges = obj(snap
+        .gauges
+        .iter()
+        .map(|(n, v)| (n.as_str(), Json::Num(if v.is_finite() { *v } else { 0.0 }))));
+    let histograms = obj(snap.histograms.iter().map(|h| {
+        let buckets = h
+            .buckets
+            .iter()
+            .map(|&(bound, n)| Json::Arr(vec![num(bound), num(n)]));
+        let members = [
+            ("count", num(h.count)),
+            ("sum", num(h.sum)),
+            ("buckets", Json::Arr(buckets.collect())),
+        ];
+        (h.name.as_str(), obj(members))
+    }));
+    let spans = obj(snap.spans.iter().map(|s| {
+        let members = [("count", num(s.count)), ("total_nanos", num(s.total_nanos))];
+        (s.path.as_str(), obj(members))
+    }));
+    obj([
+        ("counters", counters),
+        ("gauges", gauges),
+        ("histograms", histograms),
+        ("spans", spans),
+    ])
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: UnixListener) {
@@ -943,7 +974,7 @@ fn handle_line(shared: &Shared, line: &str, writer: &mut UnixStream) -> std::io:
         Request::Shutdown => {
             registry.shutdown();
             let out = write_line(writer, &Response::Ok(Json::Str("bye".into())));
-            if let Some(path) = &shared.socket_path {
+            if let Some(path) = &shared.config.socket {
                 let _ = UnixStream::connect(path);
             }
             return out;
@@ -1003,5 +1034,86 @@ mod tests {
         assert_eq!(step_watchdog(Some(ms(10)), &params(1, 1)), Some(ms(320)));
         assert_eq!(step_watchdog(Some(Duration::ZERO), &params(16, 4)), None);
         assert_eq!(step_watchdog(None, &params(16, 4)), None);
+    }
+
+    #[test]
+    fn obs_member_keeps_every_section() {
+        let snap = obs::MetricsSnapshot {
+            counters: vec![("rt.counter".into(), 42)],
+            gauges: vec![("rt.gauge".into(), 6.5), ("rt.nan".into(), f64::NAN)],
+            histograms: vec![obs::HistogramSnapshot {
+                name: "rt.hist".into(),
+                count: 5,
+                sum: 311,
+                buckets: vec![(1, 1), (2, 1), (8, 2), (512, 1), (u64::MAX, 3)],
+            }],
+            spans: vec![
+                obs::SpanSnapshot {
+                    path: "rt.outer".into(),
+                    count: 1,
+                    total_nanos: 900,
+                },
+                obs::SpanSnapshot {
+                    path: "rt.outer/rt.inner \"quoted\"\n".into(),
+                    count: 1,
+                    total_nanos: 400,
+                },
+            ],
+        };
+        // The member travels as one compact line; read it back from there.
+        let line = ggjson::to_string_compact(&obs_json(&snap));
+        let parsed = ggjson::parse(&line).expect("the obs member is strict JSON");
+        let at = |section: &str, key: &str| {
+            parsed
+                .get(section)
+                .and_then(|s| s.get(key))
+                .unwrap_or_else(|| panic!("{section}.{key} missing from {line}"))
+                .clone()
+        };
+        assert_eq!(at("counters", "rt.counter").as_num(), Some(42.0));
+        assert_eq!(at("gauges", "rt.gauge").as_num(), Some(6.5));
+        assert_eq!(
+            at("gauges", "rt.nan").as_num(),
+            Some(0.0),
+            "non-finite reads 0"
+        );
+
+        let hist = at("histograms", "rt.hist");
+        assert_eq!(hist.get("count").and_then(Json::as_num), Some(5.0));
+        assert_eq!(hist.get("sum").and_then(Json::as_num), Some(311.0));
+        let Some(Json::Arr(buckets)) = hist.get("buckets") else {
+            panic!("buckets must be an array");
+        };
+        let pairs: Vec<(f64, f64)> = buckets
+            .iter()
+            .map(|b| match b {
+                Json::Arr(pair) => (pair[0].as_num().unwrap(), pair[1].as_num().unwrap()),
+                other => panic!("bucket must be a [bound, count] pair, got {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(f64, f64)> = snap.histograms[0]
+            .buckets
+            .iter()
+            .map(|&(bound, n)| (bound as f64, n as f64))
+            .collect();
+        assert_eq!(pairs, expected);
+
+        // Span paths, quotes and control characters included, survive.
+        let inner = at("spans", "rt.outer/rt.inner \"quoted\"\n");
+        assert_eq!(inner.get("count").and_then(Json::as_num), Some(1.0));
+        let outer = at("spans", "rt.outer");
+        assert_eq!(outer.get("total_nanos").and_then(Json::as_num), Some(900.0));
+    }
+
+    #[test]
+    fn obs_member_of_an_empty_snapshot_has_empty_sections() {
+        let parsed = obs_json(&obs::MetricsSnapshot::default());
+        for section in ["counters", "gauges", "histograms", "spans"] {
+            assert_eq!(
+                parsed.get(section),
+                Some(&Json::Obj(Vec::new())),
+                "{section}"
+            );
+        }
     }
 }

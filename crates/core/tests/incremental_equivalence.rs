@@ -77,7 +77,7 @@ proptest! {
             }
         };
         let cfg = FlowConfig { op, scales };
-        let full = FlowRun::new(base, tech, &cfg).seed(seed).unchecked().metrics();
+        let full = FlowRun::new(base, tech, &cfg).seed(seed).metrics().unwrap();
         let inc = FlowRun::new(engine.base(), tech, &cfg).engine(engine).seed(seed).metrics().unwrap();
         prop_assert_eq!(full, inc, "flow metrics diverged on {:?}", cfg);
     }

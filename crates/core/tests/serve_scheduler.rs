@@ -387,9 +387,59 @@ fn assert_matches_library(server: &Server, id: u64, spec: &JobSpec) -> Result<()
     Ok(())
 }
 
+/// The progress members of job `id`'s `generation` and `done` events, in
+/// stream order: each step's generation and its `points`, `front_size`,
+/// `added` and `removed`, rendered compactly.
+fn progress(server: &Server, id: u64) -> Vec<(u64, String)> {
+    let (events, _) = server.events_since(id, 0, false).expect("job exists");
+    events
+        .iter()
+        .filter(|e| e.kind == "generation" || e.kind == "done")
+        .map(|e| {
+            let members = ["points", "front_size", "added", "removed"].map(|k| {
+                ggjson::to_string_compact(e.data.get(k).unwrap_or_else(|| panic!("{k}: {e:?}")))
+            });
+            (
+                e.generation.expect("a step's generation"),
+                members.join(" "),
+            )
+        })
+        .collect()
+}
+
+/// What an uninterrupted run of `spec` reports at each step.
+fn uninterrupted_progress(tag: &str, spec: &JobSpec) -> Vec<(u64, String)> {
+    let (server, _dir) = test_server(&format!("{tag}-uninterrupted"));
+    let id = server.submit(spec.clone()).expect("submit");
+    server.run_until_idle();
+    let steps = progress(&server, id);
+    server.stop();
+    assert_eq!(steps.len(), spec.generations + 1, "one event per step");
+    steps
+}
+
+/// Asserts that every step event in `seen` (a job's events, possibly
+/// across restarts that re-run a step) reports what the uninterrupted run
+/// reported at that step, and that every step was reported.
+fn assert_progress_matches(seen: &[(u64, String)], uninterrupted: &[(u64, String)]) {
+    for (generation, members) in seen {
+        let expected = uninterrupted.iter().find(|(g, _)| g == generation);
+        assert_eq!(
+            Some(members),
+            expected.map(|(_, m)| m),
+            "generation {generation} differs from the uninterrupted run"
+        );
+    }
+    let mut steps: Vec<u64> = seen.iter().map(|(g, _)| *g).collect();
+    steps.dedup();
+    let all: Vec<u64> = uninterrupted.iter().map(|(g, _)| *g).collect();
+    assert_eq!(steps, all, "every step is reported, in order");
+}
+
 /// Default checkpoint paths are named after job ids, which the journal
 /// keeps unique across restarts: a job submitted after a restart must not
-/// overwrite a recovered job's checkpoint.
+/// overwrite a recovered job's checkpoint. The recovered job's events
+/// report what an uninterrupted run reports at every step.
 #[test]
 fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
     let dir = Scratch::new("ckpt-ids");
@@ -405,6 +455,7 @@ fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
     let first = Server::start(config.clone())?;
     let a = first.submit(spec_a.clone())?;
     assert!(first.step_once(), "generation 0 of job A runs");
+    let mut seen = progress(&first, a);
     first.stop();
 
     // B outranks the recovered A, so its first step runs before A resumes.
@@ -413,6 +464,8 @@ fn default_checkpoints_stay_distinct_across_a_restart() -> Result<(), Error> {
     second.run_until_idle();
     assert_matches_library(&second, a, &spec_a)?;
     assert_matches_library(&second, b, &spec_b)?;
+    seen.extend(progress(&second, a));
+    assert_progress_matches(&seen, &uninterrupted_progress("ckpt-ids", &spec_a));
     second.stop();
     Ok(())
 }
@@ -436,8 +489,9 @@ fn resume_without_checkpoint_starts_fresh() -> Result<(), Error> {
 /// A crash can lose the journal's last `generation` record after the
 /// step's checkpoint landed. Recovery then re-queues a step the
 /// checkpoint already holds: it must evaluate and write nothing, leaving
-/// the checkpoint and its `.prev` byte-identical, and the job must still
-/// finish equal to the library run.
+/// the checkpoint and its `.prev` byte-identical, report what the
+/// uninterrupted run reported at that step, and the job must still finish
+/// equal to the library run.
 #[test]
 fn step_the_checkpoint_holds_is_answered_without_a_write() -> Result<(), Error> {
     let dir = Scratch::new("lost-record");
@@ -447,6 +501,7 @@ fn step_the_checkpoint_holds_is_answered_without_a_write() -> Result<(), Error> 
     let id = first.submit(spec.clone())?;
     assert!(first.step_once(), "generation 0 runs");
     assert!(first.step_once(), "generation 1 runs");
+    let mut seen = progress(&first, id);
     first.stop();
 
     let journal_dir = dir.0.join("journal");
@@ -483,46 +538,103 @@ fn step_the_checkpoint_holds_is_answered_without_a_write() -> Result<(), Error> 
     );
     second.run_until_idle();
     assert_matches_library(&second, id, &spec)?;
+    seen.extend(progress(&second, id));
+    assert_eq!(
+        seen.iter().filter(|(g, _)| *g == 1).count(),
+        2,
+        "generation 1 is reported before and after the restart"
+    );
+    assert_progress_matches(&seen, &uninterrupted_progress("lost-record", &spec));
     second.stop();
     Ok(())
 }
 
+/// A `resume` job over the checkpoint of a finished run holds every
+/// generation before its first step: each step is answered from the
+/// archive without a write and reports what the uninterrupted run
+/// reported at that step, not the finished archive.
+#[test]
+fn resumed_ahead_job_reports_each_step_as_the_uninterrupted_run() -> Result<(), Error> {
+    let dir = Scratch::new("resumed-ahead");
+    let server = Server::start(journaled_config(&dir.0))?;
+    let spec = JobSpec {
+        checkpoint: Some(dir.0.join("run.ckpt").display().to_string()),
+        ..tiny_explore()
+    };
+    let finished = server.submit(spec.clone())?;
+    server.run_until_idle();
+    let uninterrupted = progress(&server, finished);
+    let ckpt = dir.0.join("run.ckpt");
+    let envelope = std::fs::read(&ckpt).expect("the finished run's checkpoint");
+
+    let ahead = server.submit(JobSpec {
+        resume: true,
+        ..spec.clone()
+    })?;
+    server.run_until_idle();
+    assert_eq!(progress(&server, ahead), uninterrupted);
+    assert!(
+        std::fs::read(&ckpt).expect("checkpoint") == envelope,
+        "steps the checkpoint holds write nothing"
+    );
+    assert_matches_library(&server, ahead, &spec)?;
+    server.stop();
+    Ok(())
+}
+
 /// A primary checkpoint torn between steps degrades to its `.prev`
-/// last-good envelope: the next step resumes from generation 0, re-runs
-/// generation 1 before its own, and the job finishes equal to the library
-/// run.
+/// last-good envelope: the next step resumes from generation 0 and re-runs
+/// generation 1 before its own. The torn primary is dropped before that
+/// step saves, so `.prev` still holds the good envelope and a second tear
+/// before the last step degrades the same way; the job finishes equal to
+/// the library run.
 #[test]
 fn torn_primary_checkpoint_resumes_from_prev() -> Result<(), Error> {
     let dir = Scratch::new("torn-primary");
     let server = Server::start(journaled_config(&dir.0))?;
-    let spec = tiny_explore();
+    let spec = JobSpec {
+        generations: 3,
+        ..tiny_explore()
+    };
     let id = server.submit(spec.clone())?;
     assert!(server.step_once(), "generation 0 runs");
     assert!(server.step_once(), "generation 1 runs");
 
     let ckpt = dir.0.join("data").join(format!("job{id}.ckpt"));
-    let mut bytes = std::fs::read(&ckpt).expect("primary checkpoint");
-    let payload = bytes
-        .windows(12)
-        .position(|w| w == b"\"payload\": {")
-        .expect("payload key");
-    let digit = payload
-        + bytes[payload..]
-            .iter()
-            .position(u8::is_ascii_digit)
-            .expect("a digit in the payload");
-    bytes[digit] = if bytes[digit] == b'9' {
-        b'8'
-    } else {
-        bytes[digit] + 1
+    let tear = || {
+        let mut bytes = std::fs::read(&ckpt).expect("primary checkpoint");
+        let payload = bytes
+            .windows(12)
+            .position(|w| w == b"\"payload\": {")
+            .expect("payload key");
+        let digit = payload
+            + bytes[payload..]
+                .iter()
+                .position(u8::is_ascii_digit)
+                .expect("a digit in the payload");
+        bytes[digit] = if bytes[digit] == b'9' {
+            b'8'
+        } else {
+            bytes[digit] + 1
+        };
+        std::fs::write(&ckpt, &bytes).expect("tear the primary");
+        assert!(
+            Checkpoint::load(&ckpt).is_err(),
+            "the flip fails the checksum"
+        );
     };
-    std::fs::write(&ckpt, &bytes).expect("tear the primary");
-    assert!(
-        Checkpoint::load(&ckpt).is_err(),
-        "the flip fails the checksum"
-    );
+    tear();
     assert_eq!(Checkpoint::load(&prev_path(&ckpt))?.generation, 0);
 
+    assert!(server.step_once(), "generation 2 runs");
+    assert_eq!(Checkpoint::load(&ckpt)?.generation, 2);
+    assert_eq!(
+        Checkpoint::load(&prev_path(&ckpt))?.generation,
+        0,
+        "the good envelope stays the last-good one"
+    );
+
+    tear();
     assert!(server.step_once(), "the last step runs");
     assert_eq!(Checkpoint::load(&ckpt)?.generation, spec.generations);
     assert_matches_library(&server, id, &spec)?;

@@ -24,8 +24,9 @@
 //! atomic ([`set_enabled`]): when disabled, a counter bump is a single
 //! relaxed load and a span is two monotonic clock reads — unmeasurable on
 //! the paths this crate instruments. [`snapshot`] drains an immutable
-//! [`MetricsSnapshot`] that renders as a human tree ([`MetricsSnapshot::render`])
-//! or machine-readable JSON ([`MetricsSnapshot::to_json`]).
+//! [`MetricsSnapshot`] that renders as a human tree ([`MetricsSnapshot::render`]);
+//! its public fields are the machine-readable form, which `ggd serve`
+//! exports as JSON (this crate writes none).
 //!
 //! # Examples
 //!
@@ -421,7 +422,7 @@ pub fn current_span_depth() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot, reset, rendering, JSON export
+// Snapshot, reset, rendering
 // ---------------------------------------------------------------------------
 
 /// Point-in-time copy of one histogram's state.
@@ -650,81 +651,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Serializes the snapshot as a self-contained JSON object (the
-    /// machine-readable export `ggd serve` attaches to `generation`
-    /// events).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str, out: &mut String) {
-            out.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        fn finite(v: f64) -> f64 {
-            if v.is_finite() {
-                v
-            } else {
-                0.0
-            }
-        }
-        let mut out = String::from("{\"counters\":{");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(n, &mut out);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(n, &mut out);
-            out.push_str(&format!(":{:?}", finite(*v)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(&h.name, &mut out);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            ));
-            for (j, &(bound, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{bound},{c}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"spans\":{");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(&s.path, &mut out);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_nanos\":{}}}",
-                s.count, s.total_nanos
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -858,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_cover_every_section() {
+    fn render_covers_every_section() {
         let _g = exclusive();
         set_enabled(true);
         counter("t.render_c").add(1);
@@ -870,9 +796,6 @@ mod tests {
         for needle in ["t.render_c", "t.render_g", "t.render_h", "t.render_inner"] {
             assert!(tree.contains(needle), "render misses {needle}:\n{tree}");
         }
-        let json = snap.to_json();
-        assert!(json.contains("\"t.render_outer/t.render_inner\""));
-        assert!(json.contains("\"counters\""));
         set_enabled(false);
     }
 }

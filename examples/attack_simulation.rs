@@ -52,8 +52,8 @@ fn main() {
     report("baseline layout", &base.security, &tech);
 
     let hardened = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .snapshot();
+        .snapshot()
+        .unwrap();
     report("GDSII-Guard hardened layout", &hardened.security, &tech);
 
     println!(

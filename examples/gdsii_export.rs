@@ -14,9 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::nangate45_like();
     let spec = netlist::bench::spec_by_name("TDEA").expect("known benchmark");
     let base = implement_baseline(&spec, &tech).unwrap();
-    let mut hardened = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .snapshot();
+    let mut hardened = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default()).snapshot()?;
 
     // Tapeout hygiene: tile the remaining whitespace with filler cells.
     let hl = std::sync::Arc::make_mut(&mut hardened.layout);

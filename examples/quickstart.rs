@@ -34,7 +34,7 @@ fn main() {
     // Harden with the default Cell Shift configuration (PRESENT is a
     // timing-loose design — exactly CS territory, §III-B1).
     let cfg = FlowConfig::cell_shift_default();
-    let metrics = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+    let metrics = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
     println!(
         "hardened: security {:.3} (baseline = 1.0), {} sites / {:.0} tracks remain, \
          TNS {:.1} ps, power {:.3} mW, {} DRC",

@@ -16,8 +16,8 @@ fn present_defense_sweep_has_paper_shape() {
     let bisa = defenses::apply_bisa(&base, &tech);
     let ba = defenses::apply_ba(&base, &tech);
     let gg = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
 
     let sec = |s: &gdsii_guard::Snapshot| security_score(&s.security, &base.security, 0.5);
 
@@ -39,11 +39,11 @@ fn openmsp430_1_loose_design_prefers_cell_shift() {
     let base = implement_baseline(&spec, &tech).unwrap();
     assert_eq!(base.tns_ps(), 0.0, "openMSP430_1 closes timing at baseline");
     let cs = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
     let lda = FlowRun::new(&base, &tech, &FlowConfig::lda_default())
-        .unchecked()
-        .metrics();
+        .metrics()
+        .unwrap();
     assert!(
         cs.security < lda.security,
         "loose design: CS {} should beat LDA {}",

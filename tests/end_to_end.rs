@@ -38,8 +38,8 @@ fn cell_shift_flow_hardens_loose_design() {
     let tech = Technology::nangate45_like();
     let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
     let hardened = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .snapshot();
+        .snapshot()
+        .unwrap();
     let sec = secmetrics::security_score(&hardened.security, &base.security, 0.5);
     assert!(
         sec < 0.5,
@@ -71,7 +71,7 @@ fn lda_flow_hardens_tight_design_with_bounded_timing_cost() {
         op: OpSelect::Lda { n: 8, n_iter: 1 },
         scales: [1.0; 10],
     };
-    let m = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+    let m = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
     assert!(
         m.security < 0.95,
         "LDA should improve security, got {}",
@@ -87,9 +87,9 @@ fn rws_reduces_tracks_at_a_wire_cost() {
     let tech = Technology::nangate45_like();
     let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
     let mut cfg = FlowConfig::cell_shift_default();
-    let before = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+    let before = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
     cfg.scales = [1.0, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5];
-    let after = FlowRun::new(&base, &tech, &cfg).unchecked().metrics();
+    let after = FlowRun::new(&base, &tech, &cfg).metrics().unwrap();
     // Track metric falls at least as fast as the site metric when wires
     // widen (the Fig. 4 observation that tracks trail sites by ~15 %).
     let ratio = |m: &gdsii_guard::FlowMetrics| {
@@ -138,8 +138,8 @@ fn hardened_layout_exports_to_gdsii_and_back() {
     let tech = Technology::nangate45_like();
     let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
     let mut hardened = FlowRun::new(&base, &tech, &FlowConfig::cell_shift_default())
-        .unchecked()
-        .snapshot();
+        .snapshot()
+        .unwrap();
     layout::insert_fillers(
         std::sync::Arc::make_mut(&mut hardened.layout).occupancy_mut(),
         &tech,
