@@ -18,8 +18,8 @@
 //! Flags:
 //! - `--design NAME` runs a single design (any roster name, including
 //!   `TINY` and scaled `NAME@xN` forms) instead of the matrix, prints its
-//!   row and writes no JSON: `BENCH_suite.json` only ever holds a whole
-//!   matrix.
+//!   row, then the whole row as one compact JSON line for scripts, and
+//!   writes no file: `BENCH_suite.json` only ever holds a whole matrix.
 //! - `--pop N` / `--gens N` / `--seed N` / `--threads N` override the
 //!   per-design explore schedule (defaults 8/3, seed shared with the
 //!   other benches).
@@ -45,6 +45,7 @@ use std::time::Instant;
 use gdsii_guard::obs::MetricsSnapshot;
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::{JobSpec, Server, ServerConfig};
+use gdsii_guard::BETA_POWER;
 use gg_bench::driver::GG_GA_PARAMS;
 use netlist::bench::DesignSpec;
 use tech::Technology;
@@ -87,6 +88,8 @@ struct Phases {
     sta_cone_nets: u64,
     sta_early_exits: u64,
     rrr_rounds: u64,
+    /// Phase-B calls the stall rule ended before their last round.
+    rrr_stalls: u64,
     /// Nets ripped up and rerouted, summed over every RRR round.
     rrr_victims: u64,
     /// Maze searches run (the count of the `maze.pops` histogram).
@@ -112,6 +115,7 @@ ggjson::json_struct!(Phases {
     sta_cone_nets,
     sta_early_exits,
     rrr_rounds,
+    rrr_stalls,
     rrr_victims,
     maze_searches,
     maze_pops,
@@ -138,6 +142,7 @@ impl Phases {
             sta_cone_nets: t.counter("sta.cone_nets"),
             sta_early_exits: t.counter("sta.early_exits"),
             rrr_rounds: t.counter("rrr.rounds"),
+            rrr_stalls: t.counter("rrr.stalls"),
             rrr_victims: t.counter("rrr.victims"),
             maze_searches: maze_pops.map_or(0, |h| h.count),
             maze_pops: maze_pops.map_or(0, |h| h.sum),
@@ -154,6 +159,12 @@ struct SuiteRow {
     generations: u64,
     evaluations: u64,
     quarantined: u64,
+    /// Evaluated points, quarantined ones aside, over the DRC bound
+    /// (`FlowMetrics::drc_limit`).
+    infeasible_drc: u64,
+    /// Evaluated points, quarantined ones aside, over the power bound
+    /// (`BETA_POWER` times the baseline's power).
+    infeasible_power: u64,
     degraded: u64,
     baseline_wall_secs: f64,
     explore_wall_secs: f64,
@@ -173,6 +184,10 @@ struct SuiteRow {
     base_tns_ps: f64,
     front_tns_ps: f64,
     tns_delta_ps: f64,
+    base_drc: u64,
+    /// DRC of the security-best front point (`base_drc` when the front
+    /// is empty).
+    front_drc: u64,
     occupancy_bytes: u64,
     route_planes_bytes: u64,
     eval_cache_bytes: u64,
@@ -187,6 +202,8 @@ ggjson::json_struct!(SuiteRow {
     generations,
     evaluations,
     quarantined,
+    infeasible_drc,
+    infeasible_power,
     degraded,
     baseline_wall_secs,
     explore_wall_secs,
@@ -203,6 +220,8 @@ ggjson::json_struct!(SuiteRow {
     base_tns_ps,
     front_tns_ps,
     tns_delta_ps,
+    base_drc,
+    front_drc,
     occupancy_bytes,
     route_planes_bytes,
     eval_cache_bytes,
@@ -329,6 +348,18 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         .min_by(|a, b| a.metrics.security.total_cmp(&b.metrics.security));
     let best_security = best.map_or(1.0, |p| p.metrics.security);
     let front_tns_ps = best.map_or(result.base_tns_ps, |p| p.metrics.tns_ps);
+    let front_drc = best.map_or(result.base_drc, |p| p.metrics.drc);
+
+    // Why points missed the front: each non-quarantined point over the
+    // DRC bound, and each over the power bound (a point can be both).
+    let (mut infeasible_drc, mut infeasible_power) = (0, 0);
+    for p in &result.points {
+        if result.quarantined.iter().any(|q| q.genome == p.genome) {
+            continue;
+        }
+        infeasible_drc += u64::from(p.metrics.drc > FlowMetrics::drc_limit(result.base_drc));
+        infeasible_power += u64::from(p.metrics.power_mw > BETA_POWER * result.base_power_mw);
+    }
 
     let gauge = |name: &str| telemetry.gauge(name).unwrap_or(0.0) as u64;
     SuiteRow {
@@ -338,6 +369,8 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         generations: params.generations as u64,
         evaluations,
         quarantined: result.quarantined.len() as u64,
+        infeasible_drc,
+        infeasible_power,
         degraded: telemetry.counter("eval.degraded"),
         baseline_wall_secs,
         explore_wall_secs,
@@ -354,6 +387,8 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         base_tns_ps: result.base_tns_ps,
         front_tns_ps,
         tns_delta_ps: front_tns_ps - result.base_tns_ps,
+        base_drc: result.base_drc.into(),
+        front_drc: front_drc.into(),
         occupancy_bytes: gauge("mem.occupancy_bytes"),
         route_planes_bytes: gauge("mem.route_planes_bytes"),
         eval_cache_bytes: gauge("eval.cache_bytes"),
@@ -695,6 +730,7 @@ fn main() {
         return;
     }
     if single.is_some() {
+        println!("{}", ggjson::to_string_compact(&rows[0]));
         println!("suite: one design in {suite_wall_secs:.2}s; BENCH_suite.json left as it was");
         return;
     }

@@ -68,6 +68,9 @@ struct RouteMetrics {
     rrr_rounds: obs::Counter,
     /// Victim nets ripped and rerouted.
     rrr_victims: obs::Counter,
+    /// `finalize_route` calls that the stall rule ([`rrr_continues`])
+    /// ended before their last round.
+    rrr_stalls: obs::Counter,
     /// Heap pops per maze (Dijkstra) search — the router's unit of work.
     maze_pops: obs::Histogram,
 }
@@ -83,6 +86,7 @@ fn metrics() -> &'static RouteMetrics {
         rrr_calls: obs::counter("rrr.calls"),
         rrr_rounds: obs::counter("rrr.rounds"),
         rrr_victims: obs::counter("rrr.victims"),
+        rrr_stalls: obs::counter("rrr.stalls"),
         maze_pops: obs::histogram("maze.pops"),
     })
 }
@@ -922,6 +926,20 @@ fn rip_up(grid: &mut RouteGrid, segs: &[RouteSeg]) {
 /// Number of rip-up-and-reroute refinement rounds.
 const RRR_ROUNDS: usize = 5;
 
+/// From round 2 on, a round runs only while its census's total overflow
+/// is below this fraction of the lowest total seen so far: one more round
+/// of rip-up costs about as much as the last, so a round that cut
+/// overflow by less than a quarter is not worth repeating.
+const RRR_STALL_CUT: f64 = 0.75;
+
+/// Phase B's stop rule: whether round `round` runs, given its census's
+/// total overflow `score` and the lowest total `best` of the earlier
+/// rounds' censuses (`None` before any). Rounds 0 and 1 always run; a
+/// regression after them always stops.
+fn rrr_continues(round: usize, score: f64, best: Option<f64>) -> bool {
+    round < 2 || best.is_none_or(|b| score < RRR_STALL_CUT * b)
+}
+
 /// The Phase-A runs of one MST edge: one straight run, or an L-shape whose
 /// orientation is a parity hash of the endpoints (so roughly half the
 /// bends go each way without consulting congestion — the choice must stay
@@ -1138,7 +1156,9 @@ fn reroute_victim(
 /// pair and reroutes it, in net-id order, against the live usage of every
 /// other net. Sequential rip-up keeps the process convergent
 /// (unsynchronized parallel rip-up oscillates) and the result a pure
-/// function of the layout and plan.
+/// function of the layout and plan. From the third round on, a round runs
+/// only while the overflow census's total is below 3/4 of the lowest
+/// total seen so far; otherwise Phase B stops and keeps its best state.
 pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> RoutingState {
     let design = layout.design();
     let clock = design.clock;
@@ -1159,10 +1179,11 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
     let (grid, segs, ripped) = obs::span("route.phase_b", move |_| {
         type BestState = (f64, RouteGrid, Vec<Arc<[RouteSeg]>>);
         let mut best: Option<BestState> = None;
-        // Union of all rounds' victims. Restoring the best state only
-        // discards reroutes, so any net whose final segments differ from
-        // the plan was a victim in some round — the union is a valid
-        // (and cheap) superset for the incremental-STA dirty handoff.
+        // Union of the victims of every round that rerouted. Restoring the
+        // best state only discards reroutes, so any net whose final
+        // segments differ from the plan was a victim in some round — the
+        // union is a valid (and cheap) superset for the incremental-STA
+        // dirty handoff.
         let mut ripped = vec![false; n_nets];
         for round in 0..RRR_ROUNDS {
             ROUTE_OVERFLOW.check();
@@ -1176,6 +1197,17 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
                 best = None;
                 break;
             }
+            // Stalled or regressing: stop, and restore the best state below
+            // unless the current one is it. Decided before the victim scan,
+            // so a round that never runs marks no net.
+            let score = oset.total_overflow();
+            if !rrr_continues(round, score, best.as_ref().map(|b| b.0)) {
+                m.rrr_stalls.incr();
+                obs::trace(obs::Topic::Route, || {
+                    format!("rrr round {round}: stalled at total {score:.0}")
+                });
+                break;
+            }
             let victims = overflow_victims(&oset, &grid, &segs);
             if victims.is_empty() {
                 break;
@@ -1183,11 +1215,8 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
             for &i in &victims {
                 ripped[i as usize] = true;
             }
-            let score = oset.total_overflow();
             if best.as_ref().is_none_or(|(b, _, _)| score < *b) {
                 best = Some((score, grid.clone(), segs.clone()));
-            } else if round > 1 {
-                break; // regressing: stop and restore the best state
             }
             let penalty = 3.0f64.powi(round as i32 + 1);
             let mut costs = StepCosts::new(&grid, penalty);
@@ -1523,6 +1552,86 @@ mod tests {
             checked > 0 && floor.h.iter().chain(&floor.v).any(|&c| c > 1000),
             "the fixture must enter rip-up-and-reroute with congested step costs"
         );
+    }
+
+    /// Rounds Phase B runs over a sequence of census totals, under the
+    /// stall rule alone (the loop's best state is the lowest total).
+    fn rounds_run(totals: &[f64]) -> usize {
+        let mut best: Option<f64> = None;
+        for (round, &score) in totals.iter().enumerate() {
+            if !rrr_continues(round, score, best) {
+                return round;
+            }
+            best = Some(best.map_or(score, |b| b.min(score)));
+        }
+        totals.len()
+    }
+
+    #[test]
+    fn stall_rule_needs_a_quarter_cut_after_two_rounds() {
+        // Rounds 0 and 1 run whatever their census reads, regressions too.
+        assert_eq!(rounds_run(&[164.0, 900.0]), 2);
+        assert_eq!(rounds_run(&[100.0, 150.0, 60.0, 40.0]), 4);
+        // A regression, or a tie, from round 2 on stops.
+        assert_eq!(rounds_run(&[100.0, 80.0, 90.0]), 2);
+        assert_eq!(rounds_run(&[100.0, 80.0, 50.0, 50.0]), 3);
+        // Exactly 3/4 of the best stops; just below it runs.
+        assert_eq!(rounds_run(&[100.0, 80.0, 60.0]), 2);
+        assert_eq!(rounds_run(&[100.0, 80.0, 59.99]), 3);
+        // The bar is 3/4 of the lowest total so far, not of the last one:
+        // 80 is below 3/4 of round 1's 120 but not below 3/4 of round 0's
+        // 100.
+        assert_eq!(rounds_run(&[100.0, 120.0, 80.0]), 2);
+        assert_eq!(rounds_run(&[100.0, 120.0, 74.0]), 3);
+        // Recorded censuses: a widened TINY stalls after round 1, AES_1's
+        // baseline converges without stalling.
+        assert_eq!(rounds_run(&[164.0, 18.0, 16.0, 15.0, 14.0]), 2);
+        assert_eq!(rounds_run(&[1853.0, 5.0, 3.0]), 3);
+    }
+
+    /// `touched_nets` is exactly the union of the victims of the rounds
+    /// that rerouted: the round the stall rule ends marks none of its
+    /// victims, even ones no earlier round ripped up.
+    #[test]
+    fn touched_nets_skip_the_victims_of_a_stalled_round() {
+        // Census totals 234 -> 100 -> 125: round 2 regresses, and 2 of its
+        // victims are fresh.
+        let (tech, layout) = tiny_layout(0.6, RouteRule::uniform(3.5));
+        let RoutePlan {
+            mut grid,
+            mut segs,
+            edges,
+        } = plan_route(&layout, &tech);
+        let mut rerouted = Vec::new();
+        let mut best: Option<f64> = None;
+        let mut round = 0;
+        let stalled = loop {
+            assert!(round < RRR_ROUNDS, "the stall rule must end this fixture");
+            let oset = grid.overflow_set();
+            let score = oset.total_overflow();
+            let victims = overflow_victims(&oset, &grid, &segs);
+            assert!(!victims.is_empty(), "the fixture must still overflow");
+            if !rrr_continues(round, score, best) {
+                break victims;
+            }
+            best = Some(best.map_or(score, |b| b.min(score)));
+            let mut costs = StepCosts::new(&grid, 3.0f64.powi(round as i32 + 1));
+            for &i in &victims {
+                let i = i as usize;
+                reroute_victim(&mut grid, &mut costs, &mut segs, &edges[i], i);
+            }
+            rerouted.extend(victims);
+            round += 1;
+        };
+        rerouted.sort_unstable();
+        rerouted.dedup();
+        assert!(
+            stalled.iter().any(|v| rerouted.binary_search(v).is_err()),
+            "the stalled round must have victims no earlier round ripped up"
+        );
+        let routing = route_design(&layout, &tech);
+        let touched: Vec<u32> = routing.touched_nets().iter().map(|n| n.0).collect();
+        assert_eq!(touched, rerouted);
     }
 
     #[test]

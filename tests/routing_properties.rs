@@ -225,8 +225,13 @@ fn phase_b_routes_match_the_golden_hashes() {
     .unwrap();
     let mut present_wide = layout::Layout::clone(&present.layout);
     present_wide.set_route_rule(RouteRule::uniform(1.5));
+    // Census totals 164 -> 18 -> 16: the stall rule ends Phase B after
+    // round 1 and keeps round 1's routes.
+    let tiny = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
+    let mut tiny_stalls = layout::Layout::clone(&tiny.layout);
+    tiny_stalls.set_route_rule(RouteRule::uniform(3.0));
     // (input, whether it must enter rip-up-and-reroute, golden hash)
-    let cases: [(&str, &layout::Layout, bool, u64); 3] = [
+    let cases: [(&str, &layout::Layout, bool, u64); 4] = [
         ("TINY util 0.6", &loose, false, 0x9af2_d051_6c1d_928b),
         (
             "TINY congested 1.5x",
@@ -235,6 +240,12 @@ fn phase_b_routes_match_the_golden_hashes() {
             0x0ba2_c893_1d1a_d0aa,
         ),
         ("PRESENT 1.5x", &present_wide, true, 0x73aa_92a2_d5c3_d0c3),
+        (
+            "TINY baseline 3x, stalls",
+            &tiny_stalls,
+            true,
+            0x5cd9_9866_81dc_0997,
+        ),
     ];
     let mut diffs = Vec::new();
     for (name, layout, runs_rrr, golden) in cases {
