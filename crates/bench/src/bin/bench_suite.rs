@@ -171,7 +171,7 @@ struct SuiteRow {
     evals_per_sec: f64,
     /// Mean Phase-B (rip-up-and-reroute) wall per candidate evaluation
     /// that ran it, in ms: the explore's `route.phase_b` span time over
-    /// its `rrr.calls` (memo hits run no Phase B).
+    /// that span's count (memo hits run no Phase B).
     phase_b_ms_per_candidate: f64,
     replay_points: u64,
     replay_full_wall_secs: f64,
@@ -292,7 +292,8 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     // The explore's own Phase B, without the baseline's.
     let phase_b_nanos =
         telemetry.span_total_nanos("route.phase_b") - at_baseline.span_total_nanos("route.phase_b");
-    let phase_b_runs = telemetry.counter("rrr.calls") - at_baseline.counter("rrr.calls");
+    let phase_b_runs =
+        telemetry.span_count("route.phase_b") - at_baseline.span_count("route.phase_b");
 
     // Replay comparison: the same schedule points through a fresh
     // incremental engine and the from-scratch path, telemetry off. Big
@@ -547,8 +548,8 @@ fn tiny_gates(tech: &Technology) {
     println!("smoke: kill/resume cycle bit-identical");
 
     // Journal overhead drill: the same explore through an in-process job
-    // server with the durable WAL on; the cumulative append wall
-    // (`journal.write_secs`) must stay under 2 % of the explore wall.
+    // server with the durable WAL on; the summed wall of the
+    // `journal.append` spans must stay under 2 % of the explore wall.
     // Best of REPS.
     let mut best_frac = f64::INFINITY;
     let mut best_line = String::new();
@@ -572,16 +573,16 @@ fn tiny_gates(tech: &Technology) {
         server.submit(job).expect("submit journaled explore");
         // The submit append carries the journal's one fsync per job — a
         // constant admission cost, not explore overhead — so the budget
-        // gates the gauge delta across the explore itself.
+        // gates the span deltas across the explore itself.
         let before = gdsii_guard::obs::snapshot();
-        let secs0 = before.gauge("journal.write_secs").unwrap_or(0.0);
         let t0 = Instant::now();
         server.run_until_idle();
         let journal_wall = t0.elapsed().as_secs_f64();
         gdsii_guard::obs::set_enabled(false);
         let t = gdsii_guard::obs::snapshot();
-        let journal_secs = t.gauge("journal.write_secs").unwrap_or(0.0) - secs0;
-        let journal_writes = t.counter("journal.writes") - before.counter("journal.writes");
+        let appends_secs = |s: &MetricsSnapshot| s.span_total_nanos("journal.append") as f64 / 1e9;
+        let journal_secs = appends_secs(&t) - appends_secs(&before);
+        let journal_writes = t.span_count("journal.append") - before.span_count("journal.append");
         assert!(
             journal_writes > 0,
             "journaled explore never appended — overhead gate is vacuous"
@@ -594,7 +595,7 @@ fn tiny_gates(tech: &Technology) {
                  appends, {journal_secs:.4}s of {journal_wall:.3}s explore wall; \
                  {:.4}s total incl. the per-job submit fsync)",
                 frac * 100.0,
-                t.gauge("journal.write_secs").unwrap_or(0.0),
+                appends_secs(&t),
             );
         }
         server.stop();

@@ -27,8 +27,6 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use ggjson::{FromJson, Json, ToJson};
 use tech::RouteRule;
@@ -80,36 +78,37 @@ ggjson::json_struct!(Checkpoint {
 
 impl Checkpoint {
     /// Serializes, checksums, and atomically installs the checkpoint at
-    /// `path` (tmp + rename). Creates the parent directory if missing.
+    /// `path` (tmp + rename), inside a `checkpoint.save` span. Creates the
+    /// parent directory if missing.
     pub fn save(&self, path: &Path) -> Result<(), Error> {
-        let t0 = Instant::now();
-        // The payload is rendered exactly once; the envelope is spliced
-        // around the rendered text instead of re-serializing the whole
-        // archive a second time. Load re-renders the *parsed* payload for
-        // checksum verification, which reproduces this text regardless of
-        // the splice's indentation (the renderer is deterministic and
-        // whitespace between tokens is not part of the value).
-        let text = ggjson::to_string_pretty(&self.to_json());
-        let sum = hex64(fnv1a(text.as_bytes()));
-        let envelope =
-            format!("{{\n  \"version\": {FORMAT_VERSION},\n  \"checksum\": \"{sum}\",\n  \"payload\": {text}\n}}");
-        let io = |e: std::io::Error| Error::Checkpoint(format!("{}: {e}", path.display()));
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(io)?;
+        obs::span("checkpoint.save", |_| {
+            // The payload is rendered exactly once; the envelope is spliced
+            // around the rendered text instead of re-serializing the whole
+            // archive a second time. Load re-renders the *parsed* payload for
+            // checksum verification, which reproduces this text regardless of
+            // the splice's indentation (the renderer is deterministic and
+            // whitespace between tokens is not part of the value).
+            let text = ggjson::to_string_pretty(&self.to_json());
+            let sum = hex64(fnv1a(text.as_bytes()));
+            let envelope =
+                format!("{{\n  \"version\": {FORMAT_VERSION},\n  \"checksum\": \"{sum}\",\n  \"payload\": {text}\n}}");
+            let io = |e: std::io::Error| Error::Checkpoint(format!("{}: {e}", path.display()));
+            if let Some(parent) = path.parent() {
+                if !parent.as_os_str().is_empty() {
+                    std::fs::create_dir_all(parent).map_err(io)?;
+                }
             }
-        }
-        let tmp = write_synced_tmp(path, envelope.as_bytes()).map_err(io)?;
-        // Keep the outgoing envelope as `<path>.prev` — the last-good
-        // fallback `load_with_fallback` resumes from when the primary is
-        // corrupt (torn by a crash, or bit-rotted on disk). Best-effort:
-        // a failed preserve must not block installing the new checkpoint.
-        if path.exists() {
-            let _ = std::fs::rename(path, prev_path(path));
-        }
-        std::fs::rename(&tmp, path).map_err(io)?;
-        record_write(t0.elapsed().as_secs_f64());
-        Ok(())
+            let tmp = write_synced_tmp(path, envelope.as_bytes()).map_err(io)?;
+            // Keep the outgoing envelope as `<path>.prev` — the last-good
+            // fallback `load_with_fallback` resumes from when the primary is
+            // corrupt (torn by a crash, or bit-rotted on disk). Best-effort:
+            // a failed preserve must not block installing the new checkpoint.
+            if path.exists() {
+                let _ = std::fs::rename(path, prev_path(path));
+            }
+            std::fs::rename(&tmp, path).map_err(io)?;
+            Ok(())
+        })
     }
 
     /// Loads and verifies a checkpoint's envelope (version + checksum).
@@ -154,6 +153,7 @@ impl Checkpoint {
     /// so a corrupt primary degrades a job instead of erroring it. When
     /// both envelopes fail, the *primary's* error is returned.
     pub fn load_with_fallback(path: &Path) -> Result<(Self, bool), Error> {
+        static CORRUPT_RECOVERED: obs::Counter = obs::Counter::new("checkpoint.corrupt_recovered");
         let primary = match Self::load(path) {
             Ok(cp) => return Ok((cp, false)),
             Err(e) => e,
@@ -161,7 +161,7 @@ impl Checkpoint {
         let prev = prev_path(path);
         if prev.exists() {
             if let Ok(cp) = Self::load(&prev) {
-                metrics().corrupt_recovered.incr();
+                CORRUPT_RECOVERED.incr();
                 obs::diagln!(
                     "checkpoint: {} is corrupt ({primary}); resumed from last-good {}",
                     path.display(),
@@ -322,37 +322,6 @@ pub fn hex64(v: u64) -> String {
 /// Inverse of [`hex64`].
 pub fn parse_hex64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
-
-/// Cumulative nanoseconds spent writing checkpoints (backs the
-/// `checkpoint.write_secs` gauge, which obs stores as one f64 cell).
-static WRITE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-struct CheckpointMetrics {
-    writes: obs::Counter,
-    write_secs: obs::Gauge,
-    corrupt_recovered: obs::Counter,
-}
-
-fn metrics() -> &'static CheckpointMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<CheckpointMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CheckpointMetrics {
-        writes: obs::counter("checkpoint.writes"),
-        write_secs: obs::gauge("checkpoint.write_secs"),
-        corrupt_recovered: obs::counter("checkpoint.corrupt_recovered"),
-    })
-}
-
-fn record_write(secs: f64) {
-    let m = metrics();
-    m.writes.incr();
-    let total = WRITE_NANOS.fetch_add((secs * 1e9) as u64, Ordering::Relaxed) as f64 / 1e9 + secs;
-    m.write_secs.set(total);
 }
 
 #[cfg(test)]

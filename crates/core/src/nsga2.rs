@@ -27,7 +27,7 @@ use crate::error::Error;
 use crate::flow::{FlowConfig, FlowMetrics, OpSelect};
 use crate::lda::LdaParams;
 use crate::pipeline::{EvalEngine, Snapshot};
-use crate::sandbox::{evaluate_candidate, sandbox_metrics, EvalStatus, SandboxPolicy};
+use crate::sandbox::{evaluate_candidate, EvalStatus, SandboxPolicy};
 
 /// Chromosome over the Table-I space, stored as candidate indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -471,22 +471,14 @@ fn crowding_distance(front: &[usize], metrics: &[FlowMetrics]) -> HashMap<usize,
     dist
 }
 
-/// Registry handles for the exploration loop, resolved once.
-struct GaMetrics {
-    evaluations: obs::Counter,
-    genome_cache_hits: obs::Counter,
-    generations: obs::Counter,
-}
-
-fn ga_metrics() -> &'static GaMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<GaMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| GaMetrics {
-        evaluations: obs::counter("nsga2.evaluations"),
-        genome_cache_hits: obs::counter("nsga2.genome_cache_hits"),
-        generations: obs::counter("nsga2.generations"),
-    })
-}
+/// Distinct genomes sent to the sandboxed evaluator.
+static EVALUATIONS: obs::Counter = obs::Counter::new("nsga2.evaluations");
+/// Genomes answered from the run's own metrics cache.
+static GENOME_CACHE_HITS: obs::Counter = obs::Counter::new("nsga2.genome_cache_hits");
+/// Candidates that recovered through the full re-eval.
+static DEGRADED: obs::Counter = obs::Counter::new("eval.degraded");
+/// Candidates that exhausted the chain and carry penalty metrics.
+static QUARANTINED: obs::Counter = obs::Counter::new("eval.quarantined");
 
 /// Binary tournament by `(rank, crowding)`.
 fn tournament(
@@ -625,7 +617,6 @@ impl Exploration {
         obs::span("nsga2.generation", |_| {
             run.evaluate(&pop, engine, tech, policy);
         });
-        ga_metrics().generations.incr();
         run.pop = pop;
         run
     }
@@ -715,7 +706,6 @@ impl Exploration {
             self.evaluate(&next, engine, tech, policy);
             self.pop = next;
         });
-        ga_metrics().generations.incr();
     }
 
     /// The run's state as a [`Checkpoint`] of `base`, ready to
@@ -796,13 +786,11 @@ impl Exploration {
             .collect();
         missing.sort_by_key(Genome::sort_key);
         missing.dedup();
-        ga_metrics()
-            .genome_cache_hits
-            .add((genomes.len() - missing.len()) as u64);
+        GENOME_CACHE_HITS.add((genomes.len() - missing.len()) as u64);
         if missing.is_empty() {
             return;
         }
-        ga_metrics().evaluations.add(missing.len() as u64);
+        EVALUATIONS.add(missing.len() as u64);
         let threads = self.params.resolved_threads().min(missing.len());
         obs::span("nsga2.evaluate", |_| {
             let next = AtomicUsize::new(0);
@@ -842,14 +830,14 @@ impl Exploration {
                 match status {
                     EvalStatus::Ok => {}
                     EvalStatus::Degraded(failure) => {
-                        sandbox_metrics().degraded.incr();
+                        DEGRADED.incr();
                         obs::diagln!(
                             "nsga2: candidate {g:?} (gen {generation}) degraded to full re-eval: \
                              {failure}"
                         );
                     }
                     EvalStatus::Quarantined { incremental, full } => {
-                        sandbox_metrics().quarantined.incr();
+                        QUARANTINED.incr();
                         obs::diagln!(
                             "nsga2: candidate {g:?} (gen {generation}) quarantined: \
                              incremental eval {incremental}; full re-eval {full}"
@@ -958,6 +946,28 @@ mod tests {
                 assert!(LdaParams::N_CANDIDATES.contains(&n));
                 assert!(LdaParams::ITER_CANDIDATES.contains(&n_iter));
             }
+        }
+    }
+
+    /// The operator seeds of three genomes, as computed by the build that
+    /// introduced this test: every LDA edit's seed and every
+    /// probabilistic fault trigger derive from `flow_seed`, and a resumed
+    /// checkpoint re-derives them, so any change here is a checkpoint
+    /// format change (bump [`crate::checkpoint::FORMAT_VERSION`]).
+    #[test]
+    fn flow_seeds_are_pinned() {
+        let genome = |op, n_idx, iter_idx| Genome {
+            op,
+            n_idx,
+            iter_idx,
+            scale_idx: [0; NUM_METAL_LAYERS],
+        };
+        for (g, seed) in [
+            (genome(0, 0, 0), 0xd506_738d_5400_b538),
+            (genome(1, 2, 0), 0x6b1c_fe27_4045_3cce),
+            (genome(1, 4, 2), 0xedc5_0be0_99c8_cc38),
+        ] {
+            assert_eq!(g.flow_seed(), seed, "{g:?}");
         }
     }
 

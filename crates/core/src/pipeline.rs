@@ -267,43 +267,15 @@ pub struct MemoryFootprint {
     pub cache_bytes: u64,
 }
 
-/// Registry handles for the operator-edit cache, resolved once.
-struct CacheMetrics {
-    hits: obs::Counter,
-    misses: obs::Counter,
-    memo_hits: obs::Counter,
-    /// Entries dropped by the byte-budget / capacity LRU.
-    evictions: obs::Counter,
-    /// Accounted bytes across the edit cache and metrics memo.
-    bytes: obs::Gauge,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        hits: obs::counter("eval.cache_hits"),
-        misses: obs::counter("eval.cache_misses"),
-        memo_hits: obs::counter("eval.memo_hits"),
-        evictions: obs::counter("eval.cache_evictions"),
-        bytes: obs::gauge("eval.cache_bytes"),
-    })
-}
-
-/// Registry handles for the per-design memory-footprint gauges.
-struct MemMetrics {
-    occupancy: obs::Gauge,
-    route_planes: obs::Gauge,
-}
-
-fn mem_metrics() -> &'static MemMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<MemMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| MemMetrics {
-        occupancy: obs::gauge("mem.occupancy_bytes"),
-        route_planes: obs::gauge("mem.route_planes_bytes"),
-    })
-}
+static CACHE_HITS: obs::Counter = obs::Counter::new("eval.cache_hits");
+static CACHE_MISSES: obs::Counter = obs::Counter::new("eval.cache_misses");
+static MEMO_HITS: obs::Counter = obs::Counter::new("eval.memo_hits");
+/// Entries dropped by the byte-budget / capacity LRU.
+static CACHE_EVICTIONS: obs::Counter = obs::Counter::new("eval.cache_evictions");
+/// Accounted bytes across the edit cache and metrics memo.
+static CACHE_BYTES: obs::Gauge = obs::Gauge::new("eval.cache_bytes");
+static OCCUPANCY_BYTES: obs::Gauge = obs::Gauge::new("mem.occupancy_bytes");
+static ROUTE_PLANES_BYTES: obs::Gauge = obs::Gauge::new("mem.route_planes_bytes");
 
 /// Injection point covering the engine's memoized-edit path: checked before
 /// the cache lookup, so a drill exercises the sandbox without ever holding
@@ -354,10 +326,9 @@ impl EvalEngine {
             return;
         }
         let mem = self.memory_footprint();
-        let m = mem_metrics();
-        m.occupancy.set(mem.occupancy_bytes as f64);
-        m.route_planes.set(mem.route_planes_bytes as f64);
-        cache_metrics().bytes.set(mem.cache_bytes as f64);
+        OCCUPANCY_BYTES.set(mem.occupancy_bytes as f64);
+        ROUTE_PLANES_BYTES.set(mem.route_planes_bytes as f64);
+        CACHE_BYTES.set(mem.cache_bytes as f64);
     }
 
     /// Looks up the memoized metrics of a semantically identical earlier
@@ -366,7 +337,7 @@ impl EvalEngine {
     pub(crate) fn memoized_metrics(&self, key: &EvalKey) -> Option<crate::flow::FlowMetrics> {
         let hit = self.metrics_memo.read().ok()?.get(key).copied();
         if hit.is_some() {
-            cache_metrics().memo_hits.incr();
+            MEMO_HITS.incr();
         }
         hit
     }
@@ -405,7 +376,6 @@ impl EvalEngine {
     ) -> Result<CowSnapshot, Error> {
         use std::sync::atomic::Ordering;
         EVAL_PANIC.check();
-        let m = cache_metrics();
         if let Some(hit) = self
             .edit_cache
             .read()
@@ -413,7 +383,7 @@ impl EvalEngine {
             .map
             .get(&(op, seed))
         {
-            m.hits.incr();
+            CACHE_HITS.incr();
             // LRU stamp under the read lock: the clock is engine-global
             // and the stamp is atomic, so hits never serialize.
             hit.last_used.store(
@@ -422,7 +392,7 @@ impl EvalEngine {
             );
             return Ok(hit.snap.clone());
         }
-        m.misses.incr();
+        CACHE_MISSES.incr();
         // Computed outside the lock: a racing duplicate costs one extra
         // operator run but never blocks the other workers on it.
         let layout = make();
@@ -475,7 +445,7 @@ impl EvalEngine {
                 .expect("non-empty cache has an LRU entry");
             let evicted = cache.map.remove(&victim).expect("victim key just observed");
             cache.bytes -= evicted.bytes;
-            m.evictions.incr();
+            CACHE_EVICTIONS.incr();
         }
         self.edit_bytes_now.store(cache.bytes, Ordering::Relaxed);
         drop(cache);

@@ -266,27 +266,6 @@ fn install_quiet_hook() {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
-
-/// Registry handles for the sandbox, resolved once.
-pub(crate) struct SandboxMetrics {
-    /// Candidates that recovered through the full re-eval.
-    pub degraded: obs::Counter,
-    /// Candidates that exhausted the chain and carry penalty metrics.
-    pub quarantined: obs::Counter,
-}
-
-pub(crate) fn sandbox_metrics() -> &'static SandboxMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<SandboxMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| SandboxMetrics {
-        degraded: obs::counter("eval.degraded"),
-        quarantined: obs::counter("eval.quarantined"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -208,7 +208,7 @@ impl Client {
         let mut last = None;
         for attempt in 0..self.policy.attempts.max(1) {
             if attempt > 0 {
-                metrics().retries.incr();
+                RETRIES.incr();
                 std::thread::sleep(self.policy.backoff(attempt, self.salt));
             }
             match self.try_once(req) {
@@ -353,23 +353,14 @@ impl Client {
             if failures >= self.policy.attempts.max(1) {
                 return Err(transport);
             }
-            metrics().retries.incr();
+            RETRIES.incr();
             std::thread::sleep(self.policy.backoff(failures, self.salt));
         }
     }
 }
 
-struct ClientMetrics {
-    retries: obs::Counter,
-}
-
-fn metrics() -> &'static ClientMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<ClientMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| ClientMetrics {
-        retries: obs::counter("client.retries"),
-    })
-}
+/// Client-side request retries (reconnects, torn lines, `busy` backoff).
+static RETRIES: obs::Counter = obs::Counter::new("client.retries");
 
 #[cfg(test)]
 mod tests {

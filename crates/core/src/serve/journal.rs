@@ -55,7 +55,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use ggjson::{FromJson, Json, ToJson};
 
@@ -292,54 +291,53 @@ impl Journal {
     /// explore-wall budget `bench_suite --smoke` enforces. Returns
     /// whether the record was recorded. Failure (including an armed
     /// `journal.write` fault) degrades to a warning plus the
-    /// `journal.write_errors` counter — the caller keeps serving.
+    /// `journal.write_errors` counter — the caller keeps serving. Each
+    /// append, failed or not, runs in a `journal.append` span.
     pub fn append(&self, rec: &JournalRecord) -> bool {
         static JOURNAL_WRITE: faults::Point = faults::Point::new("journal.write");
-        let t0 = Instant::now();
-        let key = self.write_counter.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut line = String::new();
-        if std::mem::take(&mut state.dirty) {
+        static WRITE_ERRORS: obs::Counter = obs::Counter::new("journal.write_errors");
+        obs::span("journal.append", |_| {
+            let key = self.write_counter.fetch_add(1, Ordering::Relaxed);
+            let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+            let mut line = String::new();
+            if std::mem::take(&mut state.dirty) {
+                line.push('\n');
+            }
+            line.push_str(&encode_line(rec));
             line.push('\n');
-        }
-        line.push_str(&encode_line(rec));
-        line.push('\n');
-        let outcome = if JOURNAL_WRITE.fires_external(key) {
-            Err(std::io::Error::other("injected fault at journal.write"))
-        } else {
-            match state.file.as_mut() {
-                Some(f) => f
-                    .write_all(line.as_bytes())
-                    .and_then(|()| f.flush())
-                    .and_then(|()| {
-                        if self.sync && rec.kind == "submitted" {
-                            f.sync_data()
-                        } else {
-                            Ok(())
-                        }
-                    }),
-                None => Err(std::io::Error::other("journal segment is not open")),
+            let outcome = if JOURNAL_WRITE.fires_external(key) {
+                Err(std::io::Error::other("injected fault at journal.write"))
+            } else {
+                match state.file.as_mut() {
+                    Some(f) => f
+                        .write_all(line.as_bytes())
+                        .and_then(|()| f.flush())
+                        .and_then(|()| {
+                            if self.sync && rec.kind == "submitted" {
+                                f.sync_data()
+                            } else {
+                                Ok(())
+                            }
+                        }),
+                    None => Err(std::io::Error::other("journal segment is not open")),
+                }
+            };
+            match outcome {
+                Ok(()) => {
+                    state.bytes += line.len() as u64;
+                    true
+                }
+                Err(e) => {
+                    // The write may have landed partially; fence the next
+                    // line off from the torn tail.
+                    state.dirty = true;
+                    drop(state);
+                    WRITE_ERRORS.incr();
+                    obs::diagln!("journal: append failed ({e}); continuing without durability");
+                    false
+                }
             }
-        };
-        match outcome {
-            Ok(()) => {
-                state.bytes += line.len() as u64;
-                drop(state);
-                let m = metrics();
-                m.writes.incr();
-                record_write_secs(t0.elapsed().as_secs_f64());
-                true
-            }
-            Err(e) => {
-                // The write may have landed partially; fence the next
-                // line off from the torn tail.
-                state.dirty = true;
-                drop(state);
-                metrics().write_errors.incr();
-                obs::diagln!("journal: append failed ({e}); continuing without durability");
-                false
-            }
-        }
+        })
     }
 
     /// Whether the active segment has outgrown its threshold and the
@@ -354,6 +352,7 @@ impl Journal {
     /// old records first and the snapshot's `submitted` records
     /// overwrite them.
     pub fn rewrite(&self, snapshot: &[JournalRecord]) -> Result<(), Error> {
+        static ROTATIONS: obs::Counter = obs::Counter::new("journal.rotations");
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let next = state.seg + 1;
         let path = segment_path(&self.dir, next);
@@ -377,7 +376,7 @@ impl Journal {
                 let _ = std::fs::remove_file(segment_path(&self.dir, idx));
             }
         }
-        metrics().rotations.incr();
+        ROTATIONS.incr();
         Ok(())
     }
 
@@ -385,6 +384,7 @@ impl Journal {
     /// order. A missing directory is an empty journal; undecodable lines
     /// are skipped (counted in `journal.skipped_records`).
     pub fn replay(dir: &Path) -> Result<Vec<JournalRecord>, Error> {
+        static SKIPPED: obs::Counter = obs::Counter::new("journal.skipped_records");
         let mut out = Vec::new();
         if !dir.exists() {
             return Ok(out);
@@ -407,7 +407,7 @@ impl Journal {
             }
         }
         if skipped > 0 {
-            metrics().skipped.add(skipped);
+            SKIPPED.add(skipped);
             obs::diagln!(
                 "journal: skipped {skipped} undecodable record(s) in {} (torn tail or corruption)",
                 dir.display()
@@ -415,39 +415,6 @@ impl Journal {
         }
         Ok(out)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
-
-/// Cumulative nanoseconds spent appending, mirrored into the
-/// `journal.write_secs` gauge (same idiom as `checkpoint.write_secs`).
-static WRITE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-struct JournalMetrics {
-    writes: obs::Counter,
-    write_errors: obs::Counter,
-    rotations: obs::Counter,
-    skipped: obs::Counter,
-    write_secs: obs::Gauge,
-}
-
-fn metrics() -> &'static JournalMetrics {
-    use std::sync::OnceLock;
-    static METRICS: OnceLock<JournalMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| JournalMetrics {
-        writes: obs::counter("journal.writes"),
-        write_errors: obs::counter("journal.write_errors"),
-        rotations: obs::counter("journal.rotations"),
-        skipped: obs::counter("journal.skipped_records"),
-        write_secs: obs::gauge("journal.write_secs"),
-    })
-}
-
-fn record_write_secs(secs: f64) {
-    let total = WRITE_NANOS.fetch_add((secs * 1e9) as u64, Ordering::Relaxed) as f64 / 1e9 + secs;
-    metrics().write_secs.set(total);
 }
 
 #[cfg(test)]
@@ -535,22 +502,6 @@ mod tests {
         // Appends continue on the new segment.
         assert!(j.append(&JournalRecord::transition(1, "cancelled")));
         assert_eq!(Journal::replay(&dir).expect("replay").len(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn injected_write_faults_degrade_without_losing_later_records() {
-        let dir = tmp_dir("faults");
-        faults::arm_spec("journal.write:always").expect("arm");
-        let j = Journal::open(&dir).expect("open");
-        assert!(
-            !j.append(&JournalRecord::transition(1, "started")),
-            "fault drops the append"
-        );
-        faults::clear();
-        assert!(j.append(&JournalRecord::transition(1, "paused")));
-        let back = Journal::replay(&dir).expect("replay");
-        assert_eq!(back, vec![JournalRecord::transition(1, "paused")]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -225,6 +225,7 @@ struct RunnerSlot {
 /// — they map to an existing job, adding no load. Refusals are counted
 /// in `serve.busy_rejects` and surface as the retryable `Busy` response.
 fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
+    static BUSY_REJECTS: obs::Counter = obs::Counter::new("serve.busy_rejects");
     if let Some(tok) = &spec.dedup {
         if shared.registry.lookup_dedup(tok).is_some() {
             return Ok(());
@@ -232,7 +233,7 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
     }
     let refuse = |why: String| {
         shared.busy_rejects.fetch_add(1, Ordering::Relaxed);
-        busy_metric().incr();
+        BUSY_REJECTS.incr();
         Err(why)
     };
     let (max_queued, budget) = (shared.config.max_queued, shared.config.mem_budget_bytes);
@@ -261,18 +262,6 @@ fn submit(shared: &Shared, spec: JobSpec) -> Result<u64, Error> {
     spec.validate().map_err(Error::Serve)?;
     admit(shared, &spec).map_err(Error::Busy)?;
     Ok(shared.registry.submit(spec, &shared.data_dir))
-}
-
-fn busy_metric() -> &'static obs::Counter {
-    use std::sync::OnceLock;
-    static M: OnceLock<obs::Counter> = OnceLock::new();
-    M.get_or_init(|| obs::counter("serve.busy_rejects"))
-}
-
-fn restart_metric() -> &'static obs::Counter {
-    use std::sync::OnceLock;
-    static M: OnceLock<obs::Counter> = OnceLock::new();
-    M.get_or_init(|| obs::counter("serve.runner_restarts"))
 }
 
 /// A running job server. Dropping it without [`Server::stop`] leaves
@@ -519,6 +508,7 @@ fn runner_loop(shared: &Shared, flight: &Flight) {
 /// thread (the `retired` flag plus the registry's late-outcome guard
 /// contain it if it ever wakes).
 fn supervisor_loop(shared: &Arc<Shared>, mut slots: Vec<RunnerSlot>) {
+    static RUNNER_RESTARTS: obs::Counter = obs::Counter::new("serve.runner_restarts");
     let mut next_idx = slots.len();
     loop {
         if shared.registry.is_shutdown() {
@@ -587,7 +577,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut slots: Vec<RunnerSlot>) {
                 obs::diagln!("supervisor: runner wedged; abandoned and replaced");
             }
             shared.runner_restarts.fetch_add(1, Ordering::Relaxed);
-            restart_metric().incr();
+            RUNNER_RESTARTS.incr();
         }
     }
 }

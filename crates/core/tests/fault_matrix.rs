@@ -12,12 +12,16 @@
 //! 3. with no spec armed the whole machinery is invisible: runs are
 //!    bit-identical to each other and to the reference.
 //!
+//! The service-level `journal.write` point fires outside any evaluation;
+//! its drill checks that a failed append loses no later record.
+//!
 //! Fault config is process-global, so every test serializes on one gate.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use gdsii_guard::prelude::*;
+use gdsii_guard::serve::{Journal, JournalRecord};
 use netlist::bench;
 use tech::Technology;
 
@@ -205,4 +209,22 @@ fn unarmed_runs_are_bit_identical() {
     let b = explore(base, tech, &params());
     assert_eq!(ggjson::to_string_pretty(&a), ggjson::to_string_pretty(&b));
     assert_eq!(ggjson::to_string_pretty(&a), reference);
+}
+
+#[test]
+fn injected_write_faults_degrade_without_losing_later_records() {
+    let _g = locked();
+    let dir = std::env::temp_dir().join(format!("gg-fault-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    faults::arm_spec("journal.write:always").expect("arm");
+    let j = Journal::open(&dir).expect("open");
+    assert!(
+        !j.append(&JournalRecord::transition(1, "started")),
+        "fault drops the append"
+    );
+    faults::clear();
+    assert!(j.append(&JournalRecord::transition(1, "paused")));
+    let back = Journal::replay(&dir).expect("replay");
+    assert_eq!(back, vec![JournalRecord::transition(1, "paused")]);
+    std::fs::remove_dir_all(&dir).ok();
 }

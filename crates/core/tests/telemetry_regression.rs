@@ -7,10 +7,23 @@
 //! point — genome schedule and resulting metrics — for exact equality.
 //! A telemetry hook that ever consumed randomness, reordered work, or
 //! mutated shared state would show up here as a diverged trajectory.
+//!
+//! The obs registry and its enabled flag are process-global, so every
+//! test serializes on one gate.
+
+use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 use gdsii_guard::prelude::*;
+use gdsii_guard::serve::{Journal, JournalRecord};
 use netlist::bench;
 use tech::Technology;
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn locked() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn small_explore() -> ExploreResult {
     let tech = Technology::nangate45_like();
@@ -26,6 +39,7 @@ fn small_explore() -> ExploreResult {
 
 #[test]
 fn enabling_telemetry_is_bit_identical() {
+    let _g = locked();
     obs::reset();
     obs::set_enabled(false);
     let off = small_explore();
@@ -58,4 +72,56 @@ fn enabling_telemetry_is_bit_identical() {
         snap.span_count("nsga2.generation") > 0,
         "nsga2.generation span not wired"
     );
+}
+
+/// A checkpoint save and a journal append each record one span, only
+/// while telemetry is on, so writes made before an `obs::reset()` leave
+/// nothing behind: one enabled write reads as one write of its own wall.
+#[test]
+fn write_spans_count_only_the_writes_since_reset() {
+    let _g = locked();
+    let dir = std::env::temp_dir().join(format!("gg-telemetry-writes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpoint = Checkpoint {
+        base_fingerprint: "0".repeat(16),
+        params: Nsga2Params::default(),
+        generation: 0,
+        rng: vec!["0".repeat(16); 4],
+        pop: Vec::new(),
+        order: Vec::new(),
+        cache: Vec::new(),
+        quarantine: Vec::new(),
+    };
+    let path = dir.join("run.ckpt");
+    let journal = Journal::open(&dir.join("journal")).expect("open journal");
+    let record = JournalRecord::transition(1, "started");
+
+    obs::set_enabled(false);
+    for _ in 0..5 {
+        checkpoint.save(&path).expect("save");
+        assert!(journal.append(&record), "append succeeds");
+    }
+    obs::reset();
+    obs::set_enabled(true);
+    let t0 = Instant::now();
+    checkpoint.save(&path).expect("save");
+    let save_wall = t0.elapsed();
+    let t0 = Instant::now();
+    assert!(journal.append(&record), "append succeeds");
+    let append_wall = t0.elapsed();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+
+    for (span, wall) in [
+        ("checkpoint.save", save_wall),
+        ("journal.append", append_wall),
+    ] {
+        assert_eq!(snap.span_count(span), 1, "{span}");
+        assert!(
+            snap.span_total_nanos(span) <= wall.as_nanos() as u64,
+            "{span}: {} ns recorded for a write of {wall:?}",
+            snap.span_total_nanos(span)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -348,7 +348,7 @@ impl Point {
     fn check_slow(&self) {
         if let Some((deadline, budget)) = DEADLINE.with(|d| d.get()) {
             if Instant::now() >= deadline {
-                injected_metric().add(1);
+                INJECTED.incr();
                 std::panic::panic_any(FaultPayload::DeadlineExceeded {
                     budget_ms: budget.as_millis() as u64,
                 });
@@ -371,7 +371,7 @@ impl Point {
             Err(_) => false,
         };
         if fire {
-            injected_metric().add(1);
+            INJECTED.incr();
             std::panic::panic_any(FaultPayload::Injected { point: self.name });
         }
     }
@@ -405,7 +405,7 @@ impl Point {
             Err(_) => false,
         };
         if fire {
-            injected_metric().add(1);
+            INJECTED.incr();
         }
         fire
     }
@@ -428,10 +428,8 @@ fn fires(e: &Entry, ctx: Ctx, seed: u64, point: &str) -> bool {
     }
 }
 
-fn injected_metric() -> &'static obs::Counter {
-    static M: OnceLock<obs::Counter> = OnceLock::new();
-    M.get_or_init(|| obs::counter("faults.injected"))
-}
+/// Faults that fired, deadline hits included.
+static INJECTED: obs::Counter = obs::Counter::new("faults.injected");
 
 // ---------------------------------------------------------------------------
 // Panic payload

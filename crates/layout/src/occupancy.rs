@@ -16,12 +16,8 @@ const FILLER: u32 = u32::MAX - 1;
 const SHARD_ROWS: u32 = 8;
 
 /// Neighbor merges performed by the gap index when a freed span rejoins
-/// an adjacent free run (`occupancy.coalesces`). Resolved once per
-/// process.
-fn coalesce_counter() -> &'static obs::Counter {
-    static C: std::sync::OnceLock<obs::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| obs::counter("occupancy.coalesces"))
-}
+/// an adjacent free run.
+static COALESCES: obs::Counter = obs::Counter::new("occupancy.coalesces");
 
 /// What occupies a single placement site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,7 +255,7 @@ impl Occupancy {
         g.splice(start..end, [Interval::new(lo, hi)]);
         Self::shift_starts(&mut sh.starts, lr, 1 - (end - start) as i64);
         if merged > 0 {
-            coalesce_counter().add(merged);
+            COALESCES.add(merged);
         }
     }
 

@@ -11,10 +11,11 @@
 //!   (`"eval.incremental/route.phase_b"`). Nesting is tracked per thread;
 //!   aggregation is process-global and thread-safe, so spans recorded
 //!   from worker and evaluation threads merge losslessly.
-//! - **Metrics** — [`counter`], [`gauge`], and [`histogram`] hand out
-//!   cheap atomic-backed handles registered by name
-//!   (`"rrr.rounds"`, `"maze.pops"`, `"eval.cache_hits"`). Histograms
-//!   use fixed power-of-two log-bucketing.
+//! - **Metrics** — [`Counter`], [`Gauge`], and [`Histogram`] are
+//!   `static`s that own their atomic cells, one per metric name
+//!   (`"rrr.rounds"`, `"maze.pops"`, `"eval.cache_hits"`), declared at
+//!   the call site; each lists itself in the registry on its first
+//!   enabled update. Histograms use fixed power-of-two log-bucketing.
 //! - **Trace events** — [`trace`] replaces the retired `GG_ROUTE_DEBUG` /
 //!   `GG_LDA_DEBUG` eprintln paths: each event carries a [`Topic`], and
 //!   topics are switched on either programmatically ([`enable`]) or with
@@ -22,19 +23,21 @@
 //!
 //! Spans and metrics are **off by default** and gated by one process-wide
 //! atomic ([`set_enabled`]): when disabled, a counter bump is a single
-//! relaxed load and a span is two monotonic clock reads — unmeasurable on
-//! the paths this crate instruments. [`snapshot`] drains an immutable
-//! [`MetricsSnapshot`] that renders as a human tree ([`MetricsSnapshot::render`]);
-//! its public fields are the machine-readable form, which `ggd serve`
-//! exports as JSON (this crate writes none).
+//! relaxed load and a span is one monotonic clock read, for its handle —
+//! unmeasurable on the paths this crate instruments. [`snapshot`] drains
+//! an immutable [`MetricsSnapshot`] that renders as a human tree
+//! ([`MetricsSnapshot::render`]); its public fields are the
+//! machine-readable form, which `ggd serve` exports as JSON (this crate
+//! writes none).
 //!
 //! # Examples
 //!
 //! ```
+//! static HITS: obs::Counter = obs::Counter::new("doc.cache_hits");
+//!
 //! obs::set_enabled(true);
-//! let hits = obs::counter("doc.cache_hits");
 //! let total = obs::span("doc.phase", |_| {
-//!     hits.incr();
+//!     HITS.incr();
 //!     2 + 2
 //! });
 //! assert_eq!(total, 4);
@@ -45,10 +48,15 @@
 //! obs::reset();
 //! ```
 
+// Metric updates and spans run inside sandboxed candidate evaluations; a
+// stray unwrap here would masquerade as an evaluation failure, so it is
+// denied.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -61,7 +69,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 ///
 /// Off (the default), instrumented code pays one relaxed atomic load per
 /// metric touch; no allocation, locking, or clock read happens beyond the
-/// two monotonic reads a [`span`] always performs for its handle.
+/// one monotonic read a [`span`] always performs for its handle.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -193,32 +201,19 @@ macro_rules! diagln {
 /// bucket absorbs everything larger.
 pub const HIST_BUCKETS: usize = 32;
 
-#[derive(Debug)]
-struct HistCells {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    sum: AtomicU64,
-}
-
-impl HistCells {
-    fn new() -> Self {
-        Self {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
 #[derive(Debug, Default, Clone, Copy)]
 struct SpanAgg {
     count: u64,
     total_nanos: u64,
 }
 
+/// The metric statics that have recorded something, by name, plus the
+/// span aggregates.
 #[derive(Debug)]
 struct Registry {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<HistCells>>,
+    counters: BTreeMap<&'static str, &'static Counter>,
+    gauges: BTreeMap<&'static str, &'static Gauge>,
+    histograms: BTreeMap<&'static str, &'static Histogram>,
     spans: BTreeMap<String, SpanAgg>,
 }
 
@@ -236,55 +231,99 @@ fn registry() -> MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A named monotone counter. Cloning shares the underlying cell; updates
-/// from any number of threads are lossless.
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+/// Lists a metric static under its name. An enabled update calls this
+/// when it finds the metric at zero, so it runs again after every
+/// [`reset`] and must be idempotent; two statics under one name are a bug.
+#[cold]
+fn list<T>(
+    kind: fn(&mut Registry) -> &mut BTreeMap<&'static str, &'static T>,
+    name: &'static str,
+    metric: &'static T,
+) {
+    let listed = *kind(&mut registry()).entry(name).or_insert(metric);
+    debug_assert!(
+        std::ptr::eq(listed, metric),
+        "obs: two metric statics are named {name:?}"
+    );
+}
+
+/// A named monotone counter. Declare one `static` per metric at its call
+/// site (see the crate example); updates from any number of threads are
+/// lossless.
+#[derive(Debug)]
+pub struct Counter {
+    name: &'static str,
+    value: AtomicU64,
+}
 
 impl Counter {
+    /// Const constructor so counters can live in statics.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            value: AtomicU64::new(0),
+        }
+    }
+
     /// Adds `n` when recording is enabled.
     #[inline]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
+    pub fn add(&'static self, n: u64) {
+        if enabled() && self.value.fetch_add(n, Ordering::Relaxed) == 0 && n != 0 {
+            list(|r| &mut r.counters, self.name, self);
         }
     }
 
     /// Adds one when recording is enabled.
     #[inline]
-    pub fn incr(&self) {
+    pub fn incr(&'static self) {
         self.add(1);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
-/// A named last-value gauge holding an `f64`.
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicU64>);
+/// A named last-value gauge holding an `f64`, declared like a [`Counter`].
+#[derive(Debug)]
+pub struct Gauge {
+    name: &'static str,
+    bits: AtomicU64,
+}
 
 impl Gauge {
+    /// Const constructor so gauges can live in statics.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            bits: AtomicU64::new(0),
+        }
+    }
+
     /// Stores `v` when recording is enabled.
     #[inline]
-    pub fn set(&self, v: f64) {
-        if enabled() {
-            self.0.store(v.to_bits(), Ordering::Relaxed);
+    pub fn set(&'static self, v: f64) {
+        let bits = v.to_bits();
+        if enabled() && self.bits.swap(bits, Ordering::Relaxed) == 0 && bits != 0 {
+            list(|r| &mut r.gauges, self.name, self);
         }
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
 /// A named histogram with fixed power-of-two log-bucketing
-/// (see [`HIST_BUCKETS`]).
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistCells>);
+/// (see [`HIST_BUCKETS`]), declared like a [`Counter`].
+#[derive(Debug)]
+pub struct Histogram {
+    name: &'static str,
+    buckets: [AtomicU64; HIST_BUCKETS],
+    sum: AtomicU64,
+}
 
 /// The log bucket of a value (shared by recording and snapshotting).
 fn bucket_of(v: u64) -> usize {
@@ -302,48 +341,26 @@ fn bucket_bound(k: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Records one observation when recording is enabled.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if enabled() {
-            self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.0.sum.fetch_add(v, Ordering::Relaxed);
+    /// Const constructor so histograms can live in statics.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+            sum: AtomicU64::new(0),
         }
     }
-}
 
-/// Returns the shared counter registered under `name`, creating it on
-/// first use. Call once per site and keep the handle (a `OnceLock` at the
-/// call site): the lookup takes the registry lock, the handle never does.
-pub fn counter(name: &str) -> Counter {
-    let mut reg = registry();
-    Counter(Arc::clone(
-        reg.counters
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-    ))
-}
-
-/// Returns the shared gauge registered under `name` (see [`counter`] for
-/// the handle-caching contract).
-pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry();
-    Gauge(Arc::clone(
-        reg.gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-    ))
-}
-
-/// Returns the shared histogram registered under `name` (see [`counter`]
-/// for the handle-caching contract).
-pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry();
-    Histogram(Arc::clone(
-        reg.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistCells::new())),
-    ))
+    /// Records one observation when recording is enabled.
+    #[inline]
+    pub fn record(&'static self, v: u64) {
+        if !enabled() {
+            return;
+        }
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        if self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed) == 0 {
+            list(|r| &mut r.histograms, self.name, self);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -464,25 +481,26 @@ pub struct MetricsSnapshot {
     pub spans: Vec<SpanSnapshot>,
 }
 
-/// Copies the current registry state out (recording continues unchanged).
+/// Copies the listed metrics and the span aggregates out (recording
+/// continues unchanged).
 pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
     let counters = reg
         .counters
         .iter()
-        .map(|(n, c)| (n.clone(), c.load(Ordering::Relaxed)))
+        .map(|(&n, c)| (n.to_string(), c.get()))
         .filter(|&(_, v)| v != 0)
         .collect();
     let gauges = reg
         .gauges
         .iter()
-        .map(|(n, g)| (n.clone(), f64::from_bits(g.load(Ordering::Relaxed))))
+        .map(|(&n, g)| (n.to_string(), g.get()))
         .filter(|&(_, v)| v != 0.0)
         .collect();
     let histograms = reg
         .histograms
         .iter()
-        .filter_map(|(n, h)| {
+        .filter_map(|(&n, h)| {
             let buckets: Vec<(u64, u64)> = h
                 .buckets
                 .iter()
@@ -492,7 +510,7 @@ pub fn snapshot() -> MetricsSnapshot {
                 .collect();
             let count: u64 = buckets.iter().map(|&(_, c)| c).sum();
             (count != 0).then(|| HistogramSnapshot {
-                name: n.clone(),
+                name: n.to_string(),
                 count,
                 sum: h.sum.load(Ordering::Relaxed),
                 buckets,
@@ -516,17 +534,16 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Zeroes every counter, gauge, and histogram and clears the span
-/// aggregates. Handles held by call sites stay valid (the cells are
-/// zeroed in place, never replaced), so benchmark harnesses can bracket
-/// a measured region with `reset()` … `snapshot()`.
+/// Zeroes every listed counter, gauge, and histogram in place and clears
+/// the span aggregates, so benchmark harnesses can bracket a measured
+/// region with `reset()` … `snapshot()`.
 pub fn reset() {
     let mut reg = registry();
     for c in reg.counters.values() {
-        c.store(0, Ordering::Relaxed);
+        c.value.store(0, Ordering::Relaxed);
     }
     for g in reg.gauges.values() {
-        g.store(0, Ordering::Relaxed);
+        g.bits.store(0, Ordering::Relaxed);
     }
     for h in reg.histograms.values() {
         for b in &h.buckets {
@@ -669,30 +686,36 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        static C: Counter = Counter::new("t.disabled");
+        static H: Histogram = Histogram::new("t.disabled_h");
+        static GA: Gauge = Gauge::new("t.disabled_g");
         let _g = exclusive();
-        let c = counter("t.disabled");
-        let h = histogram("t.disabled_h");
-        let ga = gauge("t.disabled_g");
         span("t.disabled_span", |_| {
-            c.add(5);
-            h.record(9);
-            ga.set(1.5);
+            C.add(5);
+            H.record(9);
+            GA.set(1.5);
         });
         assert!(snapshot().is_empty());
-        assert_eq!(c.get(), 0);
+        assert_eq!(C.get(), 0);
+        // Touched only while disabled, none of them was ever listed.
+        let reg = registry();
+        assert!(!reg.counters.contains_key("t.disabled"));
+        assert!(!reg.histograms.contains_key("t.disabled_h"));
+        assert!(!reg.gauges.contains_key("t.disabled_g"));
     }
 
     #[test]
     fn counters_gauges_histograms_round_through_snapshot() {
+        static C: Counter = Counter::new("t.counter");
+        static GA: Gauge = Gauge::new("t.gauge");
+        static H: Histogram = Histogram::new("t.hist");
         let _g = exclusive();
         set_enabled(true);
-        let c = counter("t.counter");
-        c.add(3);
-        c.incr();
-        gauge("t.gauge").set(2.25);
-        let h = histogram("t.hist");
+        C.add(3);
+        C.incr();
+        GA.set(2.25);
         for v in [0u64, 1, 1, 2, 3, 100, u64::MAX] {
-            h.record(v);
+            H.record(v);
         }
         let snap = snapshot();
         assert_eq!(snap.counter("t.counter"), 4);
@@ -757,16 +780,67 @@ mod tests {
 
     #[test]
     fn reset_zeroes_in_place_and_keeps_handles_live() {
+        static C: Counter = Counter::new("t.reset");
         let _g = exclusive();
         set_enabled(true);
-        let c = counter("t.reset");
-        c.add(7);
+        C.add(7);
         span("t.reset_span", |_| ());
         reset();
         assert!(snapshot().is_empty());
-        c.add(2);
+        C.add(2);
         assert_eq!(snapshot().counter("t.reset"), 2);
         set_enabled(false);
+    }
+
+    #[test]
+    fn a_static_raced_on_its_first_update_is_listed_once_with_the_exact_sum() {
+        static RACED: Counter = Counter::new("t.raced");
+        static RACED_H: Histogram = Histogram::new("t.raced_h");
+        const THREADS: u64 = 4;
+        const ADDS: u64 = 1000;
+        let _g = exclusive();
+        set_enabled(true);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for v in 0..ADDS {
+                        RACED.incr();
+                        RACED_H.record(v);
+                    }
+                });
+            }
+        });
+        let snap = snapshot();
+        let named = |n: &str| snap.counters.iter().filter(|(c, _)| c == n).count();
+        assert_eq!(named("t.raced"), 1);
+        assert_eq!(snap.counter("t.raced"), THREADS * ADDS);
+        let hs: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|h| h.name == "t.raced_h")
+            .collect();
+        assert_eq!(hs.len(), 1);
+        assert_eq!(hs[0].count, THREADS * ADDS);
+        assert_eq!(hs[0].sum, THREADS * (ADDS * (ADDS - 1) / 2));
+        set_enabled(false);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_second_static_under_a_listed_name_fails_a_debug_assertion() {
+        static FIRST: Counter = Counter::new("t.clash");
+        static SECOND: Counter = Counter::new("t.clash");
+        let _g = exclusive();
+        set_enabled(true);
+        FIRST.incr();
+        let clash = std::panic::catch_unwind(|| SECOND.incr());
+        set_enabled(false);
+        assert!(
+            clash.is_err(),
+            "a second `t.clash` static must not be listed"
+        );
     }
 
     #[test]
@@ -785,11 +859,14 @@ mod tests {
 
     #[test]
     fn render_covers_every_section() {
+        static C: Counter = Counter::new("t.render_c");
+        static GA: Gauge = Gauge::new("t.render_g");
+        static H: Histogram = Histogram::new("t.render_h");
         let _g = exclusive();
         set_enabled(true);
-        counter("t.render_c").add(1);
-        gauge("t.render_g").set(0.5);
-        histogram("t.render_h").record(3);
+        C.add(1);
+        GA.set(0.5);
+        H.record(3);
         span("t.render_outer", |_| span("t.render_inner", |_| ()));
         let snap = snapshot();
         let tree = snap.render();

@@ -31,16 +31,15 @@ proptest! {
         increments in proptest::collection::vec(1u64..1000, 1..64),
         workers in 1usize..8,
     ) {
+        static C: obs::Counter = obs::Counter::new("cc.losses");
         let _g = exclusive();
-        let c = obs::counter("cc.losses");
         std::thread::scope(|s| {
             for chunk in chunks(&increments, workers) {
-                let c = c.clone();
-                s.spawn(move || chunk.iter().for_each(|&n| c.add(n)));
+                s.spawn(move || chunk.iter().for_each(|&n| C.add(n)));
             }
         });
         let expect: u64 = increments.iter().sum();
-        prop_assert_eq!(c.get(), expect);
+        prop_assert_eq!(C.get(), expect);
         prop_assert_eq!(obs::snapshot().counter("cc.losses"), expect);
         obs::set_enabled(false);
     }
@@ -50,12 +49,11 @@ proptest! {
         values in proptest::collection::vec(0u64..1_000_000, 1..64),
         workers in 1usize..8,
     ) {
+        static H: obs::Histogram = obs::Histogram::new("cc.hist");
         let _g = exclusive();
-        let h = obs::histogram("cc.hist");
         std::thread::scope(|s| {
             for chunk in chunks(&values, workers) {
-                let h = h.clone();
-                s.spawn(move || chunk.iter().for_each(|&v| h.record(v)));
+                s.spawn(move || chunk.iter().for_each(|&v| H.record(v)));
             }
         });
         let snap = obs::snapshot();

@@ -364,52 +364,25 @@ pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceS
     stats
 }
 
-/// Folds one run's [`EcoPlaceStats`] into the registry-backed ECO
-/// counters (`eco.evicted`, `eco.replaced_in_bounds`,
-/// `eco.replaced_fallback`, `eco.compaction_fallbacks`,
-/// `eco.budget_blind_fallbacks`).
+/// Folds one run's [`EcoPlaceStats`] into the ECO counters.
 fn eco_metrics_record(stats: &EcoPlaceStats, budget_blind: usize) {
-    struct EcoMetrics {
-        evicted: obs::Counter,
-        replaced_in_bounds: obs::Counter,
-        replaced_fallback: obs::Counter,
-        compaction_fallbacks: obs::Counter,
-        budget_blind_fallbacks: obs::Counter,
-    }
-    static METRICS: std::sync::OnceLock<EcoMetrics> = std::sync::OnceLock::new();
-    let m = METRICS.get_or_init(|| EcoMetrics {
-        evicted: obs::counter("eco.evicted"),
-        replaced_in_bounds: obs::counter("eco.replaced_in_bounds"),
-        replaced_fallback: obs::counter("eco.replaced_fallback"),
-        compaction_fallbacks: obs::counter("eco.compaction_fallbacks"),
-        budget_blind_fallbacks: obs::counter("eco.budget_blind_fallbacks"),
-    });
-    m.evicted.add(stats.evicted as u64);
-    m.replaced_in_bounds.add(stats.replaced_in_bounds as u64);
-    m.replaced_fallback.add(stats.replaced_fallback as u64);
-    m.compaction_fallbacks.add(stats.replaced_fallback as u64);
-    m.budget_blind_fallbacks.add(budget_blind as u64);
+    static EVICTED: obs::Counter = obs::Counter::new("eco.evicted");
+    static REPLACED_IN_BOUNDS: obs::Counter = obs::Counter::new("eco.replaced_in_bounds");
+    static COMPACTION_FALLBACKS: obs::Counter = obs::Counter::new("eco.compaction_fallbacks");
+    static BUDGET_BLIND: obs::Counter = obs::Counter::new("eco.budget_blind_fallbacks");
+    EVICTED.add(stats.evicted as u64);
+    REPLACED_IN_BOUNDS.add(stats.replaced_in_bounds as u64);
+    COMPACTION_FALLBACKS.add(stats.replaced_fallback as u64);
+    BUDGET_BLIND.add(budget_blind as u64);
 }
 
-/// Registry handles for the gap-index query telemetry.
-struct GapMetrics {
-    /// Budget-constrained nearest-gap queries issued by phase 2.
-    queries: obs::Counter,
-    /// Queries answered with an in-bounds gap (no fallback needed).
-    hits: obs::Counter,
-    /// Free runs examined per query (the index's unit of work; the
-    /// pre-index scan examined every *site* instead).
-    scan_len: obs::Histogram,
-}
-
-fn gap_metrics() -> &'static GapMetrics {
-    static METRICS: std::sync::OnceLock<GapMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| GapMetrics {
-        queries: obs::counter("eco.gap_queries"),
-        hits: obs::counter("eco.gap_hit"),
-        scan_len: obs::histogram("eco.gap_scan_len"),
-    })
-}
+/// Budget-constrained nearest-gap queries issued by phase 2.
+static GAP_QUERIES: obs::Counter = obs::Counter::new("eco.gap_queries");
+/// Queries answered with an in-bounds gap (no fallback needed).
+static GAP_HITS: obs::Counter = obs::Counter::new("eco.gap_hit");
+/// Free runs examined per query (the index's unit of work; the pre-index
+/// scan examined every *site* instead).
+static GAP_SCAN_LEN: obs::Histogram = obs::Histogram::new("eco.gap_scan_len");
 
 /// Rows of a `rows`-row core ordered by distance from `center`, the lower
 /// row first on ties.
@@ -575,8 +548,7 @@ fn find_gap_under_budgets(
     width: u32,
     near: SitePos,
 ) -> Option<SitePos> {
-    let gm = gap_metrics();
-    gm.queries.incr();
+    GAP_QUERIES.incr();
     let fp = occ.floorplan();
     let last_origin = fp.cols().saturating_sub(width);
     let mut refused_by_band: Vec<Option<Vec<Interval>>> = vec![None; index.bands.len()];
@@ -615,9 +587,9 @@ fn find_gap_under_budgets(
             best = Some((d, row, col));
         }
     }
-    gm.scan_len.record(scanned);
+    GAP_SCAN_LEN.record(scanned);
     if best.is_some() {
-        gm.hits.incr();
+        GAP_HITS.incr();
     }
     best.map(|(_, row, col)| SitePos::new(row, col))
 }

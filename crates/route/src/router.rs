@@ -1,6 +1,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use geom::GcellPos;
 use layout::Layout;
@@ -56,40 +56,24 @@ pub struct RoutingState {
     touched: Arc<[NetId]>,
 }
 
-/// The router's registry-backed observability handles (replacing the old
-/// `RouteStats`/`RoundStats`/`PhaseBTotals` one-offs): phase walls come
-/// from the `route.phase_a` / `route.phase_a_patch` / `route.phase_b`
-/// spans; these are the scalar counters alongside them. Resolved once per
-/// process; each touch afterwards is one relaxed atomic op.
-struct RouteMetrics {
-    /// `finalize_route` calls that entered Phase B.
-    rrr_calls: obs::Counter,
-    /// Rip-up-and-reroute rounds executed.
-    rrr_rounds: obs::Counter,
-    /// Victim nets ripped and rerouted.
-    rrr_victims: obs::Counter,
-    /// `finalize_route` calls that the stall rule ([`rrr_continues`])
-    /// ended before their last round.
-    rrr_stalls: obs::Counter,
-    /// Heap pops per maze (Dijkstra) search — the router's unit of work.
-    maze_pops: obs::Histogram,
-}
+// The router's telemetry: phase walls and Phase-B calls come from the
+// `route.phase_a` / `route.phase_a_patch` / `route.phase_b` spans; these
+// are the scalar metrics alongside them.
+
+/// Rip-up-and-reroute rounds executed.
+static ROUNDS: obs::Counter = obs::Counter::new("rrr.rounds");
+/// Victim nets ripped and rerouted.
+static VICTIMS: obs::Counter = obs::Counter::new("rrr.victims");
+/// `finalize_route` calls that the stall rule ([`rrr_continues`]) ended
+/// before their last round.
+static STALLS: obs::Counter = obs::Counter::new("rrr.stalls");
+/// Heap pops per maze (Dijkstra) search — the router's unit of work.
+static MAZE_POPS: obs::Histogram = obs::Histogram::new("maze.pops");
 
 /// Injection point covering Phase-B congestion resolution: checked once per
 /// RRR round and every 1024 maze pops (which is also the router-side
 /// granularity of the cooperative eval deadline).
 static ROUTE_OVERFLOW: faults::Point = faults::Point::new("route.overflow");
-
-fn metrics() -> &'static RouteMetrics {
-    static METRICS: OnceLock<RouteMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| RouteMetrics {
-        rrr_calls: obs::counter("rrr.calls"),
-        rrr_rounds: obs::counter("rrr.rounds"),
-        rrr_victims: obs::counter("rrr.victims"),
-        rrr_stalls: obs::counter("rrr.stalls"),
-        maze_pops: obs::histogram("maze.pops"),
-    })
-}
 
 /// The set of nets whose routes a layout edit invalidated, plus whether
 /// the NDR rule changed. Everything not listed keeps its Phase-A pattern
@@ -846,7 +830,7 @@ fn route_edge_maze(
     MAZE_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         let (pops, _) = maze_search(s, costs, a, b);
-        metrics().maze_pops.record(pops);
+        MAZE_POPS.record(pops);
         for &(dir, lo, hi) in &s.runs {
             let cells = &s.path[lo as usize..=hi as usize];
             let len = cells.len() as u32 - 1;
@@ -1168,8 +1152,6 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
         mut segs,
         edges,
     } = plan;
-    let m = metrics();
-    m.rrr_calls.incr();
 
     // Rip-up and reroute, keeping the best state seen (late rounds can
     // regress once detours start compounding). Usage planes and per-net
@@ -1202,7 +1184,7 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
             // so a round that never runs marks no net.
             let score = oset.total_overflow();
             if !rrr_continues(round, score, best.as_ref().map(|b| b.0)) {
-                m.rrr_stalls.incr();
+                STALLS.incr();
                 obs::trace(obs::Topic::Route, || {
                     format!("rrr round {round}: stalled at total {score:.0}")
                 });
@@ -1224,8 +1206,8 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
                 let i = i as usize;
                 reroute_victim(&mut grid, &mut costs, &mut segs, &edges[i], i);
             }
-            m.rrr_rounds.incr();
-            m.rrr_victims.add(victims.len() as u64);
+            ROUNDS.incr();
+            VICTIMS.add(victims.len() as u64);
             obs::trace(obs::Topic::Route, || {
                 format!(
                     "rrr round {round}: overflow_pairs {} total {score:.0} victims {}",

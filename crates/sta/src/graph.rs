@@ -42,32 +42,18 @@ pub fn analyze(layout: &Layout, routing: &RoutingState, tech: &Technology) -> Ti
     obs::span("sta.full", |_| analyze_inner(layout, routing, tech))
 }
 
-/// Registry-backed STA observability handles (resolved once per process).
-struct StaMetrics {
-    /// Incremental analyses satisfied from the base report (no RC moved).
-    clean_hits: obs::Counter,
-    /// Nets re-propagated through the frontier machinery.
-    cone_nets: obs::Counter,
-    /// Nets the RC diff never inspected because a caller-supplied
-    /// `dirty_nets` list proved them untouched.
-    diff_skipped: obs::Counter,
-    /// Cells the forward frontier actually re-evaluated, per call.
-    frontier_len: obs::Histogram,
-    /// Re-evaluated cells whose output arrival came out unchanged — the
-    /// frontier stopped growing through them (converged early).
-    early_exits: obs::Counter,
-}
-
-fn metrics() -> &'static StaMetrics {
-    static METRICS: std::sync::OnceLock<StaMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| StaMetrics {
-        clean_hits: obs::counter("sta.clean_hits"),
-        cone_nets: obs::counter("sta.cone_nets"),
-        diff_skipped: obs::counter("sta.diff_skipped"),
-        frontier_len: obs::histogram("sta.frontier_len"),
-        early_exits: obs::counter("sta.early_exits"),
-    })
-}
+/// Incremental analyses satisfied from the base report (no RC moved).
+static CLEAN_HITS: obs::Counter = obs::Counter::new("sta.clean_hits");
+/// Nets re-propagated through the frontier machinery.
+static CONE_NETS: obs::Counter = obs::Counter::new("sta.cone_nets");
+/// Nets the RC diff never inspected because a caller-supplied
+/// `dirty_nets` list proved them untouched.
+static DIFF_SKIPPED: obs::Counter = obs::Counter::new("sta.diff_skipped");
+/// Cells the forward frontier actually re-evaluated, per call.
+static FRONTIER_LEN: obs::Histogram = obs::Histogram::new("sta.frontier_len");
+/// Re-evaluated cells whose output arrival came out unchanged — the
+/// frontier stopped growing through them (converged early).
+static EARLY_EXITS: obs::Counter = obs::Counter::new("sta.early_exits");
 
 fn analyze_inner(layout: &Layout, routing: &RoutingState, tech: &Technology) -> TimingReport {
     let design = layout.design();
@@ -669,9 +655,7 @@ fn analyze_incremental_inner(
                     changed_nets.push(nid);
                 }
             }
-            metrics()
-                .diff_skipped
-                .add((design.nets.len() - dirty.len()) as u64);
+            DIFF_SKIPPED.add((design.nets.len() - dirty.len()) as u64);
         }
         None => {
             for (nid, _) in design.nets_iter() {
@@ -685,14 +669,14 @@ fn analyze_incremental_inner(
         }
     }
     if changed_nets.is_empty() {
-        metrics().clean_hits.incr();
+        CLEAN_HITS.incr();
         return base.clone();
     }
     // Even a dense edit (an NDR change perturbs every routed net) stays on
     // the frontier path: with the cached `TimingGraph` it degenerates to a
     // levelized full sweep that still skips `analyze_inner`'s re-Kahn and
     // arrival sort, so no from-scratch fallback threshold is needed.
-    metrics().cone_nets.add(changed_nets.len() as u64);
+    CONE_NETS.add(changed_nets.len() as u64);
 
     let TimingReport {
         clock_period,
@@ -781,8 +765,8 @@ fn analyze_incremental_inner(
             bucket.clear();
             s.fwd_buckets[lv] = bucket;
         }
-        metrics().frontier_len.record(fwd_steps);
-        metrics().early_exits.add(early_exits);
+        FRONTIER_LEN.record(fwd_steps);
+        EARLY_EXITS.add(early_exits);
 
         // 3. Backward frontier: pull-recompute each affected net's
         // required time (the full min over its FF, PO, and combinational-
