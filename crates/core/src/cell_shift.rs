@@ -34,69 +34,6 @@ enum Pass {
     Backward,
 }
 
-/// Empty-run vertices of rows `0..=row_limit` with their component weights.
-/// Returns `(vertices, weight_of_component_containing_vertex)`.
-/// Reference implementation used by the tests to validate the incremental
-/// bookkeeping of [`run_pass`].
-#[cfg(test)]
-fn components_up_to(layout: &Layout, row_limit: u32) -> (Vec<(u32, Interval)>, Vec<u64>) {
-    let occ = layout.occupancy();
-    let mut verts: Vec<(u32, Interval)> = Vec::new();
-    let mut row_start: Vec<usize> = Vec::with_capacity(row_limit as usize + 2);
-    for row in 0..=row_limit {
-        row_start.push(verts.len());
-        for run in occ.empty_runs(row) {
-            verts.push((row, run));
-        }
-    }
-    row_start.push(verts.len());
-
-    // Union-find over vertices.
-    let mut parent: Vec<u32> = (0..verts.len() as u32).collect();
-    fn find(parent: &mut [u32], x: u32) -> u32 {
-        let mut r = x;
-        while parent[r as usize] != r {
-            r = parent[r as usize];
-        }
-        let mut c = x;
-        while parent[c as usize] != r {
-            let n = parent[c as usize];
-            parent[c as usize] = r;
-            c = n;
-        }
-        r
-    }
-    for row in 1..=row_limit {
-        let (a0, a1) = (row_start[row as usize - 1], row_start[row as usize]);
-        let (b0, b1) = (row_start[row as usize], row_start[row as usize + 1]);
-        let (mut i, mut j) = (a0, b0);
-        while i < a1 && j < b1 {
-            let ia = verts[i].1;
-            let ib = verts[j].1;
-            if ia.overlaps(&ib) {
-                let (ra, rb) = (find(&mut parent, i as u32), find(&mut parent, j as u32));
-                if ra != rb {
-                    parent[rb as usize] = ra;
-                }
-            }
-            if ia.hi <= ib.hi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-    }
-    let mut weight_of_root = vec![0u64; verts.len()];
-    for (i, v) in verts.iter().enumerate() {
-        let r = find(&mut parent, i as u32);
-        weight_of_root[r as usize] += v.1.len() as u64;
-    }
-    let weights = (0..verts.len())
-        .map(|i| weight_of_root[find(&mut parent, i as u32) as usize])
-        .collect();
-    (verts, weights)
-}
-
 /// Root of `x` in a union-find parent array, halving the path on the way.
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
@@ -376,6 +313,68 @@ mod tests {
     use netlist::bench;
     use proptest::prelude::*;
     use secmetrics::THRESH_ER;
+
+    /// Empty-run vertices of rows `0..=row_limit` with their component weights.
+    /// Returns `(vertices, weight_of_component_containing_vertex)`.
+    /// Reference implementation used by the tests to validate the incremental
+    /// bookkeeping of [`run_pass`].
+    fn components_up_to(layout: &Layout, row_limit: u32) -> (Vec<(u32, Interval)>, Vec<u64>) {
+        let occ = layout.occupancy();
+        let mut verts: Vec<(u32, Interval)> = Vec::new();
+        let mut row_start: Vec<usize> = Vec::with_capacity(row_limit as usize + 2);
+        for row in 0..=row_limit {
+            row_start.push(verts.len());
+            for run in occ.empty_runs(row) {
+                verts.push((row, run));
+            }
+        }
+        row_start.push(verts.len());
+
+        // Union-find over vertices.
+        let mut parent: Vec<u32> = (0..verts.len() as u32).collect();
+        fn find(parent: &mut [u32], x: u32) -> u32 {
+            let mut r = x;
+            while parent[r as usize] != r {
+                r = parent[r as usize];
+            }
+            let mut c = x;
+            while parent[c as usize] != r {
+                let n = parent[c as usize];
+                parent[c as usize] = r;
+                c = n;
+            }
+            r
+        }
+        for row in 1..=row_limit {
+            let (a0, a1) = (row_start[row as usize - 1], row_start[row as usize]);
+            let (b0, b1) = (row_start[row as usize], row_start[row as usize + 1]);
+            let (mut i, mut j) = (a0, b0);
+            while i < a1 && j < b1 {
+                let ia = verts[i].1;
+                let ib = verts[j].1;
+                if ia.overlaps(&ib) {
+                    let (ra, rb) = (find(&mut parent, i as u32), find(&mut parent, j as u32));
+                    if ra != rb {
+                        parent[rb as usize] = ra;
+                    }
+                }
+                if ia.hi <= ib.hi {
+                    i += 1;
+                } else {
+                    j += 1;
+                }
+            }
+        }
+        let mut weight_of_root = vec![0u64; verts.len()];
+        for (i, v) in verts.iter().enumerate() {
+            let r = find(&mut parent, i as u32);
+            weight_of_root[r as usize] += v.1.len() as u64;
+        }
+        let weights = (0..verts.len())
+            .map(|i| weight_of_root[find(&mut parent, i as u32) as usize])
+            .collect();
+        (verts, weights)
+    }
 
     /// The breadth-first [`BelowContext::component_weight`] the two-pointer
     /// query replaced, kept as its oracle: for every run reached, scan

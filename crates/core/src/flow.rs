@@ -156,7 +156,12 @@ ggjson::json_struct!(FlowMetrics {
 /// Applies the ECO placement operator of `op` to a locked copy of the
 /// baseline layout. The result depends only on `(op, seed)` — routing
 /// width scales are installed afterwards and never feed the operator.
-fn apply_operator(base: &Snapshot, tech: &Technology, op: OpSelect, seed: u64) -> layout::Layout {
+pub(crate) fn apply_operator(
+    base: &Snapshot,
+    tech: &Technology,
+    op: OpSelect,
+    seed: u64,
+) -> layout::Layout {
     let mut layout = layout::Layout::clone(&base.layout);
     preprocess::lock_critical_cells(&mut layout);
     match op {
@@ -168,15 +173,6 @@ fn apply_operator(base: &Snapshot, tech: &Technology, op: OpSelect, seed: u64) -
         }
     }
     layout
-}
-
-/// The seed an operator actually consumes: Cell Shift is deterministic,
-/// so every seed maps to the same edit (and the same memoization slot).
-fn operator_seed(op: OpSelect, seed: u64) -> u64 {
-    match op {
-        OpSelect::CellShift => 0,
-        OpSelect::Lda { .. } => seed,
-    }
 }
 
 /// Applies the ECO operators of `cfg` to the baseline layout without
@@ -193,63 +189,6 @@ fn edit_layout(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) 
 /// [`evaluate_unchecked`] and skips the redundant validation pass.
 fn oracle_snapshot(base: &Snapshot, tech: &Technology, cfg: &FlowConfig, seed: u64) -> Snapshot {
     evaluate_unchecked(edit_layout(base, tech, cfg, seed), tech)
-}
-
-/// The incremental flow through a prebuilt [`EvalEngine`]: same edit, but
-/// re-evaluation is incremental against the engine's cached baseline, and
-/// the placement-operator result (which cannot depend on the width scales
-/// applied after it) is memoized per `(operator, seed)` together with its
-/// patched Phase-A plan as a copy-on-write
-/// [`crate::pipeline::CowSnapshot`]. A candidate that shares its operator
-/// with a previous one therefore skips the operator, the dirty-set diff,
-/// and the re-pattern — a cache hit is two refcount bumps, and a
-/// scale-identical sibling never copies the layout at all; installing a
-/// different rule copies the layout once and re-derives plan capacities.
-/// Bit-identical to the oracle path: patterns are congestion-oblivious
-/// and usage is stored unscaled, so the plan cannot depend on the rule
-/// (see [`route::RoutePlan::set_rule`]).
-fn engine_snapshot(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Result<Snapshot, Error> {
-    let op_seed = operator_seed(cfg.op, seed);
-    let cow = engine.cached_edit(tech, cfg.op, op_seed, || {
-        apply_operator(engine.base(), tech, cfg.op, op_seed)
-    })?;
-    let rule = tech::RouteRule::from_scales(cfg.scales);
-    let dirty = cow.phase_a_dirty();
-    let (layout, plan) = cow.into_parts(tech, &rule);
-    Ok(engine.evaluate_with_plan(layout, plan, tech, &dirty))
-}
-
-/// The incremental flow's metric path. On top of [`engine_snapshot`]'s
-/// structural caches this memoizes the *metrics* of each distinct
-/// `(operator, operator seed, rule)` triple: the flow is a pure function
-/// of that key, so a semantic duplicate — a different genome collapsing
-/// to the same key, which GA populations produce constantly — returns the
-/// provably identical result without re-running Phase B, STA, or the
-/// security analysis. Misses (and every fallible step) still go through
-/// the full incremental path.
-fn engine_metrics(
-    engine: &EvalEngine,
-    tech: &Technology,
-    cfg: &FlowConfig,
-    seed: u64,
-) -> Result<FlowMetrics, Error> {
-    let key = (
-        cfg.op,
-        operator_seed(cfg.op, seed),
-        cfg.scales.map(f64::to_bits),
-    );
-    if let Some(m) = engine.memoized_metrics(&key) {
-        return Ok(m);
-    }
-    let snap = engine_snapshot(engine, tech, cfg, seed)?;
-    let m = FlowMetrics::from_snapshot(&snap, engine.base());
-    engine.memoize_metrics(key, m);
-    Ok(m)
 }
 
 /// One configured execution of the composed security flow `f(L_base; x)`.
@@ -332,7 +271,7 @@ impl<'a> FlowRun<'a> {
     /// oracle path always returns `Ok`.
     pub fn snapshot(self) -> Result<Snapshot, Error> {
         match self.engine {
-            Some(engine) => engine_snapshot(engine, self.tech, self.cfg, self.seed),
+            Some(engine) => engine.snapshot(self.tech, self.cfg, self.seed),
             None => Ok(oracle_snapshot(self.base, self.tech, self.cfg, self.seed)),
         }
     }
@@ -346,7 +285,7 @@ impl<'a> FlowRun<'a> {
     /// oracle path always returns `Ok`.
     pub fn metrics(self) -> Result<FlowMetrics, Error> {
         match self.engine {
-            Some(engine) => engine_metrics(engine, self.tech, self.cfg, self.seed),
+            Some(engine) => engine.metrics(self.tech, self.cfg, self.seed),
             None => {
                 let snap = oracle_snapshot(self.base, self.tech, self.cfg, self.seed);
                 Ok(FlowMetrics::from_snapshot(&snap, self.base))

@@ -6,7 +6,7 @@
 //! operator touched a layout ([`evaluate`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use layout::Layout;
 use netlist::bench::DesignSpec;
@@ -16,7 +16,7 @@ use route::RoutingState;
 use secmetrics::{analyze_regions, RegionAnalysis, THRESH_ER};
 
 use crate::error::Error;
-use crate::flow::OpSelect;
+use crate::flow::{FlowConfig, FlowMetrics, OpSelect};
 use sta::TimingReport;
 use tech::Technology;
 
@@ -119,51 +119,52 @@ pub fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technology) -> 
 /// congestion-oblivious and the grid stores unscaled usage quanta, so the
 /// plan too is independent of the width scales; scale-only siblings pay
 /// just a plan clone and a capacity re-derivation, never a re-pattern.
+/// On top of that it memoizes each candidate's metrics per operator,
+/// operator seed and width scales, of which the flow is a pure function.
 #[derive(Debug)]
 pub struct EvalEngine {
     base: Snapshot,
     plan: route::RoutePlan,
     graph: sta::TimingGraph,
     power_model: power::PowerModel,
-    /// Both caches are read-mostly once warm (a replayed or converged
-    /// population is nearly all hits), so they sit behind `RwLock`:
-    /// concurrent hit lookups share the lock instead of convoying on a
-    /// `Mutex`, which matters when the evaluation loop oversubscribes the
-    /// machine and a preempted lock holder stalls every other worker.
-    edit_cache: RwLock<EditCache>,
-    metrics_memo: RwLock<HashMap<EvalKey, crate::flow::FlowMetrics>>,
+    cache: Mutex<EvalCache>,
     /// Byte budget of the edit cache ([`EVAL_CACHE_BYTES`]). Entries are
     /// LRU-evicted once their accounted unshared bytes exceed this.
     cache_budget: u64,
-    /// Monotonic access clock driving LRU eviction; bumped on every
-    /// edit-cache hit and insert without taking the write lock.
-    clock: std::sync::atomic::AtomicU64,
-    /// Mirrors of the two caches' accounted bytes, so either path can
-    /// republish the combined `eval.cache_bytes` gauge without the
-    /// other's lock.
-    edit_bytes_now: std::sync::atomic::AtomicU64,
-    memo_bytes_now: std::sync::atomic::AtomicU64,
 }
 
-/// The operator-edit cache: memoized [`CowSnapshot`]s plus the running
-/// total of their accounted unshared bytes.
+/// The engine's memoized work, behind one lock: operator edits with their
+/// byte account and LRU clock, and end-to-end metrics.
 #[derive(Debug, Default)]
-struct EditCache {
-    map: HashMap<(OpSelect, u64), EditEntry>,
-    /// Sum of every entry's `bytes`.
-    bytes: u64,
+struct EvalCache {
+    /// Keyed by the operator and the seed it consumes ([`operator_seed`]).
+    edits: HashMap<(OpSelect, u64), Edit>,
+    /// Sum of every cached edit's `bytes`.
+    edit_bytes: u64,
+    /// Access clock driving LRU eviction; bumped on every edit hit and
+    /// insert.
+    clock: u64,
+    /// At most [`METRICS_MEMO_CAP`] entries.
+    metrics: HashMap<EvalKey, FlowMetrics>,
 }
 
-/// One cached operator edit with its byte accounting and LRU stamp.
-#[derive(Debug)]
-struct EditEntry {
-    snap: CowSnapshot,
+/// One memoized operator edit: the post-operator layout (still at the
+/// baseline's route rule) and its patched Phase-A plan, both `Arc`-shared
+/// with every candidate that uses them, so a hit costs refcount bumps and
+/// a candidate copies only what its own route rule changes.
+#[derive(Debug, Clone)]
+struct Edit {
+    layout: Arc<Layout>,
+    plan: Arc<route::RoutePlan>,
+    /// Sorted net ids the Phase-A patch re-planned for this edit (the
+    /// operator's dirty set). Everything else carries the baseline's
+    /// pattern segments by `Arc` share.
+    dirty: Arc<Vec<NetId>>,
     /// Unshared-with-baseline bytes this entry pins (what evicting it
     /// approximately frees).
     bytes: u64,
-    /// Engine clock value of the last hit or the insert; atomic so the
-    /// hit path stamps it under the read lock.
-    last_used: std::sync::atomic::AtomicU64,
+    /// Cache clock value of the last hit or the insert.
+    last_used: u64,
 }
 
 /// Key of one memoized end-to-end evaluation: the operator, the seed it
@@ -172,74 +173,16 @@ struct EditEntry {
 /// triple — the operator edit depends only on `(op, seed)`, and
 /// everything downstream (Phase B, STA, power, DRC, security) depends
 /// only on the edited layout plus the installed rule — so two candidates
-/// with equal keys provably produce identical [`crate::flow::FlowMetrics`].
+/// with equal keys provably produce identical [`FlowMetrics`].
 /// NSGA-II populations revisit such semantic duplicates constantly
 /// (distinct genomes collapse to one key when the operator ignores its
 /// seed), which the genome-level cache upstream cannot see.
-pub(crate) type EvalKey = (OpSelect, u64, [u64; tech::NUM_METAL_LAYERS]);
+type EvalKey = (OpSelect, u64, [u64; tech::NUM_METAL_LAYERS]);
 
-/// Bound on memoized evaluation results (a key plus a
-/// [`crate::flow::FlowMetrics`] is ~130 bytes, so this caps the memo at a
-/// few megabytes while comfortably covering a full exploration).
+/// Bound on memoized evaluation results (a key plus a [`FlowMetrics`] is
+/// ~130 bytes, so this caps the memo at a few megabytes while comfortably
+/// covering a full exploration).
 const METRICS_MEMO_CAP: usize = 65_536;
-
-/// Copy-on-write view of a memoized operator edit: the post-operator
-/// layout (still at the baseline's route rule) and its patched Phase-A
-/// plan, both `Arc`-shared with the [`EvalEngine`] cache.
-///
-/// Handing one out costs two refcount bumps instead of the deep
-/// layout-plus-plan clone the cache used to pay per hit; a candidate only
-/// materializes private copies — and only of the pieces that actually
-/// diverge — when it installs a different route rule via
-/// [`CowSnapshot::into_parts`].
-#[derive(Debug, Clone)]
-pub(crate) struct CowSnapshot {
-    layout: Arc<Layout>,
-    plan: Arc<route::RoutePlan>,
-    /// Sorted net ids the Phase-A patch re-planned for this edit (the
-    /// operator's dirty set). Everything else carries the baseline's
-    /// pattern segments by `Arc` share.
-    dirty: Arc<Vec<NetId>>,
-}
-
-impl CowSnapshot {
-    /// The sorted net ids the Phase-A patch re-planned for this edit.
-    /// Feeds the incremental-STA dirty handoff in
-    /// [`EvalEngine::evaluate_with_plan`].
-    pub(crate) fn phase_a_dirty(&self) -> Arc<Vec<NetId>> {
-        Arc::clone(&self.dirty)
-    }
-
-    /// Materializes the `(layout, plan)` pair under `rule`.
-    ///
-    /// When `rule` matches the cached layout's rule (a scale-identical
-    /// sibling) both halves stay shared: the layout is an `Arc` bump and
-    /// the plan clone is itself refcount bumps per net list and usage
-    /// plane. When the rule differs, the layout is copied once to install
-    /// it and the plan re-derives capacities — stored usage is unscaled
-    /// quanta, so the patched plan stays exact under the new rule.
-    pub(crate) fn into_parts(
-        self,
-        tech: &Technology,
-        rule: &tech::RouteRule,
-    ) -> (Arc<Layout>, route::RoutePlan) {
-        let CowSnapshot { layout, plan, .. } = self;
-        if layout.route_rule() == rule {
-            return (layout, (*plan).clone());
-        }
-        let mut l = (*layout).clone();
-        l.set_route_rule(rule.clone());
-        let mut p = (*plan).clone();
-        p.set_rule(tech, rule);
-        (Arc::new(l), p)
-    }
-}
-
-/// Bound on memoized operator edits; a GA run touches a handful of
-/// distinct `(operator, seed)` pairs, so this only guards pathological
-/// callers from unbounded growth. The byte budget
-/// ([`EVAL_CACHE_BYTES`]) usually binds first on big designs.
-const EDIT_CACHE_CAP: usize = 64;
 
 /// Edit-cache byte budget: generous enough that a TINY-class exploration
 /// never evicts, small enough that a long explore on a 100k-cell design
@@ -251,7 +194,7 @@ const EVAL_CACHE_BYTES: u64 = 256 << 20;
 /// Approximate resident bytes of one metrics-memo entry (key + value +
 /// `HashMap` slot overhead).
 const MEMO_ENTRY_BYTES: u64 =
-    (size_of::<EvalKey>() + size_of::<crate::flow::FlowMetrics>() + 2 * size_of::<u64>()) as u64;
+    (size_of::<EvalKey>() + size_of::<FlowMetrics>() + 2 * size_of::<u64>()) as u64;
 
 /// Point-in-time byte footprint of an [`EvalEngine`], as surfaced by
 /// `ggd stats` and the bench suite (see
@@ -270,7 +213,7 @@ pub struct MemoryFootprint {
 static CACHE_HITS: obs::Counter = obs::Counter::new("eval.cache_hits");
 static CACHE_MISSES: obs::Counter = obs::Counter::new("eval.cache_misses");
 static MEMO_HITS: obs::Counter = obs::Counter::new("eval.memo_hits");
-/// Entries dropped by the byte-budget / capacity LRU.
+/// Edits dropped by the byte-budget LRU.
 static CACHE_EVICTIONS: obs::Counter = obs::Counter::new("eval.cache_evictions");
 /// Accounted bytes across the edit cache and metrics memo.
 static CACHE_BYTES: obs::Gauge = obs::Gauge::new("eval.cache_bytes");
@@ -279,8 +222,17 @@ static ROUTE_PLANES_BYTES: obs::Gauge = obs::Gauge::new("mem.route_planes_bytes"
 
 /// Injection point covering the engine's memoized-edit path: checked before
 /// the cache lookup, so a drill exercises the sandbox without ever holding
-/// (and poisoning) the edit-cache lock.
+/// (and poisoning) the cache lock.
 static EVAL_PANIC: faults::Point = faults::Point::new("eval.panic");
+
+/// The seed an operator actually consumes: Cell Shift is deterministic,
+/// so every seed maps to the same edit (and the same memoization slot).
+fn operator_seed(op: OpSelect, seed: u64) -> u64 {
+    match op {
+        OpSelect::CellShift => 0,
+        OpSelect::Lda { .. } => seed,
+    }
+}
 
 impl EvalEngine {
     /// Builds the engine's caches from an implemented baseline.
@@ -293,12 +245,8 @@ impl EvalEngine {
             plan: route::plan_route(&base.layout, tech),
             graph: sta::TimingGraph::new(base.layout.design(), tech),
             power_model: power::PowerModel::new(&base.layout, tech),
-            edit_cache: RwLock::new(EditCache::default()),
-            metrics_memo: RwLock::new(HashMap::new()),
+            cache: Mutex::default(),
             cache_budget: EVAL_CACHE_BYTES,
-            clock: std::sync::atomic::AtomicU64::new(0),
-            edit_bytes_now: std::sync::atomic::AtomicU64::new(0),
-            memo_bytes_now: std::sync::atomic::AtomicU64::new(0),
         };
         engine.publish_memory_gauges();
         engine
@@ -306,21 +254,26 @@ impl EvalEngine {
 
     /// The engine's current byte footprint, read directly from the
     /// structures — unlike the gauges, this works with telemetry
-    /// disabled, so `ggd stats` can always report it.
+    /// disabled, so `ggd stats` can always report it. A poisoned cache
+    /// lock still yields the last byte totals: they are statistics.
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        use std::sync::atomic::Ordering;
+        // The page and shard walks below run after the guard drops, so
+        // they never stall a worker's cache lookup.
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache_bytes = cache.edit_bytes + cache.metrics.len() as u64 * MEMO_ENTRY_BYTES;
+        drop(cache);
         MemoryFootprint {
             occupancy_bytes: self.base.layout.occupancy().occupancy_bytes(),
             route_planes_bytes: self.base.routing.grid().planes_bytes()
                 + self.plan.grid().planes_bytes(),
-            cache_bytes: self.edit_bytes_now.load(Ordering::Relaxed)
-                + self.memo_bytes_now.load(Ordering::Relaxed),
+            cache_bytes,
         }
     }
 
     /// Publishes [`EvalEngine::memory_footprint`] as the
     /// `mem.occupancy_bytes`, `mem.route_planes_bytes` and
-    /// `eval.cache_bytes` gauges; free while telemetry is off.
+    /// `eval.cache_bytes` gauges; free while telemetry is off. Takes the
+    /// cache lock, so callers must have dropped theirs.
     fn publish_memory_gauges(&self) {
         if !obs::enabled() {
             return;
@@ -331,126 +284,138 @@ impl EvalEngine {
         CACHE_BYTES.set(mem.cache_bytes as f64);
     }
 
-    /// Looks up the memoized metrics of a semantically identical earlier
-    /// evaluation. A poisoned memo lock degrades to a miss — the caller
-    /// recomputes, which is always safe.
-    pub(crate) fn memoized_metrics(&self, key: &EvalKey) -> Option<crate::flow::FlowMetrics> {
-        let hit = self.metrics_memo.read().ok()?.get(key).copied();
-        if hit.is_some() {
+    /// The engine path of [`crate::flow::FlowRun::metrics`]. A semantic
+    /// duplicate of an earlier candidate (equal [`EvalKey`], which GA
+    /// populations produce constantly) returns the memoized metrics
+    /// without re-running Phase B, STA or the security analysis; a
+    /// poisoned lock degrades the lookup to a miss and the insert to a
+    /// no-op.
+    pub(crate) fn metrics(
+        &self,
+        tech: &Technology,
+        cfg: &FlowConfig,
+        seed: u64,
+    ) -> Result<FlowMetrics, Error> {
+        let key = (
+            cfg.op,
+            operator_seed(cfg.op, seed),
+            cfg.scales.map(f64::to_bits),
+        );
+        let memo = self
+            .cache
+            .lock()
+            .ok()
+            .and_then(|c| c.metrics.get(&key).copied());
+        if let Some(m) = memo {
             MEMO_HITS.incr();
+            return Ok(m);
         }
-        hit
-    }
-
-    /// Records a computed evaluation result under its key (bounded by
-    /// [`METRICS_MEMO_CAP`]; a poisoned lock silently drops the entry).
-    pub(crate) fn memoize_metrics(&self, key: EvalKey, m: crate::flow::FlowMetrics) {
-        if let Ok(mut memo) = self.metrics_memo.write() {
-            if memo.len() < METRICS_MEMO_CAP {
-                memo.insert(key, m);
-                self.memo_bytes_now.store(
-                    memo.len() as u64 * MEMO_ENTRY_BYTES,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+        let m = FlowMetrics::from_snapshot(&self.snapshot(tech, cfg, seed)?, &self.base);
+        if let Ok(mut cache) = self.cache.lock() {
+            if cache.metrics.len() < METRICS_MEMO_CAP {
+                cache.metrics.insert(key, m);
             }
         }
         self.publish_memory_gauges();
+        Ok(m)
     }
 
-    /// Looks up the memoized [`CowSnapshot`] of an operator edit, or
-    /// computes it with `make` and stores it. `seed` must be the exact
-    /// seed the operator consumes (callers normalize it away for seedless
-    /// operators). The snapshot is at the baseline's route rule; callers
-    /// materialize their own rule via [`CowSnapshot::into_parts`]. Both
-    /// the hit and the miss path hand out `Arc` shares — the cache never
-    /// deep-copies a layout or plan.
+    /// The engine path of [`crate::flow::FlowRun::snapshot`]: the memoized
+    /// operator edit under the candidate's route rule, then Phase B and
+    /// the incremental analyses. A rule equal to the edit's keeps the
+    /// layout shared; any other copies it once and re-derives the plan's
+    /// capacities, which stays bit-identical to the oracle because the
+    /// plan stores unscaled usage (see [`route::RoutePlan::set_rule`]).
+    pub(crate) fn snapshot(
+        &self,
+        tech: &Technology,
+        cfg: &FlowConfig,
+        seed: u64,
+    ) -> Result<Snapshot, Error> {
+        let edit = self.edit(tech, cfg.op, operator_seed(cfg.op, seed))?;
+        let rule = tech::RouteRule::from_scales(cfg.scales);
+        let (layout, plan) = if edit.layout.route_rule() == &rule {
+            (edit.layout, (*edit.plan).clone())
+        } else {
+            let mut layout = (*edit.layout).clone();
+            layout.set_route_rule(rule.clone());
+            let mut plan = (*edit.plan).clone();
+            plan.set_rule(tech, &rule);
+            (Arc::new(layout), plan)
+        };
+        Ok(self.evaluate_with_plan(layout, plan, tech, &edit.dirty))
+    }
+
+    /// The edit of operator `op` at the seed it consumes, from the cache
+    /// or computed and inserted. A miss runs the operator outside the
+    /// lock: a racing duplicate costs one extra operator run but never
+    /// blocks the other workers on it, and the later insert wins.
     ///
     /// Returns [`Error::EditCachePoisoned`] if a worker panicked while
     /// holding the cache lock; memoized edits are untrusted from then on.
-    pub(crate) fn cached_edit(
-        &self,
-        tech: &Technology,
-        op: OpSelect,
-        seed: u64,
-        make: impl FnOnce() -> Layout,
-    ) -> Result<CowSnapshot, Error> {
-        use std::sync::atomic::Ordering;
+    fn edit(&self, tech: &Technology, op: OpSelect, seed: u64) -> Result<Edit, Error> {
         EVAL_PANIC.check();
-        if let Some(hit) = self
-            .edit_cache
-            .read()
-            .map_err(|_| Error::EditCachePoisoned)?
-            .map
-            .get(&(op, seed))
-        {
+        let mut guard = self.cache.lock().map_err(|_| Error::EditCachePoisoned)?;
+        let cache = &mut *guard;
+        let hit = cache.edits.get_mut(&(op, seed)).map(|hit| {
+            cache.clock += 1;
+            hit.last_used = cache.clock;
+            hit.clone()
+        });
+        // Counted after the guard drops: the first count after an
+        // `obs::reset` takes the obs registry lock, which every span
+        // close on the other workers contends for.
+        drop(guard);
+        if let Some(hit) = hit {
             CACHE_HITS.incr();
-            // LRU stamp under the read lock: the clock is engine-global
-            // and the stamp is atomic, so hits never serialize.
-            hit.last_used.store(
-                self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-                Ordering::Relaxed,
-            );
-            return Ok(hit.snap.clone());
+            return Ok(hit);
         }
         CACHE_MISSES.incr();
-        // Computed outside the lock: a racing duplicate costs one extra
-        // operator run but never blocks the other workers on it.
-        let layout = make();
+        let layout = crate::flow::apply_operator(&self.base, tech, op, seed);
         let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
         let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
-        let entry = CowSnapshot {
-            layout: Arc::new(layout),
-            plan: Arc::new(plan),
-            dirty: Arc::new(dirty.nets),
-        };
         // Byte accounting: what this entry pins beyond the baseline the
         // engine holds anyway (copy-on-write shards/pages/segment lists
         // it owns privately).
-        let bytes = entry
-            .layout
+        let bytes = layout
             .occupancy()
             .unshared_bytes(self.base.layout.occupancy())
-            + entry.plan.approx_unshared_bytes(&self.plan)
-            + (entry.dirty.capacity() * size_of::<NetId>()) as u64;
-        let mut cache = self
-            .edit_cache
-            .write()
-            .map_err(|_| Error::EditCachePoisoned)?;
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        cache.bytes += bytes;
-        if let Some(old) = cache.map.insert(
-            (op, seed),
-            EditEntry {
-                snap: entry.clone(),
-                bytes,
-                last_used: std::sync::atomic::AtomicU64::new(stamp),
-            },
-        ) {
+            + plan.approx_unshared_bytes(&self.plan)
+            + (dirty.nets.capacity() * size_of::<NetId>()) as u64;
+        let mut cache = self.cache.lock().map_err(|_| Error::EditCachePoisoned)?;
+        cache.clock += 1;
+        let edit = Edit {
+            layout: Arc::new(layout),
+            plan: Arc::new(plan),
+            dirty: Arc::new(dirty.nets),
+            bytes,
+            last_used: cache.clock,
+        };
+        cache.edit_bytes += bytes;
+        if let Some(old) = cache.edits.insert((op, seed), edit.clone()) {
             // Racing duplicate: the loser's bytes leave the account.
-            cache.bytes -= old.bytes;
+            cache.edit_bytes -= old.bytes;
         }
-        // LRU eviction under the byte budget (`EVAL_CACHE_BYTES`) and
-        // the entry-count backstop. The entry just inserted carries the
-        // freshest stamp, so it is evicted only if it alone exceeds the
-        // budget — and even then the handle already returned keeps it
-        // alive for the caller.
-        while cache.map.len() > 1
-            && (cache.bytes > self.cache_budget || cache.map.len() > EDIT_CACHE_CAP)
-        {
-            let victim = cache
-                .map
+        // LRU eviction under the byte budget. The entry just inserted
+        // carries the freshest stamp, so it is never the victim, and the
+        // handles already returned keep an evicted edit alive for their
+        // callers.
+        while cache.edits.len() > 1 && cache.edit_bytes > self.cache_budget {
+            let (&victim, _) = cache
+                .edits
                 .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
+                .min_by_key(|(_, e)| e.last_used)
                 .expect("non-empty cache has an LRU entry");
-            let evicted = cache.map.remove(&victim).expect("victim key just observed");
-            cache.bytes -= evicted.bytes;
+            let evicted = cache
+                .edits
+                .remove(&victim)
+                .expect("victim key just observed");
+            cache.edit_bytes -= evicted.bytes;
             CACHE_EVICTIONS.incr();
         }
-        self.edit_bytes_now.store(cache.bytes, Ordering::Relaxed);
         drop(cache);
         self.publish_memory_gauges();
-        Ok(entry)
+        Ok(edit)
     }
 
     /// The baseline snapshot the engine was built from.
@@ -485,7 +450,7 @@ impl EvalEngine {
     }
 
     /// Evaluation tail shared by [`EvalEngine::evaluate_incremental`] and
-    /// the memoized-edit path: Phase B on an already-patched plan, then
+    /// [`EvalEngine::snapshot`]: Phase B on an already-patched plan, then
     /// incremental STA and the model-backed analyses.
     ///
     /// `phase_a_dirty` is the sorted net list the Phase-A patch
@@ -497,7 +462,7 @@ impl EvalEngine {
     /// scales — so that union is handed to [`sta::analyze_incremental`]
     /// as the `dirty_nets` bound. A rule change moves every net's RC and
     /// disables the bound (see DESIGN.md §2d).
-    pub(crate) fn evaluate_with_plan(
+    fn evaluate_with_plan(
         &self,
         layout: Arc<Layout>,
         plan: route::RoutePlan,
@@ -646,46 +611,37 @@ mod tests {
     /// not leak: once every candidate's handle drops, the cache entry is
     /// the sole remaining owner of the layout and plan.
     #[test]
-    fn cached_edit_shares_and_does_not_leak() {
+    fn edit_cache_shares_and_does_not_leak() {
         let tech = Technology::nangate45_like();
         let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         let engine = EvalEngine::new(&base, &tech);
         let op = OpSelect::CellShift;
-        let make = || {
-            let mut l = Layout::clone(&base.layout);
-            crate::preprocess::lock_critical_cells(&mut l);
-            crate::cell_shift::cell_shift(&mut l, &tech, secmetrics::THRESH_ER);
-            l
-        };
 
         // A hit is a share of the miss, not a recomputation.
-        let first = engine.cached_edit(&tech, op, 1, make).unwrap();
-        let second = engine
-            .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
-            .unwrap();
+        let first = engine.edit(&tech, op, 0).unwrap();
+        let second = engine.edit(&tech, op, 0).unwrap();
         assert!(Arc::ptr_eq(&first.layout, &second.layout));
 
         // Rule-identical materialization keeps the layout shared.
-        let base_rule = first.layout.route_rule().clone();
-        let (same, _plan) = second.into_parts(&tech, &base_rule);
+        let cfg = FlowConfig::cell_shift_default();
+        let same = engine.snapshot(&tech, &cfg, 1).unwrap().layout;
         assert!(Arc::ptr_eq(&first.layout, &same));
 
         // A diverging rule copies privately and leaves the cache intact.
-        let wide = tech::RouteRule::uniform(1.2);
-        let third = engine
-            .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
-            .unwrap();
-        let (copied, _plan) = third.clone().into_parts(&tech, &wide);
+        let wide = FlowConfig {
+            scales: [1.2; tech::NUM_METAL_LAYERS],
+            ..cfg
+        };
+        let copied = engine.snapshot(&tech, &wide, 1).unwrap().layout;
+        let third = engine.edit(&tech, op, 0).unwrap();
         assert!(!Arc::ptr_eq(&first.layout, &copied));
-        assert_eq!(copied.route_rule(), &wide);
+        assert_eq!(copied.route_rule(), &tech::RouteRule::uniform(1.2));
         assert!(Arc::ptr_eq(&first.layout, &third.layout));
 
         // No leak: dropping every handle leaves the cache entry plus the
         // one probe below as the only owners.
-        drop((same, copied, third));
-        let probe = engine
-            .cached_edit(&tech, op, 1, || unreachable!("must hit the cache"))
-            .unwrap();
+        drop((second, same, copied, third));
+        let probe = engine.edit(&tech, op, 0).unwrap();
         drop(first);
         assert_eq!(Arc::strong_count(&probe.layout), 2);
         assert_eq!(Arc::strong_count(&probe.plan), 2);
@@ -693,7 +649,7 @@ mod tests {
 
     /// Under a starvation-level byte budget the cache LRU-evicts down to
     /// one entry per insert, and an evicted edit recomputes (a miss)
-    /// instead of erroring. Handed-out snapshots survive eviction: the
+    /// instead of erroring. Handed-out edits survive eviction: the
     /// caller's `Arc` keeps the layout alive.
     #[test]
     fn edit_cache_byte_budget_evicts_lru() {
@@ -701,26 +657,19 @@ mod tests {
         let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         let mut engine = EvalEngine::new(&base, &tech);
         engine.cache_budget = 1;
-        let make = || {
-            let mut l = Layout::clone(&base.layout);
-            crate::preprocess::lock_critical_cells(&mut l);
-            crate::cell_shift::cell_shift(&mut l, &tech, secmetrics::THRESH_ER);
-            l
-        };
-        let op = OpSelect::CellShift;
-        let a = engine.cached_edit(&tech, op, 1, make).unwrap();
+        let cs = OpSelect::CellShift;
+        let a = engine.edit(&tech, cs, 0).unwrap();
         // Inserting a second edit blows the 1-byte budget and evicts the
         // first (older LRU stamp).
-        let _b = engine.cached_edit(&tech, op, 2, make).unwrap();
-        // Seed 1 is gone: this lookup must recompute, not hit.
-        let recomputed = std::cell::Cell::new(false);
-        let a2 = engine
-            .cached_edit(&tech, op, 1, || {
-                recomputed.set(true);
-                make()
-            })
+        let _b = engine
+            .edit(&tech, OpSelect::Lda { n: 8, n_iter: 1 }, 1)
             .unwrap();
-        assert!(recomputed.get(), "evicted entry must miss");
+        // Cell Shift's edit is gone: the next lookup must recompute, not hit.
+        assert!(
+            !engine.cache.lock().unwrap().edits.contains_key(&(cs, 0)),
+            "evicted entry must miss"
+        );
+        let a2 = engine.edit(&tech, cs, 0).unwrap();
         // Determinism: the recomputation reproduces the same edit even
         // though the cache forgot it; the old handle stays valid.
         assert_eq!(

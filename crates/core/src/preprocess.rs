@@ -17,15 +17,6 @@ pub fn lock_critical_cells(layout: &mut Layout) -> usize {
     critical.len()
 }
 
-/// Removes the locks again (used by tooling that wants to re-run a
-/// baseline flow on a previously hardened layout).
-pub fn unlock_critical_cells(layout: &mut Layout) {
-    let critical = layout.design().critical_cells.clone();
-    for &c in &critical {
-        layout.occupancy_mut().unlock(c);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,11 +36,5 @@ mod tests {
             let expect = layout.design().is_critical(id);
             assert_eq!(layout.occupancy().is_locked(id), expect, "cell {}", id.0);
         }
-        unlock_critical_cells(&mut layout);
-        assert!(layout
-            .design()
-            .critical_cells
-            .iter()
-            .all(|&c| !layout.occupancy().is_locked(c)));
     }
 }

@@ -125,3 +125,41 @@ fn write_spans_count_only_the_writes_since_reset() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The engine's cache counters at one worker, where they are a function
+/// of the code alone: every evaluation is served by exactly one of the
+/// metrics memo, an edit-cache hit or an edit-cache miss, and the TINY
+/// explore never reaches the edit cache's byte budget.
+#[test]
+fn engine_cache_counters_are_pinned_at_one_worker() {
+    let _g = locked();
+    let tech = Technology::nangate45_like();
+    let base = implement_baseline_unchecked(&bench::tiny_spec(), &tech);
+    let params = Nsga2Params::builder()
+        .population(16)
+        .generations(4)
+        .seed(0x6D51)
+        .threads(1)
+        .build();
+    obs::reset();
+    obs::set_enabled(true);
+    let engine = EvalEngine::new(&base, &tech);
+    let result =
+        explore_with_engine(&engine, &tech, &params, &ExploreOptions::default()).expect("explore");
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+
+    let hits = snap.counter("eval.cache_hits");
+    let misses = snap.counter("eval.cache_misses");
+    let memo_hits = snap.counter("eval.memo_hits");
+    assert_eq!(hits, 63, "eval.cache_hits");
+    assert_eq!(misses, 12, "eval.cache_misses");
+    assert_eq!(memo_hits, 3, "eval.memo_hits");
+    assert_eq!(snap.counter("eval.cache_evictions"), 0);
+    assert_eq!(hits + misses + memo_hits, snap.counter("nsga2.evaluations"));
+    assert_eq!(
+        snap.counter("nsga2.evaluations"),
+        result.points.len() as u64
+    );
+    assert_eq!(result.points.len(), 78);
+}

@@ -105,17 +105,6 @@ impl Rect {
             hi: self.hi.max(other.hi),
         }
     }
-
-    /// Rectangle expanded by `margin` DBU on every side (clamped to remain
-    /// well-formed when `margin` is negative).
-    pub fn inflate(&self, margin: Dbu) -> Rect {
-        let lo = Point::new(self.lo.x - margin, self.lo.y - margin);
-        let hi = Point::new(
-            (self.hi.x + margin).max(lo.x),
-            (self.hi.y + margin).max(lo.y),
-        );
-        Rect { lo, hi }
-    }
 }
 
 impl core::fmt::Display for Rect {
@@ -161,16 +150,6 @@ mod tests {
         assert_eq!(r(0, 0, 4, 5).area(), 20);
         assert!(r(3, 3, 3, 9).is_empty());
         assert!(!r(0, 0, 1, 1).is_empty());
-    }
-
-    #[test]
-    fn inflate_deflate() {
-        let a = r(10, 10, 20, 20);
-        assert_eq!(a.inflate(5), r(5, 5, 25, 25));
-        assert_eq!(a.inflate(-2), r(12, 12, 18, 18));
-        // Deflating past the center clamps instead of inverting.
-        let tiny = a.inflate(-50);
-        assert!(tiny.width() >= 0 && tiny.height() >= 0);
     }
 
     #[test]

@@ -108,14 +108,6 @@ impl PagedPlane {
             }
         }
     }
-
-    /// Raw pointer identity of the page covering `(x, y)` — exposed so
-    /// copy-on-write tests can assert page sharing.
-    #[doc(hidden)]
-    pub fn page_ptr(&self, x: u32, y: u32) -> *const () {
-        let (t, _) = self.loc(x, y);
-        Arc::as_ptr(&self.pages[t]) as *const ()
-    }
 }
 
 /// The routing grid: gcell tiling of the core plus per-layer, per-gcell
@@ -491,6 +483,12 @@ mod tests {
         RouteGrid::new(&fp, &tech, &RouteRule::default())
     }
 
+    /// Raw pointer identity of the page of `plane` covering `(x, y)`, so
+    /// copy-on-write tests can assert page sharing.
+    fn page_ptr(plane: &PagedPlane, x: u32, y: u32) -> *const Page {
+        Arc::as_ptr(&plane.pages[plane.loc(x, y).0])
+    }
+
     #[test]
     fn dimensions() {
         let g = grid();
@@ -578,20 +576,20 @@ mod tests {
         // A clone shares every page with its source.
         for m in 2..=NUM_METAL_LAYERS {
             assert_eq!(
-                snap.plane(m).page_ptr(p.x, p.y),
-                g.plane(m).page_ptr(p.x, p.y),
+                page_ptr(snap.plane(m), p.x, p.y),
+                page_ptr(g.plane(m), p.x, p.y),
                 "layer {m}"
             );
         }
         // Writing one layer un-shares exactly the page written.
         g.add_quanta(2, p, 4);
         assert_ne!(
-            snap.plane(2).page_ptr(p.x, p.y),
-            g.plane(2).page_ptr(p.x, p.y)
+            page_ptr(snap.plane(2), p.x, p.y),
+            page_ptr(g.plane(2), p.x, p.y)
         );
         assert_eq!(
-            snap.plane(3).page_ptr(p.x, p.y),
-            g.plane(3).page_ptr(p.x, p.y)
+            page_ptr(snap.plane(3), p.x, p.y),
+            page_ptr(g.plane(3), p.x, p.y)
         );
         // The clone kept the pre-write value; the source sees the write.
         assert!((snap.usage(2, p) - 1.0).abs() < 1e-12);
@@ -601,9 +599,9 @@ mod tests {
     #[test]
     fn fresh_planes_share_one_zero_page_across_layers() {
         let g = grid();
-        let p0 = g.plane(2).page_ptr(0, 0);
+        let p0 = page_ptr(g.plane(2), 0, 0);
         for m in 2..=NUM_METAL_LAYERS {
-            assert_eq!(g.plane(m).page_ptr(0, 0), p0, "layer {m}");
+            assert_eq!(page_ptr(g.plane(m), 0, 0), p0, "layer {m}");
         }
         // The shared-page accounting reports one page plus the Arc
         // tables (the 10×7 grid is a single 16×16 tile per layer).

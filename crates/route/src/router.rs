@@ -86,13 +86,6 @@ pub struct DirtySet {
     pub rule_changed: bool,
 }
 
-impl DirtySet {
-    /// True when nothing routed needs to change.
-    pub fn is_clean(&self) -> bool {
-        self.nets.is_empty() && !self.rule_changed
-    }
-}
-
 /// The Phase-A (pattern-route) state of a design: every net's MST edges
 /// and congestion-oblivious pattern segments committed on the grid.
 ///

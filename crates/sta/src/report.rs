@@ -82,11 +82,6 @@ impl TimingReport {
         &self.endpoint_slacks
     }
 
-    /// Arrival time at a net's driver pin in ps.
-    pub fn arrival_ps(&self, net: NetId) -> f64 {
-        self.arrival[net.0 as usize]
-    }
-
     /// Slack of the worst path through a net in ps
     /// (`f64::INFINITY` when the net is untimed/unconstrained).
     pub fn net_slack_ps(&self, net: NetId) -> f64 {

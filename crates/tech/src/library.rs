@@ -150,19 +150,6 @@ impl Library {
         f.sort_by_key(|id| std::cmp::Reverse(self.kind(*id).width_sites));
         f
     }
-
-    /// The smallest *functional* (non-filler) combinational kinds usable as
-    /// tamper-evident fill, sorted by ascending width. BISA-style defenses
-    /// draw from this set.
-    pub fn functional_fill_kinds(&self) -> Vec<KindId> {
-        let mut f: Vec<KindId> = self
-            .iter()
-            .filter(|(_, k)| k.class == CellClass::Combinational && k.inputs <= 2)
-            .map(|(id, _)| id)
-            .collect();
-        f.sort_by_key(|id| self.kind(*id).width_sites);
-        f
-    }
 }
 
 #[cfg(test)]
@@ -198,19 +185,6 @@ mod tests {
         let widths: Vec<u32> = fillers.iter().map(|f| lib.kind(*f).width_sites).collect();
         assert!(widths.windows(2).all(|w| w[0] > w[1]));
         assert_eq!(*widths.last().unwrap(), 1);
-    }
-
-    #[test]
-    fn functional_fill_is_all_combinational() {
-        let lib = Library::nangate45_like();
-        let ff = lib.functional_fill_kinds();
-        assert!(!ff.is_empty());
-        assert!(ff
-            .iter()
-            .all(|id| lib.kind(*id).class == CellClass::Combinational));
-        // Narrowest functional cell is 2 sites wide: 1-site gaps are
-        // unfillable by BISA, which is exactly the residue the paper reports.
-        assert_eq!(lib.kind(ff[0]).width_sites, 2);
     }
 
     #[test]

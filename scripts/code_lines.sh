@@ -6,6 +6,10 @@
 # `#[cfg(test)]`, so unit-test modules are not counted. Run `cargo fmt`
 # first: the count is only comparable between formatted trees.
 #
+# The first `#[cfg(test)]` must annotate a `mod`: on any other item (a
+# test-only function or impl) the count would silently stop there, so
+# the script names that `file:line` and exits 1 instead.
+#
 # Usage: scripts/code_lines.sh FILE...
 #   e.g. scripts/code_lines.sh crates/core/src/serve/*.rs
 set -euo pipefail
@@ -18,11 +22,18 @@ fi
 total=0
 for f in "$@"; do
     n=$(awk '
-        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        pending {
+            if (/^[[:space:]]*($|\/\/|#\[)/) { next }
+            if (/^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/) { exit }
+            printf "%s:%d: #[cfg(test)] on an item other than a mod\n", FILENAME, at > "/dev/stderr"
+            bad = 1
+            exit
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; at = FNR; next }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
+        END { if (bad) { exit 1 } print n + 0 }
     ' "$f")
     printf '%6d  %s\n' "$n" "$f"
     total=$((total + n))
