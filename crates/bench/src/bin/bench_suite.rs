@@ -5,7 +5,7 @@
 //! Pareto hypervolume, security/timing deltas against the design's own
 //! baseline, quarantined/degraded candidate counts, the per-phase span
 //! walls and cache/STA counters of the instrumented explore, the
-//! engine's memory-footprint gauges, and the process peak RSS.
+//! explore engine's memory footprint, and the process peak RSS.
 //!
 //! Every row is also a differential check. The explore's schedule is
 //! replayed serially, telemetry off, through a fresh incremental engine
@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use gdsii_guard::obs::MetricsSnapshot;
 use gdsii_guard::prelude::*;
-use gdsii_guard::serve::{JobSpec, Server, ServerConfig};
+use gdsii_guard::serve::{peak_rss_bytes, JobSpec, Server, ServerConfig};
 use gdsii_guard::BETA_POWER;
 use gg_bench::driver::GG_GA_PARAMS;
 use netlist::bench::DesignSpec;
@@ -69,8 +69,7 @@ const SMOKE_WALL_BUDGET_SECS: f64 = 120.0;
 const SMOKE_PEAK_RSS_BUDGET_BYTES: u64 = 1 << 30; // 1 GiB
 
 /// Per-phase span walls and cache/STA counters of a row's instrumented
-/// explore. Span totals are leaf-summed, so worker-thread spans (whose
-/// root is the worker, not the enclosing phase) are included.
+/// explore. A span's total sums every thread that closed it.
 #[derive(Debug, Clone)]
 struct Phases {
     baseline_implement_secs: f64,
@@ -124,7 +123,7 @@ ggjson::json_struct!(Phases {
 
 impl Phases {
     fn from_snapshot(t: &MetricsSnapshot) -> Self {
-        let secs = |leaf: &str| t.span_total_nanos(leaf) as f64 / 1e9;
+        let secs = |name: &str| t.span_total_nanos(name) as f64 / 1e9;
         let maze_pops = t.histograms.iter().find(|h| h.name == "maze.pops");
         Self {
             baseline_implement_secs: secs("baseline.implement"),
@@ -191,6 +190,9 @@ struct SuiteRow {
     occupancy_bytes: u64,
     route_planes_bytes: u64,
     eval_cache_bytes: u64,
+    /// Process `VmHWM` after the row's run. The kernel counter is
+    /// monotone, so rows carry cumulative peaks: the increase over the
+    /// previous row is what the row's design added.
     peak_rss_bytes: u64,
     phases: Phases,
 }
@@ -229,23 +231,6 @@ ggjson::json_struct!(SuiteRow {
     phases
 });
 
-/// The process high-water resident set in bytes, from
-/// `/proc/self/status` (`VmHWM`). 0 where procfs is unavailable. The
-/// kernel counter is monotone for the process lifetime, so per-row values
-/// are cumulative peaks — the increase over the previous row is what the
-/// row's design added.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
-}
-
 /// Replays `points` serially through `eval`, returning the wall seconds
 /// and every result. Serial on purpose: one worker keeps the thread-local
 /// scratch warm and makes the full-vs-incremental walls comparable across
@@ -283,10 +268,14 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     let at_baseline = gdsii_guard::obs::snapshot();
 
     let t0 = Instant::now();
-    let result = explore(&base, tech, &params);
+    let engine = EvalEngine::new(&base, tech);
+    let result = explore_with_engine(&engine, tech, &params, &ExploreOptions::default())
+        .expect("explore has no error path");
     let explore_wall_secs = t0.elapsed().as_secs_f64();
     let telemetry = gdsii_guard::obs::snapshot();
     gdsii_guard::obs::set_enabled(false);
+    let mem = engine.memory_footprint();
+    drop(engine);
 
     let evaluations = result.points.len() as u64;
     // The explore's own Phase B, without the baseline's.
@@ -362,7 +351,6 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         infeasible_power += u64::from(p.metrics.power_mw > BETA_POWER * result.base_power_mw);
     }
 
-    let gauge = |name: &str| telemetry.gauge(name).unwrap_or(0.0) as u64;
     SuiteRow {
         design: spec.name.to_string(),
         cells: spec.target_cells as u64,
@@ -390,9 +378,9 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
         tns_delta_ps: front_tns_ps - result.base_tns_ps,
         base_drc: result.base_drc.into(),
         front_drc: front_drc.into(),
-        occupancy_bytes: gauge("mem.occupancy_bytes"),
-        route_planes_bytes: gauge("mem.route_planes_bytes"),
-        eval_cache_bytes: gauge("eval.cache_bytes"),
+        occupancy_bytes: mem.occupancy_bytes,
+        route_planes_bytes: mem.route_planes_bytes,
+        eval_cache_bytes: mem.cache_bytes,
         peak_rss_bytes: peak_rss_bytes(),
         phases: Phases::from_snapshot(&telemetry),
     }

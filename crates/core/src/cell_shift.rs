@@ -285,6 +285,8 @@ fn run_pass(layout: &mut Layout, thresh: u32, pass: Pass, stats: &mut CellShiftS
     }
 }
 
+static CELL_SHIFT: obs::Span = obs::Span::new("cell_shift");
+
 /// Runs the Cell Shift operator on a layout whose fillers have been
 /// stripped. Both the forward (leftward) and the mirrored (rightward)
 /// passes of §III-B are executed.
@@ -292,7 +294,7 @@ fn run_pass(layout: &mut Layout, thresh: u32, pass: Pass, stats: &mut CellShiftS
 /// Locked cells are never moved; vertices whose only neighbor is locked are
 /// skipped, exactly like the paper's preprocessing demands.
 pub fn cell_shift(layout: &mut Layout, tech: &Technology, thresh: u32) -> CellShiftStats {
-    obs::span("cell_shift", |_| {
+    CELL_SHIFT.time(|_| {
         layout.occupancy_mut().clear_fillers();
         let mut stats = CellShiftStats::default();
         run_pass(layout, thresh, Pass::Forward, &mut stats);

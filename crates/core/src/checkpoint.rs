@@ -76,12 +76,14 @@ ggjson::json_struct!(Checkpoint {
     quarantine
 });
 
+static SAVE: obs::Span = obs::Span::new("checkpoint.save");
+
 impl Checkpoint {
     /// Serializes, checksums, and atomically installs the checkpoint at
     /// `path` (tmp + rename), inside a `checkpoint.save` span. Creates the
     /// parent directory if missing.
     pub fn save(&self, path: &Path) -> Result<(), Error> {
-        obs::span("checkpoint.save", |_| {
+        SAVE.time(|_| {
             // The payload is rendered exactly once; the envelope is spliced
             // around the rendered text instead of re-serializing the whole
             // archive a second time. Load re-renders the *parsed* payload for

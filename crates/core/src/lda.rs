@@ -57,6 +57,10 @@ fn chunk_bounds(total: u32, n: u32) -> Vec<u32> {
         .collect()
 }
 
+static ECO_PLACE: obs::Span = obs::Span::new("lda.eco_place");
+static DENSIFY: obs::Span = obs::Span::new("lda.densify");
+static REFINE: obs::Span = obs::Span::new("lda.refine");
+
 /// Runs the LDA operator. Returns the accumulated ECO placement statistics.
 ///
 /// # Panics
@@ -189,7 +193,7 @@ pub fn local_density_adjustment(
 
         // Run ECO placement (Algorithm 2, line 13): evict cells from tiles
         // over their bound…
-        let stats = obs::span("lda.eco_place", |sp| {
+        let stats = ECO_PLACE.time(|sp| {
             let stats = place::eco_place(layout, tech, seed.wrapping_add(iter as u64));
             obs::trace(obs::Topic::Lda, || {
                 format!(
@@ -205,7 +209,7 @@ pub fn local_density_adjustment(
         total.replaced_fallback += stats.replaced_fallback;
         // …and pull cells *into* asset tiles up to their (high) bound,
         // squeezing out the free sites next to the critical assets.
-        obs::span("lda.densify", |sp| {
+        DENSIFY.time(|sp| {
             densify_asset_tiles(layout, tech, &row_b, &col_b, &n_assets, &dens_cache);
             obs::trace(obs::Topic::Lda, || {
                 format!("lda: densify {:.2}s", sp.elapsed().as_secs_f64())
@@ -217,7 +221,7 @@ pub fn local_density_adjustment(
     // then recovers most of the displacement cost (the ECO placement of
     // the paper is wirelength/timing-driven end to end).
     layout.clear_blockages();
-    obs::span("lda.refine", |sp| {
+    REFINE.time(|sp| {
         place::refine_wirelength(layout, tech, 1, seed ^ 0x1DA);
         obs::trace(obs::Topic::Lda, || {
             format!("lda: refine {:.2}s", sp.elapsed().as_secs_f64())

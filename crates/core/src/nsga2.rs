@@ -479,6 +479,11 @@ static GENOME_CACHE_HITS: obs::Counter = obs::Counter::new("nsga2.genome_cache_h
 static DEGRADED: obs::Counter = obs::Counter::new("eval.degraded");
 /// Candidates that exhausted the chain and carry penalty metrics.
 static QUARANTINED: obs::Counter = obs::Counter::new("eval.quarantined");
+/// Generation 0 in [`Exploration::start`], every later one in
+/// [`Exploration::step`].
+static GENERATION: obs::Span = obs::Span::new("nsga2.generation");
+/// One generation's candidate evaluations, across every worker.
+static EVALUATE: obs::Span = obs::Span::new("nsga2.evaluate");
 
 /// Binary tournament by `(rank, crowding)`.
 fn tournament(
@@ -614,7 +619,7 @@ impl Exploration {
             order: Vec::new(),
             ledger: Vec::new(),
         };
-        obs::span("nsga2.generation", |_| {
+        GENERATION.time(|_| {
             run.evaluate(&pop, engine, tech, policy);
         });
         run.pop = pop;
@@ -652,7 +657,7 @@ impl Exploration {
         let base = engine.base();
         let population = self.params.population;
         self.generation += 1;
-        obs::span("nsga2.generation", |_| {
+        GENERATION.time(|_| {
             // Parent selection state.
             let metrics: Vec<FlowMetrics> = self.pop.iter().map(|g| self.cache[g]).collect();
             let rank = non_dominated_sort(&metrics, base.power_mw(), base.drc);
@@ -792,7 +797,7 @@ impl Exploration {
         }
         EVALUATIONS.add(missing.len() as u64);
         let threads = self.params.resolved_threads().min(missing.len());
-        obs::span("nsga2.evaluate", |_| {
+        EVALUATE.time(|_| {
             let next = AtomicUsize::new(0);
             type Outcome = (usize, Genome, FlowMetrics, EvalStatus);
             let done: Mutex<Vec<Outcome>> = Mutex::new(Vec::with_capacity(missing.len()));

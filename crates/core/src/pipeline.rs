@@ -69,6 +69,8 @@ pub fn evaluate(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Result<Sna
     Ok(evaluate_unchecked(layout, tech))
 }
 
+static FULL: obs::Span = obs::Span::new("eval.full");
+
 /// [`evaluate`] without the consistency pre-check.
 ///
 /// Used both for the baseline and after every ECO operator application
@@ -76,7 +78,7 @@ pub fn evaluate(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Result<Sna
 /// downstream is recomputed).
 pub fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Snapshot {
     let layout = layout.into();
-    obs::span("eval.full", |_| {
+    FULL.time(|_| {
         let routing = route::route_design(&layout, tech);
         let timing = sta::analyze(&layout, &routing, tech);
         let power = power::analyze(&layout, &routing, tech);
@@ -215,10 +217,6 @@ static CACHE_MISSES: obs::Counter = obs::Counter::new("eval.cache_misses");
 static MEMO_HITS: obs::Counter = obs::Counter::new("eval.memo_hits");
 /// Edits dropped by the byte-budget LRU.
 static CACHE_EVICTIONS: obs::Counter = obs::Counter::new("eval.cache_evictions");
-/// Accounted bytes across the edit cache and metrics memo.
-static CACHE_BYTES: obs::Gauge = obs::Gauge::new("eval.cache_bytes");
-static OCCUPANCY_BYTES: obs::Gauge = obs::Gauge::new("mem.occupancy_bytes");
-static ROUTE_PLANES_BYTES: obs::Gauge = obs::Gauge::new("mem.route_planes_bytes");
 
 /// Injection point covering the engine's memoized-edit path: checked before
 /// the cache lookup, so a drill exercises the sandbox without ever holding
@@ -236,26 +234,21 @@ fn operator_seed(op: OpSelect, seed: u64) -> u64 {
 
 impl EvalEngine {
     /// Builds the engine's caches from an implemented baseline.
-    ///
-    /// Publishes the baseline's `mem.occupancy_bytes` /
-    /// `mem.route_planes_bytes` gauges.
     pub fn new(base: &Snapshot, tech: &Technology) -> Self {
-        let engine = Self {
+        Self {
             base: base.clone(),
             plan: route::plan_route(&base.layout, tech),
             graph: sta::TimingGraph::new(base.layout.design(), tech),
             power_model: power::PowerModel::new(&base.layout, tech),
             cache: Mutex::default(),
             cache_budget: EVAL_CACHE_BYTES,
-        };
-        engine.publish_memory_gauges();
-        engine
+        }
     }
 
     /// The engine's current byte footprint, read directly from the
-    /// structures — unlike the gauges, this works with telemetry
-    /// disabled, so `ggd stats` can always report it. A poisoned cache
-    /// lock still yields the last byte totals: they are statistics.
+    /// structures, telemetry on or off; `ggd stats` and the bench suite
+    /// report it. A poisoned cache lock still yields the last byte
+    /// totals: they are statistics.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         // The page and shard walks below run after the guard drops, so
         // they never stall a worker's cache lookup.
@@ -268,20 +261,6 @@ impl EvalEngine {
                 + self.plan.grid().planes_bytes(),
             cache_bytes,
         }
-    }
-
-    /// Publishes [`EvalEngine::memory_footprint`] as the
-    /// `mem.occupancy_bytes`, `mem.route_planes_bytes` and
-    /// `eval.cache_bytes` gauges; free while telemetry is off. Takes the
-    /// cache lock, so callers must have dropped theirs.
-    fn publish_memory_gauges(&self) {
-        if !obs::enabled() {
-            return;
-        }
-        let mem = self.memory_footprint();
-        OCCUPANCY_BYTES.set(mem.occupancy_bytes as f64);
-        ROUTE_PLANES_BYTES.set(mem.route_planes_bytes as f64);
-        CACHE_BYTES.set(mem.cache_bytes as f64);
     }
 
     /// The engine path of [`crate::flow::FlowRun::metrics`]. A semantic
@@ -316,7 +295,6 @@ impl EvalEngine {
                 cache.metrics.insert(key, m);
             }
         }
-        self.publish_memory_gauges();
         Ok(m)
     }
 
@@ -363,8 +341,7 @@ impl EvalEngine {
             hit.clone()
         });
         // Counted after the guard drops: the first count after an
-        // `obs::reset` takes the obs registry lock, which every span
-        // close on the other workers contends for.
+        // `obs::reset` takes the obs registry lock.
         drop(guard);
         if let Some(hit) = hit {
             CACHE_HITS.incr();
@@ -413,8 +390,6 @@ impl EvalEngine {
             cache.edit_bytes -= evicted.bytes;
             CACHE_EVICTIONS.incr();
         }
-        drop(cache);
-        self.publish_memory_gauges();
         Ok(edit)
     }
 
@@ -442,11 +417,9 @@ impl EvalEngine {
         tech: &Technology,
     ) -> Snapshot {
         let layout = layout.into();
-        obs::span("eval.incremental", |_| {
-            let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
-            let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
-            self.evaluate_with_plan(layout, plan, tech, &dirty.nets)
-        })
+        let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
+        let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
+        self.evaluate_with_plan(layout, plan, tech, &dirty.nets)
     }
 
     /// Evaluation tail shared by [`EvalEngine::evaluate_incremental`] and
@@ -507,6 +480,9 @@ impl EvalEngine {
     }
 }
 
+/// Both baseline entry points, checked or not.
+static IMPLEMENT: obs::Span = obs::Span::new("baseline.implement");
+
 /// Implements the baseline layout for a benchmark spec: floorplan at the
 /// spec's utilization, global placement, wirelength refinement, signal
 /// routing, and full analysis.
@@ -516,7 +492,7 @@ impl EvalEngine {
 /// illegal layout (a bug, but one that now surfaces as a typed error at
 /// the API boundary instead of a panic in a downstream stage).
 pub fn implement_baseline(spec: &DesignSpec, tech: &Technology) -> Result<Snapshot, Error> {
-    obs::span("baseline.implement", |_| {
+    IMPLEMENT.time(|_| {
         let layout = build_baseline_layout(spec, tech);
         evaluate(layout, tech)
     })
@@ -525,7 +501,7 @@ pub fn implement_baseline(spec: &DesignSpec, tech: &Technology) -> Result<Snapsh
 /// [`implement_baseline`] without the consistency check, for callers that
 /// cannot do anything useful with the error anyway (benches, examples).
 pub fn implement_baseline_unchecked(spec: &DesignSpec, tech: &Technology) -> Snapshot {
-    obs::span("baseline.implement", |_| {
+    IMPLEMENT.time(|_| {
         let layout = build_baseline_layout(spec, tech);
         evaluate_unchecked(layout, tech)
     })

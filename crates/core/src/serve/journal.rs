@@ -247,6 +247,8 @@ pub struct Journal {
     write_counter: AtomicU64,
 }
 
+static APPEND: obs::Span = obs::Span::new("journal.append");
+
 impl Journal {
     /// Opens (creating if needed) the journal under `dir` for append,
     /// continuing the highest existing segment.
@@ -296,7 +298,7 @@ impl Journal {
     pub fn append(&self, rec: &JournalRecord) -> bool {
         static JOURNAL_WRITE: faults::Point = faults::Point::new("journal.write");
         static WRITE_ERRORS: obs::Counter = obs::Counter::new("journal.write_errors");
-        obs::span("journal.append", |_| {
+        APPEND.time(|_| {
             let key = self.write_counter.fetch_add(1, Ordering::Relaxed);
             let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
             let mut line = String::new();

@@ -63,4 +63,4 @@ pub use baseline::{BaselineCache, DesignContext};
 pub use client::{Client, RetryPolicy};
 pub use job::{BaselineSummary, JobEvent, JobKind, JobSpec, JobState, JobStatus, JOB_SPEC_VERSION};
 pub use journal::{Journal, JournalRecord};
-pub use server::{Server, ServerConfig, ServerStats};
+pub use server::{peak_rss_bytes, Server, ServerConfig, ServerStats};

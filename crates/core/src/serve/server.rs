@@ -140,8 +140,9 @@ ggjson::json_struct!(ServerStats {
 });
 
 /// The process high-water resident set in bytes, from
-/// `/proc/self/status`; 0 on platforms without procfs.
-fn peak_rss_bytes() -> u64 {
+/// `/proc/self/status` (`VmHWM`); 0 on platforms without procfs. The
+/// kernel counter is monotone for the process lifetime.
+pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
@@ -223,9 +224,9 @@ struct RunnerSlot {
 /// Admission gate, checked before a submit enters the queue. Idempotent
 /// resubmits (a dedup token the registry already knows) bypass the gate
 /// — they map to an existing job, adding no load. Refusals are counted
-/// in `serve.busy_rejects` and surface as the retryable `Busy` response.
+/// in [`ServerStats::busy_rejects`] and surface as the retryable `Busy`
+/// response.
 fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
-    static BUSY_REJECTS: obs::Counter = obs::Counter::new("serve.busy_rejects");
     if let Some(tok) = &spec.dedup {
         if shared.registry.lookup_dedup(tok).is_some() {
             return Ok(());
@@ -233,7 +234,6 @@ fn admit(shared: &Shared, spec: &JobSpec) -> Result<(), String> {
     }
     let refuse = |why: String| {
         shared.busy_rejects.fetch_add(1, Ordering::Relaxed);
-        BUSY_REJECTS.incr();
         Err(why)
     };
     let (max_queued, budget) = (shared.config.max_queued, shared.config.mem_budget_bytes);
@@ -508,7 +508,6 @@ fn runner_loop(shared: &Shared, flight: &Flight) {
 /// thread (the `retired` flag plus the registry's late-outcome guard
 /// contain it if it ever wakes).
 fn supervisor_loop(shared: &Arc<Shared>, mut slots: Vec<RunnerSlot>) {
-    static RUNNER_RESTARTS: obs::Counter = obs::Counter::new("serve.runner_restarts");
     let mut next_idx = slots.len();
     loop {
         if shared.registry.is_shutdown() {
@@ -577,7 +576,6 @@ fn supervisor_loop(shared: &Arc<Shared>, mut slots: Vec<RunnerSlot>) {
                 obs::diagln!("supervisor: runner wedged; abandoned and replaced");
             }
             shared.runner_restarts.fetch_add(1, Ordering::Relaxed);
-            RUNNER_RESTARTS.incr();
         }
     }
 }
@@ -864,8 +862,8 @@ fn progress_data(result: &ExploreResult, step: u64) -> Json {
 }
 
 /// An event's `obs` member: each section of `snap` as an object keyed by
-/// metric name or span path. Numbers are JSON numbers (`f64`, like every
-/// number on the wire) and a non-finite gauge reads 0.
+/// metric or span name. Numbers are JSON numbers (`f64`, like every
+/// number on the wire).
 fn obs_json(snap: &obs::MetricsSnapshot) -> Json {
     fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
         Json::Obj(
@@ -877,10 +875,6 @@ fn obs_json(snap: &obs::MetricsSnapshot) -> Json {
     }
     let num = |v: u64| Json::Num(v as f64);
     let counters = obj(snap.counters.iter().map(|(n, v)| (n.as_str(), num(*v))));
-    let gauges = obj(snap
-        .gauges
-        .iter()
-        .map(|(n, v)| (n.as_str(), Json::Num(if v.is_finite() { *v } else { 0.0 }))));
     let histograms = obj(snap.histograms.iter().map(|h| {
         let buckets = h
             .buckets
@@ -895,11 +889,10 @@ fn obs_json(snap: &obs::MetricsSnapshot) -> Json {
     }));
     let spans = obj(snap.spans.iter().map(|s| {
         let members = [("count", num(s.count)), ("total_nanos", num(s.total_nanos))];
-        (s.path.as_str(), obj(members))
+        (s.name.as_str(), obj(members))
     }));
     obj([
         ("counters", counters),
-        ("gauges", gauges),
         ("histograms", histograms),
         ("spans", spans),
     ])
@@ -1030,7 +1023,6 @@ mod tests {
     fn obs_member_keeps_every_section() {
         let snap = obs::MetricsSnapshot {
             counters: vec![("rt.counter".into(), 42)],
-            gauges: vec![("rt.gauge".into(), 6.5), ("rt.nan".into(), f64::NAN)],
             histograms: vec![obs::HistogramSnapshot {
                 name: "rt.hist".into(),
                 count: 5,
@@ -1039,12 +1031,12 @@ mod tests {
             }],
             spans: vec![
                 obs::SpanSnapshot {
-                    path: "rt.outer".into(),
+                    name: "rt.outer".into(),
                     count: 1,
                     total_nanos: 900,
                 },
                 obs::SpanSnapshot {
-                    path: "rt.outer/rt.inner \"quoted\"\n".into(),
+                    name: "rt.inner \"quoted\"\n".into(),
                     count: 1,
                     total_nanos: 400,
                 },
@@ -1061,12 +1053,6 @@ mod tests {
                 .clone()
         };
         assert_eq!(at("counters", "rt.counter").as_num(), Some(42.0));
-        assert_eq!(at("gauges", "rt.gauge").as_num(), Some(6.5));
-        assert_eq!(
-            at("gauges", "rt.nan").as_num(),
-            Some(0.0),
-            "non-finite reads 0"
-        );
 
         let hist = at("histograms", "rt.hist");
         assert_eq!(hist.get("count").and_then(Json::as_num), Some(5.0));
@@ -1088,8 +1074,8 @@ mod tests {
             .collect();
         assert_eq!(pairs, expected);
 
-        // Span paths, quotes and control characters included, survive.
-        let inner = at("spans", "rt.outer/rt.inner \"quoted\"\n");
+        // Span names, quotes and control characters included, survive.
+        let inner = at("spans", "rt.inner \"quoted\"\n");
         assert_eq!(inner.get("count").and_then(Json::as_num), Some(1.0));
         let outer = at("spans", "rt.outer");
         assert_eq!(outer.get("total_nanos").and_then(Json::as_num), Some(900.0));
@@ -1098,7 +1084,7 @@ mod tests {
     #[test]
     fn obs_member_of_an_empty_snapshot_has_empty_sections() {
         let parsed = obs_json(&obs::MetricsSnapshot::default());
-        for section in ["counters", "gauges", "histograms", "spans"] {
+        for section in ["counters", "histograms", "spans"] {
             assert_eq!(
                 parsed.get(section),
                 Some(&Json::Obj(Vec::new())),

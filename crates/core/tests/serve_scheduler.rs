@@ -118,7 +118,7 @@ fn concurrent_jobs_share_one_baseline_build() {
     // Every step after the first hits the cache: the explore has 3
     // steps (gens 0..=2) and the analyze 1, so 3 hits follow the build.
     assert_eq!(stats.baseline_hits, 3);
-    // The memory gauges see the one cached baseline: real occupancy and
+    // The memory footprint sees the one cached baseline: real occupancy and
     // usage-plane bytes, and a peak RSS (procfs) on Linux runners.
     assert!(stats.occupancy_bytes > 0, "cached baseline occupancy bytes");
     assert!(stats.route_planes_bytes > 0, "cached baseline plane bytes");

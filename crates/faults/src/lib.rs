@@ -63,18 +63,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Every injection point registered in the workspace, for enumeration in
-/// fault-matrix tests and docs. Keep in sync with the `Point` statics at the
-/// call sites.
-pub const POINTS: &[&str] = &[
-    "route.overflow",
-    "sta.diverge",
-    "eval.panic",
-    "eco.legalize",
-    "journal.write",
-    "serve.runner_panic",
-];
-
 // ---------------------------------------------------------------------------
 // Global state
 // ---------------------------------------------------------------------------

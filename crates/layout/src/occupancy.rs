@@ -304,8 +304,8 @@ impl Occupancy {
     }
 
     /// Resident heap bytes of this map's shards and per-cell tables.
-    /// Shards shared with other clones are counted once per holder (the
-    /// gauge reports per-snapshot footprint, not deduplicated RSS).
+    /// Shards shared with other clones are counted once per holder (this
+    /// is the per-snapshot footprint, not deduplicated RSS).
     pub fn occupancy_bytes(&self) -> u64 {
         let shard_bytes: u64 = self.shards.iter().map(|s| s.heap_bytes()).sum();
         shard_bytes

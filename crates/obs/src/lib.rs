@@ -6,26 +6,26 @@
 //! instead of per-crate debug flags and one-off stats structs. Three
 //! independent facilities:
 //!
-//! - **Spans** — [`span`] wraps a phase in monotonic wall timing and
-//!   aggregates `(count, total_nanos)` per dotted call path
-//!   (`"eval.incremental/route.phase_b"`). Nesting is tracked per thread;
-//!   aggregation is process-global and thread-safe, so spans recorded
-//!   from worker and evaluation threads merge losslessly.
-//! - **Metrics** — [`Counter`], [`Gauge`], and [`Histogram`] are
-//!   `static`s that own their atomic cells, one per metric name
-//!   (`"rrr.rounds"`, `"maze.pops"`, `"eval.cache_hits"`), declared at
-//!   the call site; each lists itself in the registry on its first
-//!   enabled update. Histograms use fixed power-of-two log-bucketing.
+//! - **Spans** — a [`Span`] wraps a phase in monotonic wall timing and
+//!   aggregates `(count, total_nanos)` under its name
+//!   (`"route.phase_b"`), whichever thread or enclosing span it closes
+//!   in, so spans recorded from worker and evaluation threads merge
+//!   losslessly.
+//! - **Metrics** — a [`Counter`] or a [`Histogram`] per metric name
+//!   (`"rrr.rounds"`, `"maze.pops"`, `"eval.cache_hits"`). Histograms
+//!   use fixed power-of-two log-bucketing.
 //! - **Trace events** — [`trace`] replaces the retired `GG_ROUTE_DEBUG` /
 //!   `GG_LDA_DEBUG` eprintln paths: each event carries a [`Topic`], and
 //!   topics are switched on either programmatically ([`enable`]) or with
 //!   the single documented `GG_TRACE=route,lda,…` environment variable.
 //!
-//! Spans and metrics are **off by default** and gated by one process-wide
-//! atomic ([`set_enabled`]): when disabled, a counter bump is a single
-//! relaxed load and a span is one monotonic clock read, for its handle —
-//! unmeasurable on the paths this crate instruments. [`snapshot`] drains
-//! an immutable [`MetricsSnapshot`] that renders as a human tree
+//! Spans and metrics are `static`s that own their atomic cells, declared
+//! at the call site, one per name; each lists itself in the registry on
+//! its first enabled update. They are **off by default** and gated by one
+//! process-wide atomic ([`set_enabled`]): when disabled, a counter bump is
+//! a single relaxed load and a span is one monotonic clock read, for its
+//! handle — unmeasurable on the paths this crate instruments. [`snapshot`]
+//! drains an immutable [`MetricsSnapshot`] that renders as a human tree
 //! ([`MetricsSnapshot::render`]); its public fields are the
 //! machine-readable form, which `ggd serve` exports as JSON (this crate
 //! writes none).
@@ -33,10 +33,11 @@
 //! # Examples
 //!
 //! ```
+//! static PHASE: obs::Span = obs::Span::new("doc.phase");
 //! static HITS: obs::Counter = obs::Counter::new("doc.cache_hits");
 //!
 //! obs::set_enabled(true);
-//! let total = obs::span("doc.phase", |_| {
+//! let total = PHASE.time(|_| {
 //!     HITS.incr();
 //!     2 + 2
 //! });
@@ -53,7 +54,6 @@
 // denied.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
@@ -69,7 +69,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 ///
 /// Off (the default), instrumented code pays one relaxed atomic load per
 /// metric touch; no allocation, locking, or clock read happens beyond the
-/// one monotonic read a [`span`] always performs for its handle.
+/// one monotonic read a [`Span::time`] always performs for its handle.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -201,38 +201,30 @@ macro_rules! diagln {
 /// bucket absorbs everything larger.
 pub const HIST_BUCKETS: usize = 32;
 
-#[derive(Debug, Default, Clone, Copy)]
-struct SpanAgg {
-    count: u64,
-    total_nanos: u64,
-}
-
-/// The metric statics that have recorded something, by name, plus the
-/// span aggregates.
+/// The statics that have recorded something, by name.
 #[derive(Debug)]
 struct Registry {
+    spans: BTreeMap<&'static str, &'static Span>,
     counters: BTreeMap<&'static str, &'static Counter>,
-    gauges: BTreeMap<&'static str, &'static Gauge>,
     histograms: BTreeMap<&'static str, &'static Histogram>,
-    spans: BTreeMap<String, SpanAgg>,
 }
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    histograms: BTreeMap::new(),
     spans: BTreeMap::new(),
+    counters: BTreeMap::new(),
+    histograms: BTreeMap::new(),
 });
 
-/// Registry access is panic-robust: a thread that panicked inside a span
-/// poisons nothing of consequence (aggregation is monotone counters), so
-/// the poison flag is deliberately cleared instead of propagated.
+/// Registry access is panic-robust: a thread that panicked while listing
+/// a static poisons nothing of consequence (the maps only ever gain
+/// `&'static` entries), so the poison flag is deliberately cleared
+/// instead of propagated.
 fn registry() -> MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Lists a metric static under its name. An enabled update calls this
-/// when it finds the metric at zero, so it runs again after every
+/// Lists a span or metric static under its name. An enabled update calls
+/// this when it finds the static at zero, so it runs again after every
 /// [`reset`] and must be idempotent; two statics under one name are a bug.
 #[cold]
 fn list<T>(
@@ -243,7 +235,7 @@ fn list<T>(
     let listed = *kind(&mut registry()).entry(name).or_insert(metric);
     debug_assert!(
         std::ptr::eq(listed, metric),
-        "obs: two metric statics are named {name:?}"
+        "obs: two statics are named {name:?}"
     );
 }
 
@@ -282,37 +274,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A named last-value gauge holding an `f64`, declared like a [`Counter`].
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Const constructor so gauges can live in statics.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Stores `v` when recording is enabled.
-    #[inline]
-    pub fn set(&'static self, v: f64) {
-        let bits = v.to_bits();
-        if enabled() && self.bits.swap(bits, Ordering::Relaxed) == 0 && bits != 0 {
-            list(|r| &mut r.gauges, self.name, self);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -367,16 +328,46 @@ impl Histogram {
 // Spans
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// The current thread's open-span name stack. Worker threads start
-    /// with an empty stack, so spans opened inside a thread pool
-    /// aggregate under their own root path — by design: the cross-thread
-    /// parent is not observable without paying for context passing on
-    /// every hot call.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+/// A named span, declared like a [`Counter`]: each [`Span::time`] adds
+/// one execution and its wall nanoseconds to the span's totals, on every
+/// thread and under every caller alike.
+#[derive(Debug)]
+pub struct Span {
+    name: &'static str,
+    count: AtomicU64,
+    total_nanos: AtomicU64,
 }
 
-/// Timing handle passed to a [`span`] body; valid whether or not
+impl Span {
+    /// Const constructor so spans can live in statics.
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            count: AtomicU64::new(0),
+            total_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `f` inside the span.
+    ///
+    /// When recording is enabled the body is timed on the monotonic clock
+    /// and its wall nanoseconds and one execution are added to the span's
+    /// totals in a drop guard, so a panicking body is still counted.
+    /// Disabled, it degenerates to calling `f` directly.
+    pub fn time<R>(&'static self, f: impl FnOnce(&SpanHandle) -> R) -> R {
+        let handle = SpanHandle { t0: Instant::now() };
+        if !enabled() {
+            return f(&handle);
+        }
+        let _guard = SpanGuard {
+            span: self,
+            t0: handle.t0,
+        };
+        f(&handle)
+    }
+}
+
+/// Timing handle passed to a [`Span::time`] body; valid whether or not
 /// recording is enabled, so trace messages can report wall time
 /// unconditionally.
 #[derive(Debug)]
@@ -391,51 +382,21 @@ impl SpanHandle {
     }
 }
 
-/// Pops the stack and aggregates on drop, so a panicking span body
-/// (proptest shrinking, assertion failures under test) cannot corrupt
-/// the per-thread nesting.
+/// Closes an enabled span on drop.
 struct SpanGuard {
+    span: &'static Span,
     t0: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let total_nanos = self.t0.elapsed().as_nanos() as u64;
-        let path = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join("/");
-            stack.pop();
-            path
-        });
-        let mut reg = registry();
-        let agg = reg.spans.entry(path).or_default();
-        agg.count += 1;
-        agg.total_nanos += total_nanos;
+        let span = self.span;
+        let nanos = self.t0.elapsed().as_nanos() as u64;
+        span.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+        if span.count.fetch_add(1, Ordering::Relaxed) == 0 {
+            list(|r| &mut r.spans, span.name, span);
+        }
     }
-}
-
-/// Runs `f` inside a named span.
-///
-/// When recording is enabled the span pushes `name` onto the calling
-/// thread's stack, times the body on the monotonic clock, and merges
-/// `(count, total_nanos)` into the process-wide aggregate under the full
-/// `/`-joined path. Disabled, it degenerates to calling `f` directly.
-/// Aggregation happens in a drop guard, so nesting stays well-formed even
-/// if `f` panics.
-pub fn span<R>(name: &'static str, f: impl FnOnce(&SpanHandle) -> R) -> R {
-    let handle = SpanHandle { t0: Instant::now() };
-    if !enabled() {
-        return f(&handle);
-    }
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    let _guard = SpanGuard { t0: handle.t0 };
-    f(&handle)
-}
-
-/// Number of spans currently open on this thread (0 outside any span);
-/// test hook for nesting well-formedness.
-pub fn current_span_depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
 }
 
 // ---------------------------------------------------------------------------
@@ -455,11 +416,11 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
-/// Point-in-time aggregate of one span path.
+/// Point-in-time aggregate of one span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSnapshot {
-    /// Full `/`-joined call path (`"eval.incremental/route.phase_b"`).
-    pub path: String,
+    /// The span's name (`"route.phase_b"`).
+    pub name: String,
     /// Completed executions.
     pub count: u64,
     /// Summed wall time in nanoseconds.
@@ -467,22 +428,20 @@ pub struct SpanSnapshot {
 }
 
 /// An immutable copy of the whole registry, ready to render or export.
-/// Zero-valued counters/gauges and empty histograms are omitted, so a
-/// fully disabled run snapshots as empty.
+/// Zero-valued counters, empty histograms and spans that never closed are
+/// omitted, so a fully disabled run snapshots as empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per non-zero counter, name-sorted.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` per non-zero gauge, name-sorted.
-    pub gauges: Vec<(String, f64)>,
     /// Non-empty histograms, name-sorted.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Every recorded span path, path-sorted.
+    /// Every span closed at least once, name-sorted.
     pub spans: Vec<SpanSnapshot>,
 }
 
-/// Copies the listed metrics and the span aggregates out (recording
-/// continues unchanged).
+/// Copies the listed spans and metrics out (recording continues
+/// unchanged).
 pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
     let counters = reg
@@ -490,12 +449,6 @@ pub fn snapshot() -> MetricsSnapshot {
         .iter()
         .map(|(&n, c)| (n.to_string(), c.get()))
         .filter(|&(_, v)| v != 0)
-        .collect();
-    let gauges = reg
-        .gauges
-        .iter()
-        .map(|(&n, g)| (n.to_string(), g.get()))
-        .filter(|&(_, v)| v != 0.0)
         .collect();
     let histograms = reg
         .histograms
@@ -520,30 +473,31 @@ pub fn snapshot() -> MetricsSnapshot {
     let spans = reg
         .spans
         .iter()
-        .map(|(p, a)| SpanSnapshot {
-            path: p.clone(),
-            count: a.count,
-            total_nanos: a.total_nanos,
+        .map(|(&n, s)| SpanSnapshot {
+            name: n.to_string(),
+            count: s.count.load(Ordering::Relaxed),
+            total_nanos: s.total_nanos.load(Ordering::Relaxed),
         })
+        .filter(|s| s.count != 0)
         .collect();
     MetricsSnapshot {
         counters,
-        gauges,
         histograms,
         spans,
     }
 }
 
-/// Zeroes every listed counter, gauge, and histogram in place and clears
-/// the span aggregates, so benchmark harnesses can bracket a measured
-/// region with `reset()` … `snapshot()`.
+/// Zeroes every listed span, counter, and histogram in place, so
+/// benchmark harnesses can bracket a measured region with `reset()` …
+/// `snapshot()`.
 pub fn reset() {
-    let mut reg = registry();
+    let reg = registry();
+    for s in reg.spans.values() {
+        s.count.store(0, Ordering::Relaxed);
+        s.total_nanos.store(0, Ordering::Relaxed);
+    }
     for c in reg.counters.values() {
         c.value.store(0, Ordering::Relaxed);
-    }
-    for g in reg.gauges.values() {
-        g.bits.store(0, Ordering::Relaxed);
     }
     for h in reg.histograms.values() {
         for b in &h.buckets {
@@ -551,7 +505,6 @@ pub fn reset() {
         }
         h.sum.store(0, Ordering::Relaxed);
     }
-    reg.spans.clear();
 }
 
 /// Formats nanoseconds as a compact human duration.
@@ -569,10 +522,7 @@ fn fmt_nanos(n: u64) -> String {
 impl MetricsSnapshot {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Value of a counter (0 when absent).
@@ -583,69 +533,44 @@ impl MetricsSnapshot {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Value of a gauge, when recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Whether a span path's *leaf* name matches `leaf` — span call paths
-    /// vary with the caller (`"eval.incremental/route.phase_b"` vs
-    /// `"route.phase_b"`), so per-phase queries aggregate by leaf.
-    fn leaf_matches(path: &str, leaf: &str) -> bool {
-        path.rsplit('/').next() == Some(leaf)
-    }
-
-    /// Total executions of the span named `leaf`, summed over every call
-    /// path it appears in.
-    pub fn span_count(&self, leaf: &str) -> u64 {
+    /// Completed executions of the span `name` (0 when absent).
+    pub fn span_count(&self, name: &str) -> u64 {
         self.spans
             .iter()
-            .filter(|s| Self::leaf_matches(&s.path, leaf))
-            .map(|s| s.count)
-            .sum()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.count)
     }
 
-    /// Total wall nanoseconds of the span named `leaf`, summed over every
-    /// call path it appears in. Summed across threads, so with parallel
-    /// callers this can exceed elapsed time.
-    pub fn span_total_nanos(&self, leaf: &str) -> u64 {
+    /// Total wall nanoseconds of the span `name` (0 when absent). Summed
+    /// across threads, so with parallel callers this can exceed elapsed
+    /// time.
+    pub fn span_total_nanos(&self, name: &str) -> u64 {
         self.spans
             .iter()
-            .filter(|s| Self::leaf_matches(&s.path, leaf))
-            .map(|s| s.total_nanos)
-            .sum()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.total_nanos)
     }
 
-    /// Renders the human `--verbose` tree: spans indented by call depth,
-    /// then counters, gauges, and histograms.
+    /// Renders the human `--verbose` tree: spans, then counters and
+    /// histograms.
     pub fn render(&self) -> String {
         let mut out = String::from("telemetry\n");
         if !self.spans.is_empty() {
             out.push_str("  spans (count, total, mean)\n");
             for s in &self.spans {
-                let depth = s.path.matches('/').count();
-                let leaf = s.path.rsplit('/').next().unwrap_or(&s.path);
                 let mean = s.total_nanos / s.count.max(1);
                 out.push_str(&format!(
-                    "  {:indent$}{leaf:<w$} {:>8}  {:>10}  {:>10}\n",
-                    "",
+                    "    {:<36} {:>8}  {:>10}  {:>10}\n",
+                    s.name,
                     s.count,
                     fmt_nanos(s.total_nanos),
                     fmt_nanos(mean),
-                    indent = 2 + 2 * depth,
-                    w = 36usize.saturating_sub(2 * depth),
                 ));
             }
         }
         if !self.counters.is_empty() {
             out.push_str("  counters\n");
             for (n, v) in &self.counters {
-                out.push_str(&format!("    {n:<38} {v:>10}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("  gauges\n");
-            for (n, v) in &self.gauges {
                 out.push_str(&format!("    {n:<38} {v:>10}\n"));
             }
         }
@@ -686,40 +611,36 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        static S: Span = Span::new("t.disabled_span");
         static C: Counter = Counter::new("t.disabled");
         static H: Histogram = Histogram::new("t.disabled_h");
-        static GA: Gauge = Gauge::new("t.disabled_g");
         let _g = exclusive();
-        span("t.disabled_span", |_| {
+        S.time(|_| {
             C.add(5);
             H.record(9);
-            GA.set(1.5);
         });
         assert!(snapshot().is_empty());
         assert_eq!(C.get(), 0);
         // Touched only while disabled, none of them was ever listed.
         let reg = registry();
+        assert!(!reg.spans.contains_key("t.disabled_span"));
         assert!(!reg.counters.contains_key("t.disabled"));
         assert!(!reg.histograms.contains_key("t.disabled_h"));
-        assert!(!reg.gauges.contains_key("t.disabled_g"));
     }
 
     #[test]
-    fn counters_gauges_histograms_round_through_snapshot() {
+    fn counters_and_histograms_round_through_snapshot() {
         static C: Counter = Counter::new("t.counter");
-        static GA: Gauge = Gauge::new("t.gauge");
         static H: Histogram = Histogram::new("t.hist");
         let _g = exclusive();
         set_enabled(true);
         C.add(3);
         C.incr();
-        GA.set(2.25);
         for v in [0u64, 1, 1, 2, 3, 100, u64::MAX] {
             H.record(v);
         }
         let snap = snapshot();
         assert_eq!(snap.counter("t.counter"), 4);
-        assert_eq!(snap.gauge("t.gauge"), Some(2.25));
         let hs = snap.histograms.iter().find(|h| h.name == "t.hist").unwrap();
         assert_eq!(hs.count, 7);
         assert_eq!(hs.sum, 107u64.wrapping_add(u64::MAX));
@@ -746,49 +667,59 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_by_thread_and_aggregate_by_path() {
+    fn spans_aggregate_by_name() {
+        static OUTER: Span = Span::new("t.outer");
+        static INNER: Span = Span::new("t.inner");
         let _g = exclusive();
         set_enabled(true);
-        span("outer", |_| {
-            assert_eq!(current_span_depth(), 1);
-            span("inner", |_| assert_eq!(current_span_depth(), 2));
-            span("inner", |_| ());
+        OUTER.time(|_| {
+            INNER.time(|_| ());
+            INNER.time(|_| ());
         });
-        span("outer", |_| ());
-        assert_eq!(current_span_depth(), 0);
+        OUTER.time(|_| ());
+        INNER.time(|_| ());
         let snap = snapshot();
-        let by_path = |p: &str| snap.spans.iter().find(|s| s.path == p).map(|s| s.count);
-        assert_eq!(by_path("outer"), Some(2));
-        assert_eq!(by_path("outer/inner"), Some(2));
-        assert_eq!(snap.span_count("inner"), 2);
-        assert!(snap.span_total_nanos("outer") >= snap.span_total_nanos("inner"));
+        let named = |n: &str| snap.spans.iter().filter(|s| s.name == n).count();
+        assert_eq!(named("t.outer"), 1);
+        assert_eq!(
+            named("t.inner"),
+            1,
+            "nested and top-level closes share one entry"
+        );
+        assert_eq!(snap.span_count("t.outer"), 2);
+        assert_eq!(snap.span_count("t.inner"), 3);
         set_enabled(false);
     }
 
     #[test]
-    fn span_stack_survives_panicking_bodies() {
+    fn panicking_span_bodies_still_count() {
+        static PANICKY: Span = Span::new("t.panicky");
+        static DEEP: Span = Span::new("t.deep");
         let _g = exclusive();
         set_enabled(true);
-        let r = std::panic::catch_unwind(|| span("panicky", |_| span("deep", |_| panic!("boom"))));
+        let r = std::panic::catch_unwind(|| PANICKY.time(|_| DEEP.time(|_| panic!("boom"))));
         assert!(r.is_err());
-        assert_eq!(current_span_depth(), 0, "guard must unwind the stack");
         let snap = snapshot();
-        assert_eq!(snap.span_count("deep"), 1);
-        assert_eq!(snap.span_count("panicky"), 1);
+        assert_eq!(snap.span_count("t.deep"), 1);
+        assert_eq!(snap.span_count("t.panicky"), 1);
         set_enabled(false);
     }
 
     #[test]
     fn reset_zeroes_in_place_and_keeps_handles_live() {
         static C: Counter = Counter::new("t.reset");
+        static S: Span = Span::new("t.reset_span");
         let _g = exclusive();
         set_enabled(true);
         C.add(7);
-        span("t.reset_span", |_| ());
+        S.time(|_| ());
         reset();
         assert!(snapshot().is_empty());
         C.add(2);
-        assert_eq!(snapshot().counter("t.reset"), 2);
+        S.time(|_| ());
+        let snap = snapshot();
+        assert_eq!(snap.counter("t.reset"), 2);
+        assert_eq!(snap.span_count("t.reset_span"), 1);
         set_enabled(false);
     }
 
@@ -796,6 +727,7 @@ mod tests {
     fn a_static_raced_on_its_first_update_is_listed_once_with_the_exact_sum() {
         static RACED: Counter = Counter::new("t.raced");
         static RACED_H: Histogram = Histogram::new("t.raced_h");
+        static RACED_S: Span = Span::new("t.raced_s");
         const THREADS: u64 = 4;
         const ADDS: u64 = 1000;
         let _g = exclusive();
@@ -808,6 +740,7 @@ mod tests {
                     for v in 0..ADDS {
                         RACED.incr();
                         RACED_H.record(v);
+                        RACED_S.time(|_| ());
                     }
                 });
             }
@@ -824,6 +757,13 @@ mod tests {
         assert_eq!(hs.len(), 1);
         assert_eq!(hs[0].count, THREADS * ADDS);
         assert_eq!(hs[0].sum, THREADS * (ADDS * (ADDS - 1) / 2));
+        let spans: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "t.raced_s")
+            .collect();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].count, THREADS * ADDS);
         set_enabled(false);
     }
 
@@ -832,14 +772,22 @@ mod tests {
     fn a_second_static_under_a_listed_name_fails_a_debug_assertion() {
         static FIRST: Counter = Counter::new("t.clash");
         static SECOND: Counter = Counter::new("t.clash");
+        static FIRST_S: Span = Span::new("t.clash_span");
+        static SECOND_S: Span = Span::new("t.clash_span");
         let _g = exclusive();
         set_enabled(true);
         FIRST.incr();
         let clash = std::panic::catch_unwind(|| SECOND.incr());
+        FIRST_S.time(|_| ());
+        let span_clash = std::panic::catch_unwind(|| SECOND_S.time(|_| ()));
         set_enabled(false);
         assert!(
             clash.is_err(),
             "a second `t.clash` static must not be listed"
+        );
+        assert!(
+            span_clash.is_err(),
+            "a second `t.clash_span` static must not be listed"
         );
     }
 
@@ -860,17 +808,22 @@ mod tests {
     #[test]
     fn render_covers_every_section() {
         static C: Counter = Counter::new("t.render_c");
-        static GA: Gauge = Gauge::new("t.render_g");
         static H: Histogram = Histogram::new("t.render_h");
+        static OUTER: Span = Span::new("t.render_outer");
+        static INNER: Span = Span::new("t.render_inner");
         let _g = exclusive();
         set_enabled(true);
         C.add(1);
-        GA.set(0.5);
         H.record(3);
-        span("t.render_outer", |_| span("t.render_inner", |_| ()));
+        OUTER.time(|_| INNER.time(|_| ()));
         let snap = snapshot();
         let tree = snap.render();
-        for needle in ["t.render_c", "t.render_g", "t.render_h", "t.render_inner"] {
+        for needle in [
+            "t.render_c",
+            "t.render_h",
+            "t.render_outer",
+            "t.render_inner",
+        ] {
             assert!(tree.contains(needle), "render misses {needle}:\n{tree}");
         }
         set_enabled(false);

@@ -264,6 +264,9 @@ fn ideal_site(layout: &Layout, tech: &Technology, neigh: &[CellId]) -> SitePos {
 /// wholesale, so no half-legalized layout is ever observed.
 static ECO_LEGALIZE: faults::Point = faults::Point::new("eco.legalize");
 
+static PHASE1: obs::Span = obs::Span::new("eco.phase1");
+static PHASE2: obs::Span = obs::Span::new("eco.phase2");
+
 /// Incremental, blockage-aware ECO placement.
 ///
 /// Innovus-style contract: cells already satisfying every partial placement
@@ -300,7 +303,7 @@ pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceS
 
     // Phase 1: evict from over-budget windows.
     let mut evicted: Vec<CellId> = Vec::new();
-    obs::span("eco.phase1", |sp| {
+    PHASE1.time(|sp| {
         evicted = evict_over_budget(layout, &blockages, &mut index, &mut stats);
         obs::trace(obs::Topic::Lda, || {
             format!("  eco phase1 {:.2}s", sp.elapsed().as_secs_f64())
@@ -312,7 +315,7 @@ pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceS
     // would otherwise fragment. The CellId tie-break makes the key a total
     // order, so the result cannot depend on the (blockage-driven) eviction
     // order.
-    obs::span("eco.phase2", |sp| {
+    PHASE2.time(|sp| {
         evicted.sort_by_key(|&id| {
             (
                 std::cmp::Reverse(tech.library.kind(design.cell(id).kind).width_sites),

@@ -57,8 +57,12 @@ pub struct RoutingState {
 }
 
 // The router's telemetry: phase walls and Phase-B calls come from the
-// `route.phase_a` / `route.phase_a_patch` / `route.phase_b` spans; these
-// are the scalar metrics alongside them.
+// spans; the counters and the histogram are the scalar metrics alongside
+// them.
+
+static PHASE_A: obs::Span = obs::Span::new("route.phase_a");
+static PHASE_A_PATCH: obs::Span = obs::Span::new("route.phase_a_patch");
+static PHASE_B: obs::Span = obs::Span::new("route.phase_b");
 
 /// Rip-up-and-reroute rounds executed.
 static ROUNDS: obs::Counter = obs::Counter::new("rrr.rounds");
@@ -969,7 +973,7 @@ fn plan_net(plan: &mut RoutePlan, layout: &Layout, tech: &Technology, nid: NetId
 /// net is excluded (a dedicated clock tree distributes it), as are nets
 /// touching fewer than two placed cells.
 pub fn plan_route(layout: &Layout, tech: &Technology) -> RoutePlan {
-    obs::span("route.phase_a", |_| {
+    PHASE_A.time(|_| {
         let design = layout.design();
         let n_nets = design.nets.len();
         // `vec![arc; n]` clones the Arc, so every unrouted net shares one
@@ -1004,7 +1008,7 @@ pub fn plan_update(
     tech: &Technology,
     dirty: &DirtySet,
 ) -> RoutePlan {
-    obs::span("route.phase_a_patch", |_| {
+    PHASE_A_PATCH.time(|_| {
         let design = layout.design();
         let mut plan = base.clone();
         if dirty.rule_changed {
@@ -1151,7 +1155,7 @@ pub fn finalize_route(layout: &Layout, tech: &Technology, plan: RoutePlan) -> Ro
     // segment lists are Arc-shared, so the snapshot costs a refcount bump
     // per plane and per net, never a deep copy. The rounds loop (not the
     // extraction below) is Phase B proper, hence the span boundary.
-    let (grid, segs, ripped) = obs::span("route.phase_b", move |_| {
+    let (grid, segs, ripped) = PHASE_B.time(move |_| {
         type BestState = (f64, RouteGrid, Vec<Arc<[RouteSeg]>>);
         let mut best: Option<BestState> = None;
         // Union of the victims of every round that rerouted. Restoring the

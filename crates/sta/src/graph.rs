@@ -39,8 +39,11 @@ fn wire_delay_ps(design: &Design, routing: &RoutingState, tech: &Technology, net
 /// unresolved arrivals as path starts at time zero (and are absent from the
 /// benchmark generator's output by construction).
 pub fn analyze(layout: &Layout, routing: &RoutingState, tech: &Technology) -> TimingReport {
-    obs::span("sta.full", |_| analyze_inner(layout, routing, tech))
+    FULL.time(|_| analyze_inner(layout, routing, tech))
 }
+
+static FULL: obs::Span = obs::Span::new("sta.full");
+static INCREMENTAL: obs::Span = obs::Span::new("sta.incremental");
 
 /// Incremental analyses satisfied from the base report (no RC moved).
 static CLEAN_HITS: obs::Counter = obs::Counter::new("sta.clean_hits");
@@ -614,7 +617,7 @@ pub fn analyze_incremental(
     tech: &Technology,
     dirty_nets: Option<&[NetId]>,
 ) -> TimingReport {
-    obs::span("sta.incremental", |_| {
+    INCREMENTAL.time(|_| {
         analyze_incremental_inner(graph, base, base_routing, layout, routing, tech, dirty_nets)
     })
 }
