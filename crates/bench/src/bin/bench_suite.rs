@@ -271,11 +271,12 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     let engine = EvalEngine::new(&base, tech);
     let result = explore_with_engine(&engine, tech, &params, &ExploreOptions::default())
         .expect("explore has no error path");
+    // The engine's teardown stays in the wall, as when `explore` owned it.
+    let mem = engine.memory_footprint();
+    drop(engine);
     let explore_wall_secs = t0.elapsed().as_secs_f64();
     let telemetry = gdsii_guard::obs::snapshot();
     gdsii_guard::obs::set_enabled(false);
-    let mem = engine.memory_footprint();
-    drop(engine);
 
     let evaluations = result.points.len() as u64;
     // The explore's own Phase B, without the baseline's.

@@ -676,6 +676,8 @@ mod tests {
             INNER.time(|_| ());
             INNER.time(|_| ());
         });
+        let nested = snapshot();
+        assert!(nested.span_total_nanos("t.outer") >= nested.span_total_nanos("t.inner"));
         OUTER.time(|_| ());
         INNER.time(|_| ());
         let snap = snapshot();
