@@ -46,7 +46,7 @@ use gdsii_guard::obs::MetricsSnapshot;
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::{peak_rss_bytes, JobSpec, Server, ServerConfig};
 use gdsii_guard::BETA_POWER;
-use gg_bench::driver::GG_GA_PARAMS;
+use gg_bench::GG_GA_PARAMS;
 use netlist::bench::DesignSpec;
 use tech::Technology;
 
@@ -263,7 +263,7 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     gdsii_guard::obs::set_enabled(true);
 
     let t0 = Instant::now();
-    let base = implement_baseline_unchecked(spec, tech);
+    let base = implement_baseline(spec, tech).expect("baseline implements");
     let baseline_wall_secs = t0.elapsed().as_secs_f64();
     let at_baseline = gdsii_guard::obs::snapshot();
 
@@ -408,7 +408,7 @@ fn tiny_gates(tech: &Technology) {
     const MIN_PAIRS: usize = 15;
 
     let run = || {
-        let base = implement_baseline_unchecked(&spec, tech);
+        let base = implement_baseline(&spec, tech).expect("baseline implements");
         explore(&base, tech, &params)
     };
     let timed = |enabled: bool| {
@@ -513,7 +513,7 @@ fn tiny_gates(tech: &Technology) {
     // disk, and demand the exact trajectory of the uninterrupted run.
     let dir = std::env::temp_dir().join(format!("gg-bench-smoke-{}", std::process::id()));
     let ckpt = dir.join("checkpoint.ggjson");
-    let base = implement_baseline_unchecked(&spec, tech);
+    let base = implement_baseline(&spec, tech).expect("baseline implements");
     let policy = ExploreOptions::default();
     let engine = EvalEngine::new(&base, tech);
     let mut run = Exploration::start(&engine, tech, &params, &policy);

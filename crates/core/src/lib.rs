@@ -95,10 +95,7 @@ pub mod prelude {
         explore, explore_with_engine, EvalPoint, Exploration, ExploreOptions, ExploreResult,
         Genome, Nsga2Params, Nsga2ParamsBuilder, QuarantineEntry,
     };
-    pub use crate::pipeline::{
-        evaluate, evaluate_unchecked, implement_baseline, implement_baseline_unchecked, EvalEngine,
-        Snapshot,
-    };
+    pub use crate::pipeline::{evaluate, implement_baseline, EvalEngine, Snapshot};
     pub use crate::sandbox::{EvalFailure, EvalStatus};
     pub use crate::serve;
     pub use obs;

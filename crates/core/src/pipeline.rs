@@ -58,9 +58,7 @@ impl Snapshot {
 ///
 /// Validates the layout against `tech` first and returns
 /// [`Error::InconsistentLayout`] instead of panicking deep inside a
-/// routing or timing stage. Callers that build layouts through the flow
-/// operators (which preserve consistency by construction) can skip the
-/// check with [`evaluate_unchecked`].
+/// routing or timing stage.
 pub fn evaluate(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Result<Snapshot, Error> {
     let layout = layout.into();
     layout
@@ -71,12 +69,11 @@ pub fn evaluate(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Result<Sna
 
 static FULL: obs::Span = obs::Span::new("eval.full");
 
-/// [`evaluate`] without the consistency pre-check.
-///
-/// Used both for the baseline and after every ECO operator application
-/// (the operators change placement and/or the NDR rule; everything
-/// downstream is recomputed).
-pub fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Snapshot {
+/// [`evaluate`] without the consistency pre-check: the flow oracle's
+/// path, whose operators preserve consistency by construction (they
+/// change placement and/or the NDR rule; everything downstream is
+/// recomputed).
+pub(crate) fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technology) -> Snapshot {
     let layout = layout.into();
     FULL.time(|_| {
         let routing = route::route_design(&layout, tech);
@@ -106,11 +103,12 @@ pub fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technology) -> 
 /// - the levelized [`sta::TimingGraph`] (pure netlist topology), and
 /// - the [`power::PowerModel`] (leakage/internal/clock terms).
 ///
-/// [`EvalEngine::evaluate_incremental`] is bit-identical to [`evaluate`]
-/// by construction — each stage either reuses a value the edit provably
-/// cannot change or recomputes it with the exact full-path formula. The
-/// equivalence is asserted by the `incremental_equivalence` proptest
-/// suite.
+/// A candidate evaluated through the engine ([`crate::flow::FlowRun::engine`])
+/// is bit-identical to [`evaluate`] by construction — each stage either
+/// reuses a value the edit provably cannot change or recomputes it with
+/// the exact full-path formula. The equivalence is asserted by the
+/// `incremental_equivalence` proptest suite and by this module's
+/// random-edit proptest.
 ///
 /// The engine additionally memoizes ECO *operator* results (see
 /// [`crate::flow::FlowRun::engine`]): the placement edit of a candidate
@@ -408,23 +406,9 @@ impl EvalEngine {
         &self.graph
     }
 
-    /// Re-evaluates an edited layout, recomputing only what the edit
-    /// dirtied. Produces the same [`Snapshot`] as [`evaluate`], bit for
-    /// bit.
-    pub fn evaluate_incremental(
-        &self,
-        layout: impl Into<Arc<Layout>>,
-        tech: &Technology,
-    ) -> Snapshot {
-        let layout = layout.into();
-        let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
-        let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
-        self.evaluate_with_plan(layout, plan, tech, &dirty.nets)
-    }
-
-    /// Evaluation tail shared by [`EvalEngine::evaluate_incremental`] and
-    /// [`EvalEngine::snapshot`]: Phase B on an already-patched plan, then
-    /// incremental STA and the model-backed analyses.
+    /// Evaluation tail of [`EvalEngine::snapshot`]: Phase B on an
+    /// already-patched plan, then incremental STA and the model-backed
+    /// analyses.
     ///
     /// `phase_a_dirty` is the sorted net list the Phase-A patch
     /// re-planned for this candidate. When the candidate keeps the
@@ -480,12 +464,11 @@ impl EvalEngine {
     }
 }
 
-/// Both baseline entry points, checked or not.
 static IMPLEMENT: obs::Span = obs::Span::new("baseline.implement");
 
-/// Implements the baseline layout for a benchmark spec: floorplan at the
-/// spec's utilization, global placement, wirelength refinement, signal
-/// routing, and full analysis.
+/// Implements the baseline layout for a benchmark spec: the generated
+/// netlist placed by [`place_design`] at the spec's utilization and seed,
+/// then signal routing and full analysis.
 ///
 /// Validates the implemented layout before evaluation and returns
 /// [`Error::InconsistentLayout`] if the placement stages ever produce an
@@ -493,34 +476,33 @@ static IMPLEMENT: obs::Span = obs::Span::new("baseline.implement");
 /// the API boundary instead of a panic in a downstream stage).
 pub fn implement_baseline(spec: &DesignSpec, tech: &Technology) -> Result<Snapshot, Error> {
     IMPLEMENT.time(|_| {
-        let layout = build_baseline_layout(spec, tech);
+        let design = netlist::bench::generate(spec, tech);
+        let layout = place_design(design, tech, spec.utilization, spec.seed);
         evaluate(layout, tech)
     })
 }
 
-/// [`implement_baseline`] without the consistency check, for callers that
-/// cannot do anything useful with the error anyway (benches, examples).
-pub fn implement_baseline_unchecked(spec: &DesignSpec, tech: &Technology) -> Snapshot {
-    IMPLEMENT.time(|_| {
-        let layout = build_baseline_layout(spec, tech);
-        evaluate_unchecked(layout, tech)
-    })
-}
-
-fn build_baseline_layout(spec: &DesignSpec, tech: &Technology) -> Layout {
-    let design = netlist::bench::generate(spec, tech);
+/// Places `design` from scratch: floorplan at `utilization`, global
+/// placement and wirelength refinement. Key registers and key-control
+/// logic are then banked, as in the ISPD'22 security-closure layouts the
+/// paper evaluates on, and the surrounding logic re-optimizes around the
+/// bank (critical cells pinned). The baseline and the ICAS defense's
+/// re-implementations share this recipe.
+pub fn place_design(
+    design: netlist::Design,
+    tech: &Technology,
+    utilization: f64,
+    seed: u64,
+) -> Layout {
     let critical = design.critical_cells.clone();
-    let mut layout = Layout::empty_floorplan(design, tech, spec.utilization);
-    place::global_place(&mut layout, tech, spec.seed);
-    place::refine_wirelength(&mut layout, tech, 4, spec.seed);
-    // Key registers and key-control logic are banked, as in the ISPD'22
-    // security-closure layouts the paper evaluates on; the surrounding
-    // logic then re-optimizes around the bank (critical cells pinned).
-    place::bank_cells(&mut layout, tech, &critical, 0.85, spec.seed);
+    let mut layout = Layout::empty_floorplan(design, tech, utilization);
+    place::global_place(&mut layout, tech, seed);
+    place::refine_wirelength(&mut layout, tech, 4, seed);
+    place::bank_cells(&mut layout, tech, &critical, 0.85, seed);
     for &c in &critical {
         layout.occupancy_mut().lock(c);
     }
-    place::refine_wirelength(&mut layout, tech, 3, spec.seed ^ 0xBA2);
+    place::refine_wirelength(&mut layout, tech, 3, seed ^ 0xBA2);
     for &c in &critical {
         layout.occupancy_mut().unlock(c);
     }
@@ -531,6 +513,90 @@ fn build_baseline_layout(spec: &DesignSpec, tech: &Technology) -> Layout {
 mod tests {
     use super::*;
     use netlist::bench;
+    use netlist::CellId;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+    use tech::RouteRule;
+
+    impl EvalEngine {
+        /// Re-evaluates an arbitrarily edited layout, recomputing only
+        /// what the edit dirtied: the engine tail the candidate path runs,
+        /// fed a layout no operator produced.
+        fn evaluate_incremental(&self, layout: Layout, tech: &Technology) -> Snapshot {
+            let layout = Arc::new(layout);
+            let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
+            let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
+            self.evaluate_with_plan(layout, plan, tech, &dirty.nets)
+        }
+    }
+
+    /// Baseline and engine are expensive; build them once for every case.
+    fn fixture() -> &'static (Technology, Snapshot, EvalEngine) {
+        static FIXTURE: OnceLock<(Technology, Snapshot, EvalEngine)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let tech = Technology::nangate45_like();
+            let base = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
+            let engine = EvalEngine::new(&base, &tech);
+            (tech, base, engine)
+        })
+    }
+
+    fn assert_snapshots_match(oracle: &Snapshot, inc: &Snapshot) {
+        assert_eq!(oracle.tns_ps(), inc.tns_ps(), "TNS diverged");
+        assert_eq!(oracle.power, inc.power, "power diverged");
+        assert_eq!(oracle.drc, inc.drc, "DRC diverged");
+        assert_eq!(
+            oracle.security.er_sites, inc.security.er_sites,
+            "ER sites diverged"
+        );
+        assert_eq!(
+            oracle.security.er_tracks, inc.security.er_tracks,
+            "ER tracks diverged"
+        );
+        assert_eq!(
+            oracle.routing.total_wirelength_um(),
+            inc.routing.total_wirelength_um(),
+            "wirelength diverged"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Arbitrary legal cell moves followed by an NDR change: the
+        /// engine tail equals [`evaluate`] metric by metric.
+        #[test]
+        fn random_edit_sequences_match_oracle(
+            moves in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..12),
+            scale_idx in 0usize..RouteRule::CANDIDATES.len(),
+        ) {
+            let (tech, base, engine) = fixture();
+            let mut layout = Layout::clone(&base.layout);
+            let n_cells = layout.design().cells.len() as u32;
+            let (rows, cols) = (layout.floorplan().rows(), layout.floorplan().cols());
+            for &(c, dr, dc) in &moves {
+                let cid = CellId(c % n_cells);
+                let Some(w) = layout.occupancy().cell_width(cid) else {
+                    continue;
+                };
+                let near = geom::SitePos::new(dr % rows, dc % cols);
+                if layout.occupancy_mut().remove_cell(cid).is_ok() {
+                    let pos = layout
+                        .occupancy()
+                        .find_gap(w, near, rows.max(cols))
+                        .expect("core has capacity");
+                    layout
+                        .occupancy_mut()
+                        .place_cell(cid, w, pos)
+                        .expect("gap verified free");
+                }
+            }
+            crate::rws::apply_uniform_scaling(&mut layout, RouteRule::CANDIDATES[scale_idx]);
+            let oracle = evaluate(layout.clone(), tech).expect("edited layout stays consistent");
+            let inc = engine.evaluate_incremental(layout, tech);
+            assert_snapshots_match(&oracle, &inc);
+        }
+    }
 
     #[test]
     fn baseline_snapshot_is_complete() {
@@ -547,7 +613,7 @@ mod tests {
     #[test]
     fn evaluate_is_deterministic() {
         let tech = Technology::nangate45_like();
-        let a = implement_baseline_unchecked(&bench::tiny_spec(), &tech);
+        let a = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         let b = implement_baseline(&bench::tiny_spec(), &tech).unwrap();
         assert_eq!(a.security.er_sites, b.security.er_sites);
         assert_eq!(a.drc, b.drc);

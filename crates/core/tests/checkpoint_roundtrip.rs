@@ -19,7 +19,7 @@ fn fixture() -> &'static (Technology, Snapshot) {
     static FIXTURE: OnceLock<(Technology, Snapshot)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let tech = Technology::nangate45_like();
-        let base = implement_baseline_unchecked(&bench::tiny_spec(), &tech);
+        let base = implement_baseline(&bench::tiny_spec(), &tech).expect("tiny baseline");
         (tech, base)
     })
 }

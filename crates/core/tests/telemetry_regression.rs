@@ -27,7 +27,7 @@ fn locked() -> MutexGuard<'static, ()> {
 
 fn small_explore() -> ExploreResult {
     let tech = Technology::nangate45_like();
-    let base = implement_baseline_unchecked(&bench::tiny_spec(), &tech);
+    let base = implement_baseline(&bench::tiny_spec(), &tech).expect("tiny baseline");
     let params = Nsga2Params::builder()
         .population(6)
         .generations(2)
@@ -134,7 +134,7 @@ fn write_spans_count_only_the_writes_since_reset() {
 fn engine_cache_counters_are_pinned_at_one_worker() {
     let _g = locked();
     let tech = Technology::nangate45_like();
-    let base = implement_baseline_unchecked(&bench::tiny_spec(), &tech);
+    let base = implement_baseline(&bench::tiny_spec(), &tech).expect("tiny baseline");
     let params = Nsga2Params::builder()
         .population(16)
         .generations(4)

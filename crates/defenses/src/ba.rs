@@ -33,7 +33,7 @@ pub fn apply_ba(base: &Snapshot, tech: &Technology) -> Snapshot {
     }
     runs.sort_unstable();
     let (filled, _added) = fill_runs(&base.layout, tech, &runs);
-    evaluate_unchecked(filled, tech)
+    evaluate(filled, tech).expect("fill keeps the layout consistent")
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub fn apply_bisa(base: &Snapshot, tech: &Technology) -> Snapshot {
         })
         .collect();
     let (filled, _added) = fill_runs(layout, tech, &runs);
-    evaluate_unchecked(filled, tech)
+    evaluate(filled, tech).expect("fill keeps the layout consistent")
 }
 
 #[cfg(test)]

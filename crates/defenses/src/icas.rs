@@ -8,8 +8,8 @@
 //! the longest runtime of all compared defenses: every candidate density
 //! is a full re-place-and-route.
 
+use gdsii_guard::pipeline::place_design;
 use gdsii_guard::prelude::*;
-use layout::Layout;
 use tech::Technology;
 
 /// Utilization increments over the baseline swept by the tuning loop.
@@ -23,26 +23,14 @@ pub const MAX_DRC_INCREASE: u32 = 30;
 /// each sweep density (full global P&R) and keeps the densest candidate
 /// that still routes acceptably. Falls back to the baseline if none does.
 pub fn apply_icas(base: &Snapshot, tech: &Technology) -> Snapshot {
-    let design = netlist::Design::clone(base.layout.design());
-    let critical = design.critical_cells.clone();
-    let seed = 0x1CA5u64;
+    let design = base.layout.design();
     let base_util = base.layout.utilization();
     let mut best: Option<Snapshot> = None;
     let mut least_violating: Option<Snapshot> = None;
     for &delta in DENSITY_SWEEP_DELTA.iter() {
         let util = (base_util + delta).min(0.88);
-        let mut layout = Layout::empty_floorplan(design.clone(), tech, util);
-        place::global_place(&mut layout, tech, seed);
-        place::refine_wirelength(&mut layout, tech, 4, seed);
-        place::bank_cells(&mut layout, tech, &critical, 0.85, seed);
-        for &c in &critical {
-            layout.occupancy_mut().lock(c);
-        }
-        place::refine_wirelength(&mut layout, tech, 3, seed ^ 0xBA2);
-        for &c in &critical {
-            layout.occupancy_mut().unlock(c);
-        }
-        let snap = evaluate_unchecked(layout, tech);
+        let layout = place_design(netlist::Design::clone(design), tech, util, 0x1CA5);
+        let snap = evaluate(layout, tech).expect("a fresh placement is consistent");
         if snap.drc <= base.drc + MAX_DRC_INCREASE {
             best = Some(snap); // sweep is ascending: densest acceptable wins
         } else if least_violating.as_ref().is_none_or(|s| snap.drc < s.drc) {
