@@ -114,7 +114,7 @@ fn bench_eco_operators(c: &mut Criterion) {
                 layout
             },
             |mut layout| {
-                place::eco_place(&mut layout, &tech, 7);
+                place::eco_place(&mut layout, &tech);
                 layout
             },
             BatchSize::LargeInput,

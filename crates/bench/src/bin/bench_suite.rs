@@ -45,7 +45,6 @@ use std::time::Instant;
 use gdsii_guard::obs::MetricsSnapshot;
 use gdsii_guard::prelude::*;
 use gdsii_guard::serve::{peak_rss_bytes, JobSpec, Server, ServerConfig};
-use gdsii_guard::BETA_POWER;
 use gg_bench::GG_GA_PARAMS;
 use netlist::bench::DesignSpec;
 use tech::Technology;
@@ -341,16 +340,7 @@ fn run_design(spec: &DesignSpec, tech: &Technology, params: &Nsga2Params) -> Sui
     let front_tns_ps = best.map_or(result.base_tns_ps, |p| p.metrics.tns_ps);
     let front_drc = best.map_or(result.base_drc, |p| p.metrics.drc);
 
-    // Why points missed the front: each non-quarantined point over the
-    // DRC bound, and each over the power bound (a point can be both).
-    let (mut infeasible_drc, mut infeasible_power) = (0, 0);
-    for p in &result.points {
-        if result.quarantined.iter().any(|q| q.genome == p.genome) {
-            continue;
-        }
-        infeasible_drc += u64::from(p.metrics.drc > FlowMetrics::drc_limit(result.base_drc));
-        infeasible_power += u64::from(p.metrics.power_mw > BETA_POWER * result.base_power_mw);
-    }
+    let (infeasible_drc, infeasible_power) = result.infeasible_counts();
 
     SuiteRow {
         design: spec.name.to_string(),

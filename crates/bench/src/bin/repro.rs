@@ -262,16 +262,33 @@ fn print_fig5(sweeps: &[Sweep]) {
             explored.len(),
             front.len()
         );
+        // The plot frames the front: its bounding box padded by a quarter
+        // of its span on each side. Explored points outside are counted,
+        // not drawn, so a far-off cloud cannot squash the front into a
+        // corner (an empty front frames nothing).
+        let range = |axis: fn(&(f64, f64)) -> f64| {
+            let (lo, hi) = pareto
+                .iter()
+                .map(axis)
+                .fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            let pad = (hi - lo) / 4.0;
+            lo - pad..=hi + pad
+        };
+        let (xs, ys) = (range(|p| p.0), range(|p| p.1));
+        let mut shown = explored.clone();
+        shown.retain(|(x, y)| xs.contains(x) && ys.contains(y));
         print!(
             "{}",
             scatter(
-                &[("explored", '.', &explored), ("pareto", '#', &pareto)],
+                &[("explored", '.', &shown), ("pareto", '#', &pareto)],
                 64,
                 18,
                 "Security (normalized, lower=better)",
                 "-TNS (ns, lower=better)",
             )
         );
+        let outside = explored.len() - shown.len();
+        println!("  {outside} explored points lie outside the plotted box");
         // Convergence indicator: evaluations per generation that land on
         // the final front (the paper notes growing point density near it).
         let last = result.points.iter().map(|p| p.generation).max();

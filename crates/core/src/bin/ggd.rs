@@ -217,6 +217,16 @@ fn print_front(result: &ExploreResult) {
         result.points.len()
     );
     let mut front = result.pareto_front();
+    if front.is_empty() {
+        let (drc, power) = result.infeasible_counts();
+        println!(
+            "  no feasible point: {drc} over the DRC bound ({}), {power} over the power bound \
+             ({:.3} mW), {} quarantined",
+            FlowMetrics::drc_limit(result.base_drc),
+            gdsii_guard::BETA_POWER * result.base_power_mw,
+            result.quarantined.len()
+        );
+    }
     front.sort_by(|a, b| {
         a.metrics
             .security

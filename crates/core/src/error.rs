@@ -1,10 +1,9 @@
 //! Typed errors for the public flow API.
 //!
-//! The crate used to panic at its two fallible seams — a layout that fails
-//! [`layout::Layout::check_consistency`] and a poisoned operator-edit
-//! cache. Both now surface as [`Error`] from the validating entry points
+//! A layout that fails [`layout::Layout::check_consistency`] surfaces as
+//! [`Error`] from the validating entry points
 //! ([`crate::pipeline::evaluate`], [`crate::pipeline::implement_baseline`])
-//! and the [`crate::flow::FlowRun`] terminals.
+//! instead of a panic deep inside a routing or timing stage.
 
 use std::fmt;
 
@@ -16,9 +15,6 @@ pub enum Error {
     /// `check_consistency` against the technology; the payload is the
     /// consistency checker's diagnostic.
     InconsistentLayout(String),
-    /// A worker thread panicked while holding the operator-edit cache
-    /// lock, so memoized edits can no longer be trusted.
-    EditCachePoisoned,
     /// A checkpoint could not be written, read, or trusted (I/O error,
     /// checksum/version mismatch, or a base snapshot that differs from the
     /// one the checkpoint was taken against).
@@ -47,9 +43,6 @@ impl fmt::Display for Error {
         match self {
             Error::InconsistentLayout(why) => {
                 write!(f, "layout fails consistency check: {why}")
-            }
-            Error::EditCachePoisoned => {
-                write!(f, "operator-edit cache poisoned by a panicked worker")
             }
             Error::Checkpoint(why) => {
                 write!(f, "checkpoint error: {why}")
@@ -80,6 +73,5 @@ mod tests {
     fn display_is_informative() {
         let e = Error::InconsistentLayout("cell 3 off grid".into());
         assert!(e.to_string().contains("cell 3 off grid"));
-        assert!(Error::EditCachePoisoned.to_string().contains("poisoned"));
     }
 }

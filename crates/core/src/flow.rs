@@ -267,11 +267,11 @@ impl<'a> FlowRun<'a> {
     ///
     /// # Errors
     ///
-    /// Only the engine path can fail (poisoned operator-edit cache); the
-    /// oracle path always returns `Ok`.
+    /// None: both paths always return `Ok`. The `Result` stays until the
+    /// benchmark harness's `.map_err` on it can go in the same change.
     pub fn snapshot(self) -> Result<Snapshot, Error> {
         match self.engine {
-            Some(engine) => engine.snapshot(self.tech, self.cfg, self.seed),
+            Some(engine) => Ok(engine.snapshot(self.tech, self.cfg, self.seed)),
             None => Ok(oracle_snapshot(self.base, self.tech, self.cfg, self.seed)),
         }
     }
@@ -281,11 +281,10 @@ impl<'a> FlowRun<'a> {
     ///
     /// # Errors
     ///
-    /// Only the engine path can fail (poisoned operator-edit cache); the
-    /// oracle path always returns `Ok`.
+    /// None, as for [`FlowRun::snapshot`].
     pub fn metrics(self) -> Result<FlowMetrics, Error> {
         match self.engine {
-            Some(engine) => engine.metrics(self.tech, self.cfg, self.seed),
+            Some(engine) => Ok(engine.metrics(self.tech, self.cfg, self.seed)),
             None => {
                 let snap = oracle_snapshot(self.base, self.tech, self.cfg, self.seed);
                 Ok(FlowMetrics::from_snapshot(&snap, self.base))

@@ -97,7 +97,7 @@ pub fn local_density_adjustment(
     let col_b = chunk_bounds(fp.cols(), n_c);
     let mut total = EcoPlaceStats::default();
 
-    for iter in 0..params.n_iter {
+    for _ in 0..params.n_iter {
         // Delete all existing placement blockages (Algorithm 2, line 3).
         layout.clear_blockages();
 
@@ -194,7 +194,7 @@ pub fn local_density_adjustment(
         // Run ECO placement (Algorithm 2, line 13): evict cells from tiles
         // over their bound…
         let stats = ECO_PLACE.time(|sp| {
-            let stats = place::eco_place(layout, tech, seed.wrapping_add(iter as u64));
+            let stats = place::eco_place(layout, tech);
             obs::trace(obs::Topic::Lda, || {
                 format!(
                     "lda: eco_place {:.2}s ({} evicted)",
@@ -210,7 +210,7 @@ pub fn local_density_adjustment(
         // …and pull cells *into* asset tiles up to their (high) bound,
         // squeezing out the free sites next to the critical assets.
         DENSIFY.time(|sp| {
-            densify_asset_tiles(layout, tech, &row_b, &col_b, &n_assets, &dens_cache);
+            densify_asset_tiles(layout, &row_b, &col_b, &n_assets, &dens_cache);
             obs::trace(obs::Topic::Lda, || {
                 format!("lda: densify {:.2}s", sp.elapsed().as_secs_f64())
             });
@@ -237,7 +237,6 @@ pub fn local_density_adjustment(
 /// the timing impact) minimal.
 fn densify_asset_tiles(
     layout: &mut Layout,
-    _tech: &Technology,
     row_b: &[u32],
     col_b: &[u32],
     n_assets: &[Vec<u32>],

@@ -46,9 +46,8 @@
 //! telemetry crate (re-exported here): phase spans, counters, and
 //! histograms, all behind a single atomic off-switch that keeps the
 //! disabled path effectively free. Enable with [`obs::set_enabled`]
-//! (metrics + spans) and pick per-topic trace streams programmatically
-//! via [`obs::enable`] or with the `GG_TRACE` environment variable
-//! (e.g. `GG_TRACE=route,lda`).
+//! (metrics + spans) and pick per-topic trace streams with the `GG_TRACE`
+//! environment variable (e.g. `GG_TRACE=route,lda`).
 
 // The evaluation pipeline must never bring the exploration process down:
 // failures surface as typed errors or flow through the sandbox degrade

@@ -356,6 +356,22 @@ impl ExploreResult {
             .collect()
     }
 
+    /// Why points missed the front: how many evaluated points, quarantined
+    /// ones aside, are over the DRC bound ([`FlowMetrics::drc_limit`]) and
+    /// how many over the power bound ([`crate::BETA_POWER`] times the
+    /// baseline's power), in that order. A point can be over both.
+    pub fn infeasible_counts(&self) -> (u64, u64) {
+        let (mut drc, mut power) = (0, 0);
+        for p in &self.points {
+            if self.quarantined.iter().any(|q| q.genome == p.genome) {
+                continue;
+            }
+            drc += u64::from(p.metrics.drc > FlowMetrics::drc_limit(self.base_drc));
+            power += u64::from(p.metrics.power_mw > crate::BETA_POWER * self.base_power_mw);
+        }
+        (drc, power)
+    }
+
     /// Dominated 2-D hypervolume of the explored Pareto front with
     /// respect to a reference point, on the minimization objectives
     /// `(Security, −TNS)`. Points not strictly better than the reference
@@ -1016,6 +1032,45 @@ mod tests {
         let hv = result.hypervolume(r);
         assert!(hv > 0.0, "hypervolume {hv}");
         assert!(result.hypervolume([r[0] + 100.0, r[1] + 100.0]) > hv);
+    }
+
+    /// Quarantined points count in neither bucket; a point over both
+    /// bounds counts in both; a point exactly at a bound is feasible.
+    #[test]
+    fn infeasible_counts_split_by_cause() {
+        let genome = |op| Genome {
+            op,
+            n_idx: 0,
+            iter_idx: 0,
+            scale_idx: [0; NUM_METAL_LAYERS],
+        };
+        let limit = FlowMetrics::drc_limit(10);
+        let point = |g, metrics| EvalPoint {
+            genome: g,
+            config: g.to_config(),
+            metrics,
+            generation: 0,
+        };
+        let mut quarantined_genome = genome(1);
+        quarantined_genome.n_idx = 1;
+        let result = ExploreResult {
+            points: vec![
+                point(genome(0), m(0.5, 0.0, limit, 1.2)),
+                point(genome(1), m(0.5, 0.0, limit + 1, 1.3)),
+                point(quarantined_genome, crate::sandbox::penalty_metrics()),
+            ],
+            base_power_mw: 1.0,
+            base_drc: 10,
+            base_tns_ps: 0.0,
+            quarantined: vec![QuarantineEntry {
+                genome: quarantined_genome,
+                generation: 0,
+                incremental: String::new(),
+                full: String::new(),
+            }],
+        };
+        assert_eq!(result.infeasible_counts(), (1, 1));
+        assert_eq!(result.pareto_front().len(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! operator touched a layout ([`evaluate`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use layout::Layout;
 use netlist::bench::DesignSpec;
@@ -121,6 +121,12 @@ pub(crate) fn evaluate_unchecked(layout: impl Into<Arc<Layout>>, tech: &Technolo
 /// just a plan clone and a capacity re-derivation, never a re-pattern.
 /// On top of that it memoizes each candidate's metrics per operator,
 /// operator seed and width scales, of which the flow is a pure function.
+///
+/// Both memos are single-flight: each key maps to one shared slot, the
+/// first asker builds it outside the lock, and concurrent askers of the
+/// same key wait for that one build. So while the edit cache stays under
+/// its byte budget (whose LRU order follows worker timing), the work done
+/// and every counter do not depend on worker timing.
 #[derive(Debug)]
 pub struct EvalEngine {
     base: Snapshot,
@@ -133,19 +139,29 @@ pub struct EvalEngine {
     cache_budget: u64,
 }
 
-/// The engine's memoized work, behind one lock: operator edits with their
-/// byte account and LRU clock, and end-to-end metrics.
+/// The engine's memoized work, behind one lock: operator-edit slots with
+/// their byte account and LRU clock, and end-to-end metrics slots. A slot
+/// is filled outside the lock; one whose build unwound stays empty, and
+/// the next asker builds it.
 #[derive(Debug, Default)]
 struct EvalCache {
     /// Keyed by the operator and the seed it consumes ([`operator_seed`]).
-    edits: HashMap<(OpSelect, u64), Edit>,
-    /// Sum of every cached edit's `bytes`.
+    edits: HashMap<(OpSelect, u64), EditEntry>,
+    /// Sum of every built edit's bytes.
     edit_bytes: u64,
-    /// Access clock driving LRU eviction; bumped on every edit hit and
-    /// insert.
+    /// Access clock driving LRU eviction; bumped on every edit lookup
+    /// and build.
     clock: u64,
     /// At most [`METRICS_MEMO_CAP`] entries.
-    metrics: HashMap<EvalKey, FlowMetrics>,
+    metrics: HashMap<EvalKey, Arc<OnceLock<FlowMetrics>>>,
+}
+
+/// One edit-cache slot with its LRU stamp.
+#[derive(Debug, Default)]
+struct EditEntry {
+    slot: Arc<OnceLock<Edit>>,
+    /// Cache clock value of the last lookup or the build.
+    last_used: u64,
 }
 
 /// One memoized operator edit: the post-operator layout (still at the
@@ -163,8 +179,6 @@ struct Edit {
     /// Unshared-with-baseline bytes this entry pins (what evicting it
     /// approximately frees).
     bytes: u64,
-    /// Cache clock value of the last hit or the insert.
-    last_used: u64,
 }
 
 /// Key of one memoized end-to-end evaluation: the operator, the seed it
@@ -218,7 +232,7 @@ static CACHE_EVICTIONS: obs::Counter = obs::Counter::new("eval.cache_evictions")
 
 /// Injection point covering the engine's memoized-edit path: checked before
 /// the cache lookup, so a drill exercises the sandbox without ever holding
-/// (and poisoning) the cache lock.
+/// the cache lock.
 static EVAL_PANIC: faults::Point = faults::Point::new("eval.panic");
 
 /// The seed an operator actually consumes: Cell Shift is deterministic,
@@ -243,14 +257,19 @@ impl EvalEngine {
         }
     }
 
+    /// The cache lock. Nothing that can unwind runs under it (every build
+    /// runs outside), so a poisoned lock still holds consistent state.
+    fn cache(&self) -> MutexGuard<'_, EvalCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The engine's current byte footprint, read directly from the
     /// structures, telemetry on or off; `ggd stats` and the bench suite
-    /// report it. A poisoned cache lock still yields the last byte
-    /// totals: they are statistics.
+    /// report it.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         // The page and shard walks below run after the guard drops, so
         // they never stall a worker's cache lookup.
-        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = self.cache();
         let cache_bytes = cache.edit_bytes + cache.metrics.len() as u64 * MEMO_ENTRY_BYTES;
         drop(cache);
         MemoryFootprint {
@@ -262,38 +281,33 @@ impl EvalEngine {
     }
 
     /// The engine path of [`crate::flow::FlowRun::metrics`]. A semantic
-    /// duplicate of an earlier candidate (equal [`EvalKey`], which GA
-    /// populations produce constantly) returns the memoized metrics
-    /// without re-running Phase B, STA or the security analysis; a
-    /// poisoned lock degrades the lookup to a miss and the insert to a
-    /// no-op.
-    pub(crate) fn metrics(
-        &self,
-        tech: &Technology,
-        cfg: &FlowConfig,
-        seed: u64,
-    ) -> Result<FlowMetrics, Error> {
+    /// duplicate of an earlier or in-flight candidate (equal [`EvalKey`],
+    /// which GA populations produce constantly) returns the memoized
+    /// metrics without re-running Phase B, STA or the security analysis.
+    /// Past [`METRICS_MEMO_CAP`] keys a new key is computed unshared.
+    pub(crate) fn metrics(&self, tech: &Technology, cfg: &FlowConfig, seed: u64) -> FlowMetrics {
         let key = (
             cfg.op,
             operator_seed(cfg.op, seed),
             cfg.scales.map(f64::to_bits),
         );
-        let memo = self
-            .cache
-            .lock()
-            .ok()
-            .and_then(|c| c.metrics.get(&key).copied());
-        if let Some(m) = memo {
-            MEMO_HITS.incr();
-            return Ok(m);
-        }
-        let m = FlowMetrics::from_snapshot(&self.snapshot(tech, cfg, seed)?, &self.base);
-        if let Ok(mut cache) = self.cache.lock() {
+        let slot = {
+            let mut cache = self.cache();
             if cache.metrics.len() < METRICS_MEMO_CAP {
-                cache.metrics.insert(key, m);
+                Arc::clone(cache.metrics.entry(key).or_default())
+            } else {
+                cache.metrics.get(&key).cloned().unwrap_or_default()
             }
+        };
+        let mut built_here = false;
+        let m = *slot.get_or_init(|| {
+            built_here = true;
+            FlowMetrics::from_snapshot(&self.snapshot(tech, cfg, seed), &self.base)
+        });
+        if !built_here {
+            MEMO_HITS.incr();
         }
-        Ok(m)
+        m
     }
 
     /// The engine path of [`crate::flow::FlowRun::snapshot`]: the memoized
@@ -302,13 +316,8 @@ impl EvalEngine {
     /// layout shared; any other copies it once and re-derives the plan's
     /// capacities, which stays bit-identical to the oracle because the
     /// plan stores unscaled usage (see [`route::RoutePlan::set_rule`]).
-    pub(crate) fn snapshot(
-        &self,
-        tech: &Technology,
-        cfg: &FlowConfig,
-        seed: u64,
-    ) -> Result<Snapshot, Error> {
-        let edit = self.edit(tech, cfg.op, operator_seed(cfg.op, seed))?;
+    pub(crate) fn snapshot(&self, tech: &Technology, cfg: &FlowConfig, seed: u64) -> Snapshot {
+        let edit = self.edit(tech, cfg.op, operator_seed(cfg.op, seed));
         let rule = tech::RouteRule::from_scales(cfg.scales);
         let (layout, plan) = if edit.layout.route_rule() == &rule {
             (edit.layout, (*edit.plan).clone())
@@ -319,76 +328,79 @@ impl EvalEngine {
             plan.set_rule(tech, &rule);
             (Arc::new(layout), plan)
         };
-        Ok(self.evaluate_with_plan(layout, plan, tech, &edit.dirty))
+        self.evaluate_with_plan(layout, plan, tech, &edit.dirty)
     }
 
     /// The edit of operator `op` at the seed it consumes, from the cache
-    /// or computed and inserted. A miss runs the operator outside the
-    /// lock: a racing duplicate costs one extra operator run but never
-    /// blocks the other workers on it, and the later insert wins.
-    ///
-    /// Returns [`Error::EditCachePoisoned`] if a worker panicked while
-    /// holding the cache lock; memoized edits are untrusted from then on.
-    fn edit(&self, tech: &Technology, op: OpSelect, seed: u64) -> Result<Edit, Error> {
+    /// or built once. The build runs outside the lock, and concurrent
+    /// askers of the same key wait for it and count as hits.
+    fn edit(&self, tech: &Technology, op: OpSelect, seed: u64) -> Edit {
         EVAL_PANIC.check();
-        let mut guard = self.cache.lock().map_err(|_| Error::EditCachePoisoned)?;
-        let cache = &mut *guard;
-        let hit = cache.edits.get_mut(&(op, seed)).map(|hit| {
+        let slot = {
+            let mut guard = self.cache();
+            let cache = &mut *guard;
             cache.clock += 1;
-            hit.last_used = cache.clock;
-            hit.clone()
-        });
+            let entry = cache.edits.entry((op, seed)).or_default();
+            entry.last_used = cache.clock;
+            Arc::clone(&entry.slot)
+        };
+        let (mut built_here, mut evictions) = (false, 0);
+        let edit = slot
+            .get_or_init(|| {
+                built_here = true;
+                let layout = crate::flow::apply_operator(&self.base, tech, op, seed);
+                let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
+                let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
+                // Byte accounting: what this entry pins beyond the baseline
+                // the engine holds anyway (copy-on-write shards/pages/segment
+                // lists it owns privately).
+                let bytes = layout
+                    .occupancy()
+                    .unshared_bytes(self.base.layout.occupancy())
+                    + plan.approx_unshared_bytes(&self.plan)
+                    + (dirty.nets.capacity() * size_of::<NetId>()) as u64;
+                // Account the edit and stamp it freshest, then LRU-evict
+                // under the byte budget. Only built edits are victims, so
+                // this one (not yet in its slot) never is, and the handles
+                // already returned keep an evicted edit alive for their
+                // callers.
+                let mut guard = self.cache();
+                let cache = &mut *guard;
+                cache.clock += 1;
+                if let Some(entry) = cache.edits.get_mut(&(op, seed)) {
+                    entry.last_used = cache.clock;
+                }
+                cache.edit_bytes += bytes;
+                while cache.edit_bytes > self.cache_budget {
+                    let Some((_, victim, freed)) = cache
+                        .edits
+                        .iter()
+                        .filter_map(|(&k, e)| Some((e.last_used, k, e.slot.get()?.bytes)))
+                        .min_by_key(|&(last_used, _, _)| last_used)
+                    else {
+                        break;
+                    };
+                    cache.edits.remove(&victim);
+                    cache.edit_bytes -= freed;
+                    evictions += 1;
+                }
+                Edit {
+                    layout: Arc::new(layout),
+                    plan: Arc::new(plan),
+                    dirty: Arc::new(dirty.nets),
+                    bytes,
+                }
+            })
+            .clone();
         // Counted after the guard drops: the first count after an
         // `obs::reset` takes the obs registry lock.
-        drop(guard);
-        if let Some(hit) = hit {
+        if built_here {
+            CACHE_MISSES.incr();
+        } else {
             CACHE_HITS.incr();
-            return Ok(hit);
         }
-        CACHE_MISSES.incr();
-        let layout = crate::flow::apply_operator(&self.base, tech, op, seed);
-        let dirty = route::dirty_between(&self.plan, &self.base.layout, &layout, tech);
-        let plan = route::plan_update(&self.plan, &layout, tech, &dirty);
-        // Byte accounting: what this entry pins beyond the baseline the
-        // engine holds anyway (copy-on-write shards/pages/segment lists
-        // it owns privately).
-        let bytes = layout
-            .occupancy()
-            .unshared_bytes(self.base.layout.occupancy())
-            + plan.approx_unshared_bytes(&self.plan)
-            + (dirty.nets.capacity() * size_of::<NetId>()) as u64;
-        let mut cache = self.cache.lock().map_err(|_| Error::EditCachePoisoned)?;
-        cache.clock += 1;
-        let edit = Edit {
-            layout: Arc::new(layout),
-            plan: Arc::new(plan),
-            dirty: Arc::new(dirty.nets),
-            bytes,
-            last_used: cache.clock,
-        };
-        cache.edit_bytes += bytes;
-        if let Some(old) = cache.edits.insert((op, seed), edit.clone()) {
-            // Racing duplicate: the loser's bytes leave the account.
-            cache.edit_bytes -= old.bytes;
-        }
-        // LRU eviction under the byte budget. The entry just inserted
-        // carries the freshest stamp, so it is never the victim, and the
-        // handles already returned keep an evicted edit alive for their
-        // callers.
-        while cache.edits.len() > 1 && cache.edit_bytes > self.cache_budget {
-            let (&victim, _) = cache
-                .edits
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .expect("non-empty cache has an LRU entry");
-            let evicted = cache
-                .edits
-                .remove(&victim)
-                .expect("victim key just observed");
-            cache.edit_bytes -= evicted.bytes;
-            CACHE_EVICTIONS.incr();
-        }
-        Ok(edit)
+        CACHE_EVICTIONS.add(evictions);
+        edit
     }
 
     /// The baseline snapshot the engine was built from.
@@ -660,13 +672,13 @@ mod tests {
         let op = OpSelect::CellShift;
 
         // A hit is a share of the miss, not a recomputation.
-        let first = engine.edit(&tech, op, 0).unwrap();
-        let second = engine.edit(&tech, op, 0).unwrap();
+        let first = engine.edit(&tech, op, 0);
+        let second = engine.edit(&tech, op, 0);
         assert!(Arc::ptr_eq(&first.layout, &second.layout));
 
         // Rule-identical materialization keeps the layout shared.
         let cfg = FlowConfig::cell_shift_default();
-        let same = engine.snapshot(&tech, &cfg, 1).unwrap().layout;
+        let same = engine.snapshot(&tech, &cfg, 1).layout;
         assert!(Arc::ptr_eq(&first.layout, &same));
 
         // A diverging rule copies privately and leaves the cache intact.
@@ -674,8 +686,8 @@ mod tests {
             scales: [1.2; tech::NUM_METAL_LAYERS],
             ..cfg
         };
-        let copied = engine.snapshot(&tech, &wide, 1).unwrap().layout;
-        let third = engine.edit(&tech, op, 0).unwrap();
+        let copied = engine.snapshot(&tech, &wide, 1).layout;
+        let third = engine.edit(&tech, op, 0);
         assert!(!Arc::ptr_eq(&first.layout, &copied));
         assert_eq!(copied.route_rule(), &tech::RouteRule::uniform(1.2));
         assert!(Arc::ptr_eq(&first.layout, &third.layout));
@@ -683,7 +695,7 @@ mod tests {
         // No leak: dropping every handle leaves the cache entry plus the
         // one probe below as the only owners.
         drop((second, same, copied, third));
-        let probe = engine.edit(&tech, op, 0).unwrap();
+        let probe = engine.edit(&tech, op, 0);
         drop(first);
         assert_eq!(Arc::strong_count(&probe.layout), 2);
         assert_eq!(Arc::strong_count(&probe.plan), 2);
@@ -700,18 +712,16 @@ mod tests {
         let mut engine = EvalEngine::new(&base, &tech);
         engine.cache_budget = 1;
         let cs = OpSelect::CellShift;
-        let a = engine.edit(&tech, cs, 0).unwrap();
+        let a = engine.edit(&tech, cs, 0);
         // Inserting a second edit blows the 1-byte budget and evicts the
         // first (older LRU stamp).
-        let _b = engine
-            .edit(&tech, OpSelect::Lda { n: 8, n_iter: 1 }, 1)
-            .unwrap();
+        let _b = engine.edit(&tech, OpSelect::Lda { n: 8, n_iter: 1 }, 1);
         // Cell Shift's edit is gone: the next lookup must recompute, not hit.
         assert!(
             !engine.cache.lock().unwrap().edits.contains_key(&(cs, 0)),
             "evicted entry must miss"
         );
-        let a2 = engine.edit(&tech, cs, 0).unwrap();
+        let a2 = engine.edit(&tech, cs, 0);
         // Determinism: the recomputation reproduces the same edit even
         // though the cache forgot it; the old handle stays valid.
         assert_eq!(

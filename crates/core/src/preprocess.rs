@@ -33,7 +33,7 @@ mod tests {
         let locked = lock_critical_cells(&mut layout);
         assert_eq!(locked, n_critical);
         for (id, _) in layout.design().cells_iter() {
-            let expect = layout.design().is_critical(id);
+            let expect = layout.design().critical_cells.contains(&id);
             assert_eq!(layout.occupancy().is_locked(id), expect, "cell {}", id.0);
         }
     }

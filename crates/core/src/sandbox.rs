@@ -183,7 +183,7 @@ pub fn evaluate_candidate(
     };
 
     // Stage 1: full re-eval from the base snapshot, bypassing every engine
-    // cache (a poisoned memo or a stage-0-only fault cannot reach it).
+    // cache (a stage-0-only fault cannot reach it).
     let full = run_stage(generation, candidate, key, 1, policy, || {
         crate::flow::FlowRun::new(engine.base(), tech, &cfg)
             .seed(seed)

@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use gdsii_guard::prelude::*;
@@ -26,12 +27,23 @@ struct Daemon {
     child: Child,
     socket: PathBuf,
     dir: PathBuf,
+    /// The child's stderr, which `drop` prints when the test fails.
+    stderr: PathBuf,
 }
+
+/// Numbers the daemons this binary starts, so a restart on the same
+/// scratch directory keeps its predecessor's stderr file.
+static STARTS: AtomicUsize = AtomicUsize::new(0);
 
 impl Daemon {
     fn start(dir: &PathBuf, extra_env: &[(&str, &str)]) -> Self {
         std::fs::create_dir_all(dir).expect("create scratch dir");
         let socket = dir.join("ggd.sock");
+        let stderr = dir.join(format!(
+            "ggd-{}.stderr",
+            STARTS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let log = std::fs::File::create(&stderr).expect("create stderr file");
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_ggd"));
         cmd.args([
             "serve",
@@ -45,7 +57,7 @@ impl Daemon {
             "1",
         ])
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
+        .stderr(log);
         for (k, v) in extra_env {
             cmd.env(k, v);
         }
@@ -54,6 +66,7 @@ impl Daemon {
             child,
             socket: socket.clone(),
             dir: dir.clone(),
+            stderr,
         }
     }
 
@@ -77,12 +90,16 @@ impl Daemon {
 }
 
 /// A test that fails before `shutdown` must not leave `ggd serve` running
-/// after the test binary exits.
+/// after the test binary exits, and shows what the daemon wrote to stderr.
 impl Drop for Daemon {
     fn drop(&mut self) {
         if let Ok(None) = self.child.try_wait() {
             let _ = self.child.kill();
             let _ = self.child.wait();
+        }
+        if std::thread::panicking() {
+            let log = std::fs::read_to_string(&self.stderr).unwrap_or_default();
+            eprintln!("--- {} ---\n{log}", self.stderr.display());
         }
     }
 }

@@ -174,6 +174,16 @@ fn expected_cli_stdout(result: &ExploreResult) -> String {
         result.points.len()
     ));
     let mut front = result.pareto_front();
+    if front.is_empty() {
+        let (drc, power) = result.infeasible_counts();
+        out.push_str(&format!(
+            "  no feasible point: {drc} over the DRC bound ({}), {power} over the power bound \
+             ({:.3} mW), {} quarantined\n",
+            FlowMetrics::drc_limit(result.base_drc),
+            gdsii_guard::BETA_POWER * result.base_power_mw,
+            result.quarantined.len()
+        ));
+    }
     front.sort_by(|a, b| {
         a.metrics
             .security

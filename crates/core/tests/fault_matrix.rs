@@ -197,6 +197,49 @@ fn zero_deadline_quarantines_every_candidate() {
     assert!(run.pareto_front().is_empty());
 }
 
+/// A build that unwinds leaves its edit-cache slot empty: the next asker
+/// of the key builds the edit itself (one miss, no hit) and gets the
+/// oracle's metrics.
+#[test]
+fn unwound_edit_build_is_rebuilt_by_the_next_asker() {
+    let _g = locked();
+    faults::clear();
+    let (tech, base) = fixture();
+    let engine = EvalEngine::new(base, tech);
+    let cfg = FlowConfig::lda_default();
+    let run = || {
+        FlowRun::new(engine.base(), tech, &cfg)
+            .engine(&engine)
+            .metrics()
+            .expect("engine metrics")
+    };
+
+    faults::arm_spec("eco.legalize:always").expect("arm");
+    let unwound = {
+        let _ctx = faults::push_context(0, 0, 1, 0);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+    };
+    faults::clear();
+    let payload = unwound.expect_err("the armed edit build must unwind");
+    assert_eq!(
+        faults::payload_of(&*payload),
+        Some(faults::FaultPayload::Injected {
+            point: "eco.legalize"
+        })
+    );
+
+    obs::reset();
+    obs::set_enabled(true);
+    let metrics = run();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    assert_eq!(snap.counter("eval.cache_misses"), 1);
+    assert_eq!(snap.counter("eval.cache_hits"), 0);
+    assert_eq!(snap.counter("eval.memo_hits"), 0);
+    let oracle = FlowRun::new(base, tech, &cfg).metrics().expect("oracle");
+    assert_eq!(metrics, oracle);
+}
+
 #[test]
 fn unarmed_runs_are_bit_identical() {
     let _g = locked();

@@ -126,12 +126,12 @@ fn write_spans_count_only_the_writes_since_reset() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The engine's cache counters at one worker, where they are a function
-/// of the code alone: every evaluation is served by exactly one of the
-/// metrics memo, an edit-cache hit or an edit-cache miss, and the TINY
-/// explore never reaches the edit cache's byte budget.
-#[test]
-fn engine_cache_counters_are_pinned_at_one_worker() {
+/// The engine's cache counters are a function of the code alone, at any
+/// worker count: every evaluation is served by exactly one of the metrics
+/// memo, an edit-cache hit or an edit-cache miss, a key is built once
+/// however many workers ask for it, and the TINY explore never reaches
+/// the edit cache's byte budget.
+fn assert_engine_cache_counters_pinned(threads: usize) {
     let _g = locked();
     let tech = Technology::nangate45_like();
     let base = implement_baseline(&bench::tiny_spec(), &tech).expect("tiny baseline");
@@ -139,7 +139,7 @@ fn engine_cache_counters_are_pinned_at_one_worker() {
         .population(16)
         .generations(4)
         .seed(0x6D51)
-        .threads(1)
+        .threads(threads)
         .build();
     obs::reset();
     obs::set_enabled(true);
@@ -152,9 +152,9 @@ fn engine_cache_counters_are_pinned_at_one_worker() {
     let hits = snap.counter("eval.cache_hits");
     let misses = snap.counter("eval.cache_misses");
     let memo_hits = snap.counter("eval.memo_hits");
-    assert_eq!(hits, 63, "eval.cache_hits");
-    assert_eq!(misses, 12, "eval.cache_misses");
-    assert_eq!(memo_hits, 3, "eval.memo_hits");
+    assert_eq!(hits, 63, "eval.cache_hits at {threads} workers");
+    assert_eq!(misses, 12, "eval.cache_misses at {threads} workers");
+    assert_eq!(memo_hits, 3, "eval.memo_hits at {threads} workers");
     assert_eq!(snap.counter("eval.cache_evictions"), 0);
     assert_eq!(hits + misses + memo_hits, snap.counter("nsga2.evaluations"));
     assert_eq!(
@@ -162,4 +162,19 @@ fn engine_cache_counters_are_pinned_at_one_worker() {
         result.points.len() as u64
     );
     assert_eq!(result.points.len(), 78);
+}
+
+#[test]
+fn engine_cache_counters_are_pinned_at_one_worker() {
+    assert_engine_cache_counters_pinned(1);
+}
+
+#[test]
+fn engine_cache_counters_are_pinned_at_two_workers() {
+    assert_engine_cache_counters_pinned(2);
+}
+
+#[test]
+fn engine_cache_counters_are_pinned_at_four_workers() {
+    assert_engine_cache_counters_pinned(4);
 }

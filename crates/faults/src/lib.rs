@@ -143,9 +143,8 @@ pub enum Trigger {
     /// Fires for this fraction of candidates (deterministic hash of
     /// `(point, candidate key, seed, stage)`).
     Prob(f64),
-    /// Fires for candidate 0 of this generation.
-    Generation(u64),
-    /// Fires for candidate `.1` of generation `.0`.
+    /// Fires for candidate `.1` of generation `.0` (`genN` parses to
+    /// candidate 0).
     GenCandidate(u64, u64),
 }
 
@@ -211,7 +210,7 @@ impl Spec {
         }
         if let Some(rest) = t.strip_prefix('g') {
             if let Some(gen) = rest.strip_prefix("en") {
-                return gen.parse::<u64>().ok().map(Trigger::Generation);
+                return gen.parse::<u64>().ok().map(|g| Trigger::GenCandidate(g, 0));
             }
             if let Some((g, c)) = rest.split_once('c') {
                 let (g, c) = (g.parse::<u64>().ok()?, c.parse::<u64>().ok()?);
@@ -387,7 +386,7 @@ impl Point {
                             let h = splitmix64(hash_str(self.name) ^ key ^ c.seed.rotate_left(17));
                             unit(h) < p
                         }
-                        Trigger::Generation(_) | Trigger::GenCandidate(_, _) => false,
+                        Trigger::GenCandidate(_, _) => false,
                     }
             }),
             Err(_) => false,
@@ -405,7 +404,6 @@ fn fires(e: &Entry, ctx: Ctx, seed: u64, point: &str) -> bool {
     }
     match e.trigger {
         Trigger::Always => true,
-        Trigger::Generation(g) => ctx.generation == g && ctx.candidate == 0,
         Trigger::GenCandidate(g, c) => ctx.generation == g && ctx.candidate == c,
         Trigger::Prob(p) => {
             let h = splitmix64(
@@ -487,7 +485,7 @@ mod tests {
         assert_eq!(s.seed, 7);
         assert_eq!(s.entries.len(), 3);
         assert_eq!(s.entries[0].trigger, Trigger::Prob(0.01));
-        assert_eq!(s.entries[1].trigger, Trigger::Generation(3));
+        assert_eq!(s.entries[1].trigger, Trigger::GenCandidate(3, 0));
         assert_eq!(s.entries[2].trigger, Trigger::GenCandidate(2, 5));
         assert!(s.entries.iter().all(|e| !e.persistent));
 

@@ -45,11 +45,6 @@ impl Interval {
         !self.is_empty() && !other.is_empty() && self.lo < other.hi && other.lo < self.hi
     }
 
-    /// Whether the two intervals overlap or touch end-to-end.
-    pub fn touches(&self, other: &Interval) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// Overlapping sub-interval, or `None` when disjoint.
     pub fn intersection(&self, other: &Interval) -> Option<Interval> {
         if !self.overlaps(other) {
@@ -89,7 +84,6 @@ mod tests {
         let a = Interval::new(0, 5);
         let b = Interval::new(5, 9);
         assert!(!a.overlaps(&b));
-        assert!(a.touches(&b));
         assert!(a.overlaps(&Interval::new(4, 6)));
         assert_eq!(
             a.intersection(&Interval::new(4, 6)),

@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn route_rule_round_trip() {
         let (_, mut layout) = tiny();
-        assert!(layout.route_rule().is_default());
+        assert_eq!(layout.route_rule(), &RouteRule::default());
         layout.set_route_rule(RouteRule::uniform(1.2));
         assert_eq!(layout.route_rule().scale(3), 1.2);
     }

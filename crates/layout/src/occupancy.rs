@@ -30,14 +30,6 @@ pub enum SiteState {
     Filler,
 }
 
-impl SiteState {
-    /// Whether the site counts as *free for Trojan insertion* under
-    /// Definition 2.2 (empty, or occupied by a non-functional filler).
-    pub fn is_exploitable(self) -> bool {
-        matches!(self, SiteState::Empty | SiteState::Filler)
-    }
-}
-
 /// Errors from [`Occupancy::place_cell`] and friends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceCellError {

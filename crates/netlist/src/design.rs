@@ -203,11 +203,6 @@ impl Design {
             .sum()
     }
 
-    /// Whether `cell` is in the security-critical asset list.
-    pub fn is_critical(&self, cell: CellId) -> bool {
-        self.critical_cells.contains(&cell)
-    }
-
     /// Critical cells as a hash set for O(1) membership tests.
     pub fn critical_set(&self) -> HashSet<CellId> {
         self.critical_cells.iter().copied().collect()

@@ -16,8 +16,8 @@
 //!   use fixed power-of-two log-bucketing.
 //! - **Trace events** — [`trace`] replaces the retired `GG_ROUTE_DEBUG` /
 //!   `GG_LDA_DEBUG` eprintln paths: each event carries a [`Topic`], and
-//!   topics are switched on either programmatically ([`enable`]) or with
-//!   the single documented `GG_TRACE=route,lda,…` environment variable.
+//!   topics are switched on with the single documented
+//!   `GG_TRACE=route,lda,…` environment variable.
 //!
 //! Spans and metrics are `static`s that own their atomic cells, declared
 //! at the call site, one per name; each lists itself in the registry on
@@ -147,19 +147,6 @@ fn init_trace_from_env() {
         }
         TRACE_TOPICS.fetch_or(bits, Ordering::Relaxed);
     });
-}
-
-/// Programmatically switches a trace topic on (the code-level equivalent
-/// of listing it in `GG_TRACE`).
-pub fn enable(topic: Topic) {
-    init_trace_from_env();
-    TRACE_TOPICS.fetch_or(topic.bit(), Ordering::Relaxed);
-}
-
-/// Switches a trace topic off.
-pub fn disable(topic: Topic) {
-    init_trace_from_env();
-    TRACE_TOPICS.fetch_and(!topic.bit(), Ordering::Relaxed);
 }
 
 /// Whether events of `topic` are currently emitted.
@@ -794,17 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_topics_parse_and_toggle() {
+    fn trace_topics_parse() {
         assert_eq!(Topic::from_name("route"), Some(Topic::Route));
         assert_eq!(Topic::from_name("LDA"), Some(Topic::Lda));
         assert_eq!(Topic::from_name("bogus"), None);
         for t in Topic::ALL {
             assert_eq!(Topic::from_name(t.name()), Some(t));
         }
-        enable(Topic::Route);
-        assert!(trace_enabled(Topic::Route));
-        disable(Topic::Route);
-        assert!(!trace_enabled(Topic::Route));
     }
 
     #[test]

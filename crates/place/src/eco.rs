@@ -283,14 +283,12 @@ static PHASE2: obs::Span = obs::Span::new("eco.phase2");
 /// lands where the scan-based reference legalizer puts it (pinned by the
 /// replay tests in this module).
 ///
-/// `seed` is retained for API stability but no longer influences the
-/// result: re-placement order is the total order
-/// `(widest first, descending CellId)`, so the outcome is fully
-/// determined by the layout and blockages.
+/// Re-placement order is the total order `(widest first, descending
+/// CellId)`, so the outcome is fully determined by the layout and
+/// blockages.
 ///
 /// Returns statistics about the incremental changes.
-pub fn eco_place(layout: &mut Layout, tech: &Technology, seed: u64) -> EcoPlaceStats {
-    let _ = seed;
+pub fn eco_place(layout: &mut Layout, tech: &Technology) -> EcoPlaceStats {
     ECO_LEGALIZE.check();
     let design = Arc::clone(layout.design());
     let clock = design.clock;
@@ -664,7 +662,7 @@ mod tests {
     #[test]
     fn noop_without_blockages() {
         let (tech, mut layout) = placed();
-        let stats = eco_place(&mut layout, &tech, 1);
+        let stats = eco_place(&mut layout, &tech);
         assert_eq!(stats, EcoPlaceStats::default());
     }
 
@@ -678,7 +676,7 @@ mod tests {
         let before = layout
             .occupancy()
             .density_in(b.row0, b.row1, b.col0, b.col1);
-        let stats = eco_place(&mut layout, &tech, 2);
+        let stats = eco_place(&mut layout, &tech);
         let after = layout
             .occupancy()
             .density_in(b.row0, b.row1, b.col0, b.col1);
@@ -702,7 +700,7 @@ mod tests {
         }
         let before: Vec<_> = critical.iter().map(|&c| layout.cell_pos(c)).collect();
         layout.set_blockages(vec![Blockage::new(0, fp.rows(), 0, fp.cols(), 0.05)]);
-        eco_place(&mut layout, &tech, 3);
+        eco_place(&mut layout, &tech);
         let after: Vec<_> = critical.iter().map(|&c| layout.cell_pos(c)).collect();
         assert_eq!(before, after);
     }
@@ -712,7 +710,7 @@ mod tests {
         let (tech, mut layout) = placed();
         let fp = *layout.floorplan();
         layout.set_blockages(vec![Blockage::new(0, fp.rows(), 0, fp.cols() / 2, 0.0)]);
-        eco_place(&mut layout, &tech, 4);
+        eco_place(&mut layout, &tech);
         for (id, _) in layout.design().cells_iter() {
             assert!(layout.cell_pos(id).is_some(), "cell {} lost", id.0);
         }
@@ -720,21 +718,21 @@ mod tests {
     }
 
     /// Phase 2's re-placement key is a total order (widest first,
-    /// CellId tie-break), so the seed no longer influences the result:
-    /// any two seeds must produce bit-identical layouts and stats.
+    /// CellId tie-break), so two runs on the same layout must produce
+    /// bit-identical layouts and stats.
     #[test]
-    fn replacement_order_is_seed_independent() {
+    fn replacement_is_deterministic() {
         let (tech, layout) = placed();
         let fp = *layout.floorplan();
         let b = Blockage::new(0, fp.rows() / 2, 0, fp.cols(), 0.15);
-        let run = |seed: u64| {
+        let run = || {
             let mut l = layout.clone();
             l.set_blockages(vec![b]);
-            let stats = eco_place(&mut l, &tech, seed);
+            let stats = eco_place(&mut l, &tech);
             (stats, l)
         };
-        let (stats_a, la) = run(1);
-        let (stats_b, lb) = run(0xDEAD_BEEF);
+        let (stats_a, la) = run();
+        let (stats_b, lb) = run();
         assert_eq!(stats_a, stats_b);
         assert!(stats_a.evicted > 0, "fixture must actually evict");
         for (id, _) in la.design().cells_iter() {
@@ -1069,7 +1067,7 @@ mod tests {
         blockages: Vec<Blockage>,
     ) -> (EcoPlaceStats, usize) {
         index_side.set_blockages(blockages.clone());
-        let stats = eco_place(index_side, tech, 7);
+        let stats = eco_place(index_side, tech);
         scan_side.set_blockages(blockages);
         let (reference, blind) = eco_place_reference(scan_side, tech);
         assert_eq!(stats, reference, "stats diverged");

@@ -63,7 +63,6 @@ impl PowerReport {
 /// extracted capacitances.
 #[derive(Debug, Clone, Copy)]
 pub struct PowerModel {
-    activity: f64,
     /// Clock frequency in GHz (fJ · GHz = µW).
     f_ghz: f64,
     leakage_nw: f64,
@@ -73,22 +72,12 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// Builds the model at the default activity factor.
-    pub fn new(layout: &Layout, tech: &Technology) -> Self {
-        Self::with_activity(layout, tech, DEFAULT_ACTIVITY)
-    }
-
-    /// Builds the model at an explicit signal activity factor.
+    /// Builds the model at [`DEFAULT_ACTIVITY`].
     ///
     /// # Panics
     ///
-    /// Panics if `activity` is not in `(0, 1]` or the clock period is
-    /// non-positive.
-    pub fn with_activity(layout: &Layout, tech: &Technology, activity: f64) -> Self {
-        assert!(
-            activity > 0.0 && activity <= 1.0,
-            "activity must be in (0, 1]"
-        );
+    /// Panics if the clock period is non-positive.
+    pub fn new(layout: &Layout, tech: &Technology) -> Self {
         let design = layout.design();
         let period_ps = design.constraints.clock_period;
         assert!(period_ps > 0.0, "clock period must be positive");
@@ -105,7 +94,7 @@ impl PowerModel {
                 // Flops toggle their internals every cycle (clock activity 1).
                 internal_uw += kind.internal_energy * f_ghz;
             } else {
-                internal_uw += kind.internal_energy * f_ghz * activity;
+                internal_uw += kind.internal_energy * f_ghz * DEFAULT_ACTIVITY;
             }
         }
         // Clock network: every flop clock pin plus distributed tree wire,
@@ -119,7 +108,6 @@ impl PowerModel {
                     .unwrap_or(1.5));
 
         Self {
-            activity,
             f_ghz,
             leakage_nw,
             internal_uw,
@@ -130,33 +118,17 @@ impl PowerModel {
 
 /// Analyzes the power of a routed layout at the design's clock constraint
 /// with the default activity factor.
-pub fn analyze(layout: &Layout, routing: &RoutingState, tech: &Technology) -> PowerReport {
-    analyze_with_activity(layout, routing, tech, DEFAULT_ACTIVITY)
-}
-
-/// Analyzes power with an explicit signal activity factor.
 ///
 /// # Panics
 ///
-/// Panics if `activity` is not in `(0, 1]` or the clock period is
-/// non-positive.
-pub fn analyze_with_activity(
-    layout: &Layout,
-    routing: &RoutingState,
-    tech: &Technology,
-    activity: f64,
-) -> PowerReport {
-    analyze_with_model(
-        &PowerModel::with_activity(layout, tech, activity),
-        layout,
-        routing,
-        tech,
-    )
+/// Panics if the clock period is non-positive.
+pub fn analyze(layout: &Layout, routing: &RoutingState, tech: &Technology) -> PowerReport {
+    analyze_with_model(&PowerModel::new(layout, tech), layout, routing, tech)
 }
 
 /// Analyzes power against a prebuilt [`PowerModel`], recomputing only the
 /// per-net switching sum. With a model built for the same design this is
-/// bit-identical to [`analyze_with_activity`] (which routes through here).
+/// bit-identical to [`analyze`] (which routes through here).
 pub fn analyze_with_model(
     model: &PowerModel,
     layout: &Layout,
@@ -179,7 +151,7 @@ pub fn analyze_with_model(
                 c += tech.library.kind(design.cell(*cell).kind).input_cap;
             }
         }
-        switching_uw += e_factor * c * f_ghz * model.activity;
+        switching_uw += e_factor * c * f_ghz * DEFAULT_ACTIVITY;
     }
     switching_uw += e_factor * model.clock_cap_ff * f_ghz;
 
@@ -215,16 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn higher_activity_means_more_dynamic_power() {
-        let (tech, layout, routing) = snapshot(0.6);
-        let lo = analyze_with_activity(&layout, &routing, &tech, 0.05);
-        let hi = analyze_with_activity(&layout, &routing, &tech, 0.5);
-        assert!(hi.switching_mw > lo.switching_mw);
-        assert!(hi.internal_mw > lo.internal_mw);
-        assert_eq!(hi.leakage_mw, lo.leakage_mw, "leakage is activity-free");
-    }
-
-    #[test]
     fn adding_cells_adds_power() {
         // A second design with more cells must burn more leakage.
         let tech = Technology::nangate45_like();
@@ -249,12 +211,5 @@ mod tests {
         let model = PowerModel::new(&layout, &tech);
         let inc = analyze_with_model(&model, &layout, &routing, &tech);
         assert_eq!(full, inc, "model path must be bit-identical");
-    }
-
-    #[test]
-    #[should_panic(expected = "activity")]
-    fn rejects_bad_activity() {
-        let (tech, layout, routing) = snapshot(0.6);
-        analyze_with_activity(&layout, &routing, &tech, 0.0);
     }
 }

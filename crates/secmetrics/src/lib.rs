@@ -29,9 +29,7 @@
 pub mod attack;
 pub mod distance;
 pub mod regions;
-pub mod report;
 
 pub use attack::{simulate_attack, AttackOutcome, TrojanSpec};
 pub use distance::{exploitable_distance_dbu, exploitable_distances};
 pub use regions::{analyze_regions, security_score, Region, RegionAnalysis, THRESH_ER};
-pub use report::{region_report, render_report, RegionReportLine};

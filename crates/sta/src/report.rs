@@ -69,14 +69,6 @@ impl TimingReport {
         self.endpoint_slacks.iter().map(|(_, s)| s.min(0.0)).sum()
     }
 
-    /// Number of endpoints violating their setup requirement.
-    pub fn failing_endpoints(&self) -> usize {
-        self.endpoint_slacks
-            .iter()
-            .filter(|(_, s)| *s < 0.0)
-            .count()
-    }
-
     /// All endpoint slacks.
     pub fn endpoint_slacks(&self) -> &[(EndpointKind, f64)] {
         &self.endpoint_slacks
@@ -129,7 +121,6 @@ mod tests {
         let r = report(&[-3.0, 5.0, -2.0, 0.0]);
         assert_eq!(r.tns_ps(), -5.0);
         assert_eq!(r.wns_ps(), -3.0);
-        assert_eq!(r.failing_endpoints(), 2);
     }
 
     #[test]

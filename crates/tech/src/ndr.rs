@@ -9,8 +9,9 @@ use crate::layers::NUM_METAL_LAYERS;
 /// pitch (fewer free tracks for a Trojan to exploit).
 ///
 /// ```
-/// let mut rule = tech::RouteRule::default();
-/// rule.set_scale(7, 1.5);
+/// let mut scales = [1.0; tech::NUM_METAL_LAYERS];
+/// scales[6] = 1.5;
+/// let rule = tech::RouteRule::from_scales(scales);
 /// assert_eq!(rule.scale(7), 1.5);
 /// assert_eq!(rule.scale(2), 1.0);
 /// ```
@@ -54,24 +55,9 @@ impl RouteRule {
         self.scale[m - 1]
     }
 
-    /// Sets the factor of 1-based metal layer `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range or `s < 1.0`.
-    pub fn set_scale(&mut self, m: usize, s: f64) {
-        assert!(s >= 1.0, "width scale factors must be >= 1.0");
-        self.scale[m - 1] = s;
-    }
-
     /// All per-layer factors (index 0 = M1).
     pub fn scales(&self) -> &[f64; NUM_METAL_LAYERS] {
         &self.scale
-    }
-
-    /// Whether the rule is the identity (all factors 1.0).
-    pub fn is_default(&self) -> bool {
-        self.scale.iter().all(|s| *s == 1.0)
     }
 }
 
@@ -86,16 +72,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_identity() {
-        assert!(RouteRule::default().is_default());
-        assert!(!RouteRule::uniform(1.2).is_default());
-    }
-
-    #[test]
     fn per_layer_assignment() {
-        let mut r = RouteRule::default();
-        r.set_scale(1, 1.2);
-        r.set_scale(10, 1.5);
+        let mut s = [1.0; NUM_METAL_LAYERS];
+        s[0] = 1.2;
+        s[9] = 1.5;
+        let r = RouteRule::from_scales(s);
         assert_eq!(r.scale(1), 1.2);
         assert_eq!(r.scale(10), 1.5);
         assert_eq!(r.scale(5), 1.0);
